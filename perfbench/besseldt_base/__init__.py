@@ -1,0 +1,67 @@
+"""Numerics for the Poisson semigroup of the Bessel operator on (0, inf).
+
+The measure is dm(x) = x^(2*lambda) dx.  Modules:
+
+- ``measure``: the weighted half-line, intervals, Lp norms, Ap weights, BMO
+- ``quadrature``: panel ladders and Gauss rules shared by the integrators
+- ``functions``: piecewise-linear sampled functions and stock builders
+- ``kernel``: Poisson kernel values/derivatives, semigroup application,
+  pointwise bound sweeps
+- ``hankel``: Hankel transform and the spectral route to the semigroup
+- ``lacunary``: lacunary time sequences, regularity, refinement
+- ``transform``: differential-transform partial sums, truncated maximal
+  operator, Cotlar-type checks, convergence probes
+- ``lab``: experiment configs, CSV emission, the experiment runners
+- ``cli``: command-line front end for the experiments
+"""
+
+from .errors import (ConfigError, ContractError, NumericsError,
+                     QuadratureError, TailEstimateError)
+from .functions import (SampledFunction, bump_mixture, constant_one, gaussian,
+                        indicator, log_grid, smooth_bump, smoothed_step)
+from .hankel import (gaussian_fixed_point_defect, hankel_transform,
+                     involution_defect, normalized_bessel, plancherel_defect,
+                     spectral_poisson_apply)
+from .kernel import (KernelPoint, closed_form_lambda1, kernel_bound_ratios,
+                     kernel_difference_l1, kernel_mass, kernel_sweep,
+                     kernel_values, poisson_apply, poisson_kernel,
+                     poisson_kernel_batch)
+from .lacunary import (LacunarySetup, RefinedSetup, geometric, is_lacunary,
+                       is_regular, refine, remap_window)
+from .measure import (Interval, LambdaSpace, PowerWeight, ap_characteristic,
+                      bmo_norm, comparability_check, dyadic_family,
+                      interval_average, interval_integral, lp_norm,
+                      measure_interval, oscillation)
+from .quadrature import QuadratureSpec
+from .transform import (CotlarReport, IndexWindow, SemigroupTable,
+                        TruncationLevel, apply_transform,
+                        apply_transform_kernel_route, convergence_probe,
+                        cotlar_check, head_sum_bound_ratio, maximal_hl,
+                        maximal_transform, maximal_transform_brute,
+                        tail_sum_bound_ratio, window_kernel,
+                        window_kernel_bounds)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "ConfigError", "ContractError", "NumericsError", "QuadratureError",
+    "TailEstimateError",
+    "SampledFunction", "bump_mixture", "constant_one", "gaussian",
+    "indicator", "log_grid", "smooth_bump", "smoothed_step",
+    "gaussian_fixed_point_defect", "hankel_transform", "involution_defect",
+    "normalized_bessel", "plancherel_defect", "spectral_poisson_apply",
+    "KernelPoint", "closed_form_lambda1", "kernel_bound_ratios",
+    "kernel_difference_l1", "kernel_mass", "kernel_sweep", "kernel_values",
+    "poisson_apply", "poisson_kernel", "poisson_kernel_batch",
+    "LacunarySetup", "RefinedSetup", "geometric", "is_lacunary",
+    "is_regular", "refine", "remap_window",
+    "Interval", "LambdaSpace", "PowerWeight", "ap_characteristic",
+    "bmo_norm", "comparability_check", "dyadic_family", "interval_average",
+    "interval_integral", "lp_norm", "measure_interval", "oscillation",
+    "QuadratureSpec",
+    "CotlarReport", "IndexWindow", "SemigroupTable", "TruncationLevel",
+    "apply_transform", "apply_transform_kernel_route", "convergence_probe",
+    "cotlar_check", "head_sum_bound_ratio", "maximal_hl",
+    "maximal_transform", "maximal_transform_brute", "tail_sum_bound_ratio",
+    "window_kernel", "window_kernel_bounds",
+]

@@ -1,0 +1,467 @@
+"""Windowed differential transforms of the Poisson semigroup.
+
+For a time sequence {a_j} and bounded weights {v_j},
+
+    T_N f = sum_{j=N1}^{N2} v_j (P_{a_{j+1}} f - P_{a_j} f),
+
+with windowed kernel K_N(x,y) built from the same differences.  The
+truncated maximal operator
+
+    T*_M f(x) = max over -M <= N1 < N2 <= M of |T_N f(x)|
+
+is computed from prefix sums in one linear pass.  Verification ops check the
+Calderon-Zygmund-type bounds of K_N, the head/tail partial-sum estimates on
+lacunary sequences, a Cotlar-type domination of T*_M, and the Cauchy
+behaviour of T_N f along growing windows.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .errors import ContractError
+from .functions import SampledFunction
+from .kernel import _batch, apply_at
+from .lacunary import LacunarySetup, is_lacunary, is_regular
+from .measure import (Interval, LambdaSpace, interval_q_integral, lp_norm,
+                      measure_interval)
+from .quadrature import QuadratureSpec
+
+
+@dataclass(frozen=True)
+class IndexWindow:
+    n1: int
+    n2: int
+
+    def __post_init__(self):
+        if self.n1 >= self.n2:
+            raise ValueError("window needs n1 < n2")
+
+    @property
+    def length(self) -> int:
+        return self.n2 - self.n1 + 1
+
+
+@dataclass(frozen=True)
+class TruncationLevel:
+    m_cap: int
+
+    def __post_init__(self):
+        if self.m_cap < 1:
+            raise ValueError("cap must be at least 1")
+
+
+def _check_window(setup: LacunarySetup, n1: int, n2: int):
+    if not (setup.j_min <= n1 and n2 <= setup.j_max - 1):
+        raise IndexError(
+            f"window ({n1}, {n2}) outside pair range "
+            f"[{setup.j_min}, {setup.j_max - 1}]")
+
+
+class SemigroupTable:
+    """Cache of P_{a_j} f on a fixed grid, one quadrature pass per level."""
+
+    def __init__(self, space: LambdaSpace, setup: LacunarySetup,
+                 f: SampledFunction, grid,
+                 quad: QuadratureSpec = QuadratureSpec()):
+        self.space = space
+        self.setup = setup
+        self.f = f
+        self.grid = np.asarray(grid, dtype=float)
+        self.quad = quad
+        self._levels: dict[int, np.ndarray] = {}
+
+    def level(self, j: int) -> np.ndarray:
+        if j not in self._levels:
+            t = self.setup.a_at(j)
+            self._levels[j] = apply_at(self.space, self.f, t, self.grid,
+                                       self.quad)[0]
+        return self._levels[j]
+
+    def diff(self, j: int) -> np.ndarray:
+        return self.level(j + 1) - self.level(j)
+
+    def weighted_prefixes(self, m_cap: int) -> np.ndarray:
+        """S[i] = sum_{j=-M}^{-M+i-1} v_j (p_{j+1} - p_j), i = 0..2M+1."""
+        M = m_cap
+        _check_window(self.setup, -M, M)
+        S = np.zeros((2 * M + 2, self.grid.size))
+        for i, j in enumerate(range(-M, M + 1)):
+            S[i + 1] = S[i] + self.setup.v_at(j) * self.diff(j)
+        return S
+
+
+# --------------------------------------------------------------------------
+# the transform and its kernel
+
+def window_kernel(space, setup, win: IndexWindow, x, y,
+                  quad=QuadratureSpec(), kind="p"):
+    """K_N(x, y) (or a first derivative for kind 'dx'/'dy'), vectorized."""
+    _check_window(setup, win.n1, win.n2)
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    out = 0.0
+    prev = None
+    for j in range(win.n1, win.n2 + 2):
+        cur = _batch(space, setup.a_at(j), x, y, quad, kind)
+        if prev is not None:
+            out = out + setup.v_at(j - 1) * (cur - prev)
+        prev = cur
+    return out
+
+
+def apply_transform(space, setup, win: IndexWindow, f: SampledFunction,
+                    eval_grid, quad=QuadratureSpec(),
+                    table: SemigroupTable | None = None) -> SampledFunction:
+    """T_N f on eval_grid through the sum-of-semigroups route."""
+    _check_window(setup, win.n1, win.n2)
+    eval_grid = np.asarray(eval_grid, dtype=float)
+    if table is None or table.grid.shape != eval_grid.shape \
+            or not np.array_equal(table.grid, eval_grid):
+        table = SemigroupTable(space, setup, f, eval_grid, quad)
+    vals = np.zeros(eval_grid.size)
+    for j in range(win.n1, win.n2 + 1):
+        vals += setup.v_at(j) * table.diff(j)
+
+    def closure(ys):
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        acc = np.zeros_like(ys)
+        prev = None
+        for j in range(win.n1, win.n2 + 2):
+            cur = apply_at(space, f, setup.a_at(j), ys, quad)[0]
+            if prev is not None:
+                acc += setup.v_at(j - 1) * (cur - prev)
+            prev = cur
+        return acc
+
+    return SampledFunction(eval_grid, vals, left="hold", right="zero",
+                           func=closure)
+
+
+def apply_transform_kernel_route(space, setup, win: IndexWindow,
+                                 f: SampledFunction, xs,
+                                 quad=QuadratureSpec()) -> np.ndarray:
+    """T_N f(x) = integral K_N(x, y) f(y) dm(y): the cross-check route.
+
+    Requires f supported up to its grid end (right tail policy "zero").
+    """
+    _check_window(setup, win.n1, win.n2)
+    slo, shi = f.support()
+    if math.isinf(shi):
+        raise ValueError("kernel route needs a compactly supported f")
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    from .quadrature import panel_edges, panel_nodes
+    width = setup.a_at(win.n1)
+    vals = np.empty_like(xs)
+    for k, x in enumerate(xs):
+        edges = panel_edges(slo, shi, x, width,
+                            breakpoints=f.quad_breakpoints(),
+                            max_panels=quad.panel_count)
+        zl = space.weight_exponent if edges[0] == 0.0 else None
+        nodes, weights, first_w = panel_nodes(edges, quad.y_nodes_per_panel,
+                                              zero_left_exponent=zl)
+        if first_w:
+            nw = quad.y_nodes_per_panel
+            weights = weights.copy()
+            weights[nw:] *= nodes[nw:] ** space.weight_exponent
+        else:
+            weights = weights * nodes ** space.weight_exponent
+        kern = window_kernel(space, setup, win, np.full_like(nodes, x),
+                             nodes, quad)
+        vals[k] = float(np.sum(weights * kern * f(nodes)))
+    return vals
+
+
+# --------------------------------------------------------------------------
+# maximal operators
+
+def max_window_sum_abs(S: np.ndarray) -> np.ndarray:
+    """max over i' >= i+2 of |S[i'] - S[i]| along axis 0, one linear pass.
+
+    Matches enumerating all windows because each window value is a prefix
+    difference with the two indices at least 2 apart.
+    """
+    if S.shape[0] < 3:
+        raise ValueError("need at least three prefix rows")
+    best = np.zeros(S.shape[1:])
+    run_min = S[0].copy()
+    run_max = S[0].copy()
+    for ip in range(2, S.shape[0]):
+        np.minimum(run_min, S[ip - 2], out=run_min)
+        np.maximum(run_max, S[ip - 2], out=run_max)
+        np.maximum(best, S[ip] - run_min, out=best)
+        np.maximum(best, run_max - S[ip], out=best)
+    return best
+
+
+def maximal_transform(space, setup, cap: TruncationLevel, f: SampledFunction,
+                      eval_grid, quad=QuadratureSpec(),
+                      table: SemigroupTable | None = None) -> SampledFunction:
+    """T*_M f on eval_grid via the prefix-sum pass."""
+    eval_grid = np.asarray(eval_grid, dtype=float)
+    if table is None:
+        table = SemigroupTable(space, setup, f, eval_grid, quad)
+    S = table.weighted_prefixes(cap.m_cap)
+    return SampledFunction(eval_grid, max_window_sum_abs(S),
+                           left="hold", right="zero")
+
+
+def maximal_transform_brute(space, setup, cap: TruncationLevel, f,
+                            eval_grid, quad=QuadratureSpec(),
+                            table: SemigroupTable | None = None
+                            ) -> SampledFunction:
+    """Reference implementation: enumerate every admissible window."""
+    eval_grid = np.asarray(eval_grid, dtype=float)
+    if table is None:
+        table = SemigroupTable(space, setup, f, eval_grid, quad)
+    M = cap.m_cap
+    S = table.weighted_prefixes(M)
+    best = np.zeros(eval_grid.size)
+    for n1 in range(-M, M):
+        for n2 in range(n1 + 1, M + 1):
+            win_val = S[n2 + M + 1] - S[n1 + M]
+            np.maximum(best, np.abs(win_val), out=best)
+    return SampledFunction(eval_grid, best, left="hold", right="zero")
+
+
+def default_radius_grid(lo: float = 1e-3, hi: float = 1e3,
+                        n: int = 64) -> np.ndarray:
+    """Log-spaced radii; the sup over r is reported over this finite grid,
+    a lower bound for the true maximal function."""
+    return np.geomspace(lo, hi, n)
+
+
+def maximal_hl(space, f: SampledFunction, q: float, radius_grid,
+               eval_pts) -> np.ndarray:
+    """M_q f(x) = max over the radius grid of the I(x,r) q-average^(1/q);
+    q = 1 is the Hardy-Littlewood maximal function."""
+    radius_grid = np.asarray(radius_grid, dtype=float)
+    if radius_grid.size == 0:
+        raise ValueError("radius grid is empty")
+    if q < 1.0:
+        raise ValueError("q must be at least 1")
+    eval_pts = np.atleast_1d(np.asarray(eval_pts, dtype=float))
+    vals = np.zeros(eval_pts.size)
+    for i, x in enumerate(eval_pts):
+        best = 0.0
+        for r in radius_grid:
+            iv = Interval(x, r)
+            avg = (interval_q_integral(space, f, iv, q)
+                   / measure_interval(space, iv))
+            if avg > best:
+                best = avg
+        vals[i] = best ** (1.0 / q)
+    return vals
+
+
+@dataclass(frozen=True)
+class CotlarReport:
+    m_cap: int
+    sup_ratio: float
+    ratios: np.ndarray
+    n_degenerate: int
+
+
+def cotlar_check(space, setup, cap: TruncationLevel, f: SampledFunction,
+                 q: float, eval_grid, quad=QuadratureSpec(),
+                 radius_grid=None) -> CotlarReport:
+    """Pointwise ratio T*_M f / (M(T_(-M,M) f) + M_q f) over eval_grid.
+
+    Where the denominator vanishes the numerator must too (asserted); such
+    points count as degenerate with ratio 0.
+    """
+    if q <= 1.0:
+        raise ValueError("q must exceed 1")
+    eval_grid = np.asarray(eval_grid, dtype=float)
+    if radius_grid is None:
+        radius_grid = default_radius_grid()
+    M = cap.m_cap
+    table = SemigroupTable(space, setup, f, eval_grid, quad)
+    tstar = maximal_transform(space, setup, cap, f, eval_grid, quad, table)
+    full = apply_transform(space, setup, IndexWindow(-M, M), f, eval_grid,
+                           quad, table)
+    full_sampled = SampledFunction(full.grid, full.values,
+                                   left="hold", right="zero")
+    m_of_t = maximal_hl(space, full_sampled, 1.0, radius_grid, eval_grid)
+    m_q = maximal_hl(space, f, q, radius_grid, eval_grid)
+    denom = m_of_t + m_q
+    ratios = np.zeros_like(denom)
+    degenerate = denom <= 0.0
+    if np.any(degenerate) and np.any(tstar.values[degenerate] > 1e-13):
+        raise ContractError(
+            "maximal transform nonzero where both maximal functions vanish")
+    ok = ~degenerate
+    ratios[ok] = tstar.values[ok] / denom[ok]
+    return CotlarReport(M, float(ratios.max()), ratios,
+                        int(np.count_nonzero(degenerate)))
+
+
+# --------------------------------------------------------------------------
+# bound verification
+
+@dataclass(frozen=True)
+class WindowBoundReport:
+    sup_size: float        # |K_N| * m(I(x, |x-y|))
+    sup_gradient: float    # (|dK/dx| + |dK/dy|) * m(I(x, |x-y|)) * |x-y|
+    sup_size_near: float   # regime x <= 2|x-y|
+    sup_size_far: float    # regime x > 2|x-y|
+    n_points: int
+
+
+def window_kernel_bounds(space, setup, win: IndexWindow, sweep,
+                         quad=QuadratureSpec()) -> WindowBoundReport:
+    """Fitted constants of the Calderon-Zygmund bounds of K_N.
+
+    sweep: array of (x, y) with x != y covering both regimes x <= 2|x-y|
+    and x > 2|x-y|.
+    """
+    pts = np.asarray(sweep, dtype=float)
+    if pts.size == 0:
+        raise ValueError("sweep must be nonempty")
+    x, y = pts[:, 0], pts[:, 1]
+    d = np.abs(x - y)
+    if np.any(d == 0.0):
+        raise ValueError("sweep must avoid the diagonal x = y")
+    local = x <= 2.0 * d
+    if not local.any() or local.all():
+        raise ValueError("sweep must cover both regimes x <= 2|x-y| "
+                         "and x > 2|x-y|")
+    meas = np.array([measure_interval(space, Interval(xx, dd))
+                     for xx, dd in zip(x, d)])
+    k_val = np.abs(window_kernel(space, setup, win, x, y, quad))
+    k_dx = window_kernel(space, setup, win, x, y, quad, kind="dx")
+    k_dy = window_kernel(space, setup, win, x, y, quad, kind="dy")
+    size = k_val * meas
+    grad = (np.abs(k_dx) + np.abs(k_dy)) * meas * d
+    return WindowBoundReport(float(size.max()), float(grad.max()),
+                             float(size[local].max()),
+                             float(size[~local].max()), len(pts))
+
+
+@dataclass(frozen=True)
+class TailBoundReport:
+    sup_ratio: float
+    n_used: int
+    n_rejected: int
+
+
+def head_sum_bound_ratio(space, setup, m: int, m_top: int, sweep,
+                         quad=QuadratureSpec()) -> TailBoundReport:
+    """Partial sum over j in [m, m_top] against 1/m(I(x, a_m)) for points
+    with |x - y| <= a_m; constraint violations are rejected and counted."""
+    ok, _ = is_regular(setup)
+    if not ok:
+        raise ValueError("needs a regular setup (ratios within [rho, rho^2])")
+    if m_top < m:
+        raise ValueError("needs m_top >= m")
+    setup.a_at(m_top + 1)
+    pts = np.asarray(sweep, dtype=float)
+    a_m = setup.a_at(m)
+    keep = np.abs(pts[:, 0] - pts[:, 1]) <= a_m
+    used = pts[keep]
+    if used.size == 0:
+        raise ValueError("no sweep points satisfy |x - y| <= a_m")
+    x, y = used[:, 0], used[:, 1]
+    total = _window_sum(space, setup, m, m_top, x, y, quad)
+    meas = np.array([measure_interval(space, Interval(xx, a_m)) for xx in x])
+    ratios = np.abs(total) * meas
+    return TailBoundReport(float(ratios.max()), len(used),
+                           int(np.count_nonzero(~keep)))
+
+
+def tail_sum_bound_ratio(space, setup, m: int, k: int, m_bot: int, sweep,
+                         quad=QuadratureSpec()) -> TailBoundReport:
+    """Partial sum over j in [m_bot, m-1] against rho^-(k-m+1)/m(I(x, a_k))
+    for points with a_k <= |x - y| <= a_{k+1}."""
+    ok, _ = is_regular(setup)
+    if not ok:
+        raise ValueError("needs a regular setup (ratios within [rho, rho^2])")
+    if k < m:
+        raise ValueError("needs k >= m")
+    pts = np.asarray(sweep, dtype=float)
+    a_k, a_k1 = setup.a_at(k), setup.a_at(k + 1)
+    d = np.abs(pts[:, 0] - pts[:, 1])
+    keep = (d >= a_k) & (d <= a_k1)
+    used = pts[keep]
+    if used.size == 0:
+        raise ValueError("no sweep points satisfy a_k <= |x - y| <= a_{k+1}")
+    x, y = used[:, 0], used[:, 1]
+    total = _window_sum(space, setup, m_bot, m - 1, x, y, quad)
+    meas = np.array([measure_interval(space, Interval(xx, a_k)) for xx in x])
+    ratios = np.abs(total) * meas * setup.rho ** (k - m + 1)
+    return TailBoundReport(float(ratios.max()), len(used),
+                           int(np.count_nonzero(~keep)))
+
+
+def _window_sum(space, setup, j_lo, j_hi, x, y, quad):
+    total = 0.0
+    prev = None
+    for j in range(j_lo, j_hi + 2):
+        cur = _batch(space, setup.a_at(j), x, y, quad, "p")
+        if prev is not None:
+            total = total + setup.v_at(j - 1) * (cur - prev)
+        prev = cur
+    return total
+
+
+# --------------------------------------------------------------------------
+# convergence probe
+
+@dataclass(frozen=True)
+class ProbeReport:
+    caps: tuple
+    sup_diffs: np.ndarray      # max_x |T_(-L',L') f - T_(-L,L) f|
+    tail_bounds: np.ndarray    # A + B closed-form bound at level L
+    ratios: np.ndarray
+
+
+def convergence_probe(space, setup, f: SampledFunction, eval_pts, caps,
+                      quad=QuadratureSpec()) -> ProbeReport:
+    """Cauchy check of T_(-L,L) f along growing L with the analytic tail
+    bounds of the convergence proof.
+
+    The increment from L to L' collects terms with L <= |j| < L'; its size
+    is bounded by A(L) + B(L) where A(L) = rho^d/(rho^d - 1) *
+    |f|_L1(dm) / a_L^d with d = 2 lam + 1 (upper tail) and B(L) =
+    sqrt(rho)/(sqrt(rho) - 1) * sqrt(a_-L) * (Lip(f) + sup|f|) (lower tail).
+    Reported ratios sup_diff/bound must stay bounded as L grows.
+    """
+    if f.lipschitz is None:
+        raise ValueError("probe needs a test function with a declared "
+                         "Lipschitz constant")
+    ok, worst = is_lacunary(setup)
+    if not ok:
+        raise ValueError(f"not {setup.rho}-lacunary: worst ratio {worst}")
+    caps = tuple(int(c) for c in caps)
+    if any(c2 <= c1 for c1, c2 in zip(caps[:-1], caps[1:])):
+        raise ValueError("caps must increase")
+    eval_pts = np.asarray(eval_pts, dtype=float)
+    table = SemigroupTable(space, setup, f, eval_pts, quad)
+    vals = []
+    for L in caps:
+        win = IndexWindow(-L, L)
+        _check_window(setup, -L, L)
+        acc = np.zeros(eval_pts.size)
+        for j in range(-L, L + 1):
+            acc += setup.v_at(j) * table.diff(j)
+        vals.append(acc)
+    sup_diffs = np.array([np.max(np.abs(b - a))
+                          for a, b in zip(vals[:-1], vals[1:])])
+    dim = space.dimension
+    vmax = float(np.max(np.abs(setup.v)))
+    l1 = lp_norm(space, f, 1.0)
+    sup_f = float(np.max(np.abs(f.values)))
+    rho = setup.rho
+    bounds = []
+    for L in caps[:-1]:
+        a_up = setup.a_at(L)
+        a_dn = setup.a_at(-L)
+        A = rho ** dim / (rho ** dim - 1.0) * l1 / a_up ** dim
+        B = (math.sqrt(rho) / (math.sqrt(rho) - 1.0) * math.sqrt(a_dn)
+             * (f.lipschitz + sup_f))
+        bounds.append(vmax * (A + B))
+    bounds = np.array(bounds)
+    return ProbeReport(caps, sup_diffs, bounds, sup_diffs / bounds)
