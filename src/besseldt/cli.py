@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 One subcommand per experiment; common flags --config/--out/--seed.  Exit
-codes: 0 success, 1 config error, 2 numerical-tolerance failure, 3 contract
-failure.
+codes: 0 success, 1 config error (any ``ValueError``), 2 numerical-tolerance
+failure, 3 contract failure.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def main(argv=None) -> int:
                 print(f"contract failure: {msg}", file=sys.stderr)
             return 3
         return 0
-    except ConfigError as exc:
+    except ValueError as exc:  # ConfigError and plain input validation
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

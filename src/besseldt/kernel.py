@@ -3,15 +3,27 @@
     P_t(x,y) = (2 lam t / pi) * integral_0^pi sin(th)^(2 lam - 1)
                / (x^2 + y^2 + t^2 - 2 x y cos(th))^(lam + 1) dth
 
-After u = cos(th) the integrand carries the Jacobi weight (1-u^2)^(lam-1).
-For kappa = ((x-y)^2 + t^2) / (2xy) >= 1 a single Gauss-Jacobi rule converges
-geometrically.  Near the diagonal (kappa << 1) the integrand develops a spike
-of width kappa at u = 1, so the evaluator switches to geometrically graded
-panels in w = 1 - u with Jacobi end rules absorbing w^(lam-1) and
-(2-w)^(lam-1); this keeps full relative accuracy uniformly in (t, x, y).
+The kernel itself is evaluated in closed form.  With c = (x-y)^2 + t^2,
+B = 2xy and A = c + B, expanding in cos(th) gives
+A^-(lam+1) B(lam, 1/2) 2F1((lam+1)/2, (lam+2)/2; lam+1/2; (B/A)^2), and the
+Euler transformation (DLMF 15.8.1) moves the (1 - (B/A)^2)^-1 singularity
+of the diagonal into an explicit factor:
 
-Derivatives in t, x, y are obtained by differentiating under the integral
-sign, which only changes the exponent and inserts polynomial moments.
+    P_t(x,y) = (2 lam t / pi) B(lam, 1/2) A^(1-lam) / (c (c + 2B))
+               * 2F1(lam/2, (lam-1)/2; lam+1/2; (B/A)^2)
+
+with 1 - (B/A)^2 = c (c + 2B) / A^2 formed as a product, never by
+subtraction, so relative accuracy holds uniformly in (t, x, y).
+
+The derivatives in t, x, y still come from the angular integral,
+differentiated under the integral sign (which only changes the exponent and
+inserts polynomial moments).  After u = cos(th) the integrand carries the
+Jacobi weight (1-u^2)^(lam-1).  For kappa = c / B >= 1 a single
+Gauss-Jacobi rule converges geometrically.  Near the diagonal (kappa << 1)
+the integrand develops a spike of width kappa at u = 1, so the rule switches
+to geometrically graded panels in w = 1 - u with Jacobi end rules absorbing
+w^(lam-1) and (2-w)^(lam-1).  Pointwise derivative values are verified by
+doubling the node count.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import beta, hyp2f1
 
 from .errors import QuadratureError, TailEstimateError
 from .functions import SampledFunction
@@ -50,8 +63,22 @@ def closed_form_lambda1(t, x, y):
                                 * ((x + y) ** 2 + t ** 2))
 
 
+def _closed_form_p(lam, t, x, y):
+    """P_t(x, y) for any lam > 0 through the Euler-transformed 2F1 (see the
+    module docstring), vectorized over broadcast (t, x, y)."""
+    t, x, y = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                  np.asarray(x, dtype=float),
+                                  np.asarray(y, dtype=float))
+    c = (x - y) ** 2 + t * t
+    B = 2.0 * x * y
+    A = c + B
+    front = 2.0 * lam / math.pi * beta(lam, 0.5)
+    hyp = hyp2f1(0.5 * lam, 0.5 * (lam - 1.0), lam + 0.5, (B / A) ** 2)
+    return front * t * A ** (1.0 - lam) / (c * (c + 2.0 * B)) * hyp
+
+
 # --------------------------------------------------------------------------
-# angular quadrature engine
+# angular quadrature engine (derivative kinds)
 
 @lru_cache(maxsize=4096)
 def _bucket_rule(lam: float, bucket: int, n: int):
@@ -121,8 +148,8 @@ def _theta_sums(lam, c, B, n, n_exps=1, moment=False):
 
 
 def _assemble(space, t, x, y, quad, kind, n):
-    """Kernel or a derivative, vectorized; `kind` in
-    {'p', 'dt', 'dx', 'dy', 'dtdx', 'dtdy'}."""
+    """A kernel derivative by the angular rule, vectorized; `kind` in
+    {'dt', 'dx', 'dy', 'dtdx', 'dtdy'}."""
     lam = space.lam
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -133,10 +160,7 @@ def _assemble(space, t, x, y, quad, kind, n):
     c = (x - y) ** 2 + t * t
     B = 2.0 * x * y
     front = 2.0 * lam / math.pi
-    if kind == "p":
-        S = _theta_sums(lam, c, B, n, n_exps=1)
-        val = front * t * S[(0, 0)]
-    elif kind == "dt":
+    if kind == "dt":
         S = _theta_sums(lam, c, B, n, n_exps=2)
         val = front * (S[(0, 0)] - 2.0 * (lam + 1.0) * t * t * S[(1, 0)])
     elif kind in ("dx", "dy"):
@@ -159,8 +183,11 @@ def _assemble(space, t, x, y, quad, kind, n):
 
 
 def _batch(space, t, x, y, quad, kind):
-    """Adaptive batch evaluation: doubles the per-panel node count until the
-    whole batch moves by less than the tolerances, refining all points."""
+    """Batch evaluation.  The kernel is exact in closed form; a derivative
+    doubles the per-panel node count until the whole batch moves by less
+    than the tolerances, refining all points."""
+    if kind == "p":
+        return _closed_form_p(space.lam, t, x, y)
     n = quad.theta_nodes
     prev = _assemble(space, t, x, y, quad, kind, n)
     while n < quad.theta_max_nodes:
@@ -176,8 +203,9 @@ def _batch(space, t, x, y, quad, kind):
 
 
 def poisson_kernel_batch(space, t, x, y, quad=QuadratureSpec(), kind="p"):
-    """Kernel (or derivative) values for arrays of (t, x, y), verified by
-    node doubling; kind in {p, dt, dx, dy, dtdx, dtdy}."""
+    """Kernel (or derivative) values for arrays of (t, x, y); kind in
+    {p, dt, dx, dy, dtdx, dtdy}.  'p' is the closed form; the derivatives
+    use the angular rule, verified by node doubling."""
     return _batch(space, t, x, y, quad, kind)
 
 
@@ -206,15 +234,19 @@ def poisson_kernel_dt_dy(space, pt, quad=QuadratureSpec()) -> float:
     return float(_batch(space, pt.t, pt.x, pt.y, quad, "dtdy"))
 
 
-def kernel_values(space, t, x, y, quad=QuadratureSpec(), kind="p", nodes=None):
+def kernel_values(space, t, x, y, quad=QuadratureSpec(), kind="p"):
     """Single-pass vectorized evaluation used inside radial integrals.
 
-    The composite angular rule is already far below integrator tolerances at
-    the default node count; integral-level checks (normalization, dual-route
-    agreement) guard the end-to-end accuracy.
+    'p' is the closed form, exact to rounding.  A derivative kind takes one
+    pass of the angular rule at half the configured node count, without
+    doubling: the composite rule is already far below integrator tolerances
+    there, and integral-level checks (normalization, dual-route agreement)
+    guard the end-to-end accuracy.
     """
-    n = nodes if nodes is not None else max(24, quad.theta_nodes // 2)
-    return _assemble(space, t, x, y, quad, kind, n)
+    if kind == "p":
+        return _closed_form_p(space.lam, t, x, y)
+    return _assemble(space, t, x, y, quad, kind,
+                     max(24, quad.theta_nodes // 2))
 
 
 # --------------------------------------------------------------------------

@@ -182,6 +182,10 @@ class ExperimentConfig:
 
 _FIELD_OF_KEY = {"lambda": "lam", "v": "v_spec", "f": "f_spec", "m": "m_cap"}
 
+#: default (j_min, j_max) and (n1, n2) of the experiments with a window
+_WINDOW_DEFAULTS = {"bounds-suite": ((-4, 4), (-3, 3)),
+                    "transform": ((-6, 6), (-2, 2))}
+
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse flat key=value config text; reject unknown and duplicate keys,
@@ -263,6 +267,31 @@ def _validate(cfg: ExperimentConfig, lines_of: dict):
             bad(key, f"{key} entries must be positive")
     if cfg.lambda_list is not None and any(v <= 0 for v in cfg.lambda_list):
         bad("lambda_list", "lambda_list entries must be positive")
+    if cfg.experiment in _WINDOW_DEFAULTS:
+        j_min, j_max, n1, n2 = _window_keys(cfg)
+        if n1 >= n2:
+            bad("n1" if cfg.n1 is not None else "n2",
+                f"window needs n1 < n2, got ({n1}, {n2})")
+        uses_window = (cfg.experiment == "transform" or cfg.items is None
+                       or any(it in _WINDOW_ITEMS for it in cfg.items))
+        if uses_window and not (j_min <= n1 and n2 <= j_max - 1):
+            bad("n1" if n1 < j_min else "n2",
+                f"window ({n1}, {n2}) outside the pair range "
+                f"[{j_min}, {j_max - 1}] of j_min, j_max")
+        m = cfg.m_cap
+        if cfg.experiment == "transform" and m is not None \
+                and not (j_min <= -m and m <= j_max - 1):
+            bad("m", f"m = {m} needs [-m, m] inside the pair range "
+                     f"[{j_min}, {j_max - 1}] of j_min, j_max")
+
+
+def _window_keys(cfg: ExperimentConfig):
+    """(j_min, j_max, n1, n2) of a windowed experiment, defaults filled in."""
+    (j_lo, j_hi), (n1, n2) = _WINDOW_DEFAULTS[cfg.experiment]
+    return (cfg.j_min if cfg.j_min is not None else j_lo,
+            cfg.j_max if cfg.j_max is not None else j_hi,
+            cfg.n1 if cfg.n1 is not None else n1,
+            cfg.n2 if cfg.n2 is not None else n2)
 
 
 def resolve_v(spec: Optional[str], j_min: int, j_max: int) -> np.ndarray:
@@ -419,10 +448,8 @@ def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
     dil = cfg.dilation if cfg.dilation is not None else 1.0
     t_rng = (cfg.t_lo or 1e-2, cfg.t_hi or 1e2)
     xy_rng = (cfg.xy_lo or 1e-2, cfg.xy_hi or 1e2)
-    j_min = cfg.j_min if cfg.j_min is not None else -4
-    j_max = cfg.j_max if cfg.j_max is not None else 4
-    win = IndexWindow(cfg.n1 if cfg.n1 is not None else -3,
-                      cfg.n2 if cfg.n2 is not None else 3)
+    j_min, j_max, n1, n2 = _window_keys(cfg)
+    win = IndexWindow(n1, n2)
 
     rows = []
     failures = []
@@ -493,12 +520,10 @@ def run_transform(cfg: ExperimentConfig) -> ExperimentResult:
     space = LambdaSpace(cfg.lam)
     quad = cfg.quadrature()
     rng = np.random.default_rng(cfg.seed)
-    j_min = cfg.j_min if cfg.j_min is not None else -6
-    j_max = cfg.j_max if cfg.j_max is not None else 6
+    j_min, j_max, n1, n2 = _window_keys(cfg)
     setup = geometric(cfg.rho, j_min, j_max,
                       v=resolve_v(cfg.v_spec, j_min, j_max))
-    win = IndexWindow(cfg.n1 if cfg.n1 is not None else -2,
-                      cfg.n2 if cfg.n2 is not None else 2)
+    win = IndexWindow(n1, n2)
     f = resolve_f(cfg.f_spec, rng)
     grid = _grid(cfg, 1e-2, 1e2, 129)
     table = SemigroupTable(space, setup, f, grid, quad)

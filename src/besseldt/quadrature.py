@@ -14,18 +14,21 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
+from .errors import NumericsError
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Accuracy knobs for the integral operators.
 
     theta_nodes       nodes of the angular Gauss-Jacobi rule (per panel in the
-                      composite near-diagonal regime)
+                      composite near-diagonal regime); used by the kernel
+                      derivatives only, the kernel itself is closed form
     y_nodes_per_panel Gauss-Legendre nodes per radial panel
     panel_count       budget cap on radial panels for one integral
     abs_tol, rel_tol  convergence targets; refinement stops when the change
                       between node counts is below max(abs_tol, rel_tol*|value|)
-    theta_max_nodes   doubling cap for the angular rule
+    theta_max_nodes   doubling cap for the angular rule of the derivatives
     """
 
     theta_nodes: int = 64
@@ -149,8 +152,8 @@ def panel_edges(lo: float, hi: float, center: float, width: float,
     return np.asarray(out)
 
 
-class QuadratureBudgetError(RuntimeError):
-    pass
+class QuadratureBudgetError(NumericsError):
+    """The radial panel layout needs more panels than its budget allows."""
 
 
 def panel_nodes(edges: np.ndarray, n: int, zero_left_exponent: float | None = None):

@@ -9,6 +9,7 @@ import besseldt
 import besseldt.cli as cli
 from besseldt.errors import ConfigError, ContractError, NumericsError
 from besseldt.lab import ExperimentResult
+from besseldt.quadrature import QuadratureBudgetError
 
 
 def _ok_result():
@@ -53,6 +54,8 @@ def test_exit_three_on_contract_failure(monkeypatch, tmp_path, capsys):
     (ConfigError("bad"), 1),
     (NumericsError("tail bound failed"), 2),
     (ContractError("identity broken"), 3),
+    (ValueError("t must be positive"), 1),
+    (QuadratureBudgetError("panel budget 400 exhausted"), 2),
 ])
 def test_exception_to_exit_code(monkeypatch, tmp_path, exc, code):
     def boom(cfg):
@@ -67,6 +70,25 @@ def test_config_experiment_mismatch(tmp_path, capsys):
     code = cli.main(["kernel-eval", "--config", str(path)])
     assert code == 1
     assert "subcommand" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("keys,message", [
+    ("n1 = 3\nn2 = 1\n", "window needs n1 < n2"),
+    ("n1 = -10\n", "outside the pair range"),
+    ("m = 10\n", "inside the pair range"),
+], ids=["n1-above-n2", "n1-below-j_min", "m-beyond-j_max"])
+def test_window_outside_range_is_config_error(tmp_path, capsys, keys,
+                                              message):
+    path = tmp_path / "t.cfg"
+    path.write_text("experiment = transform\n" + keys)
+    code = cli.main(["transform", "--config", str(path),
+                     "--out", str(tmp_path / "t.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: line 2: ")
+    assert message in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_unreadable_config(tmp_path, capsys):

@@ -1,5 +1,10 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad as quad_ref
 
 from besseldt.functions import SampledFunction, indicator
@@ -28,7 +33,7 @@ def test_closed_form_match_lambda1(space1, rng):
     y = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 60))
     got = poisson_kernel_batch(space1, t, x, y)
     want = closed_form_lambda1(t, x, y)
-    assert rel_err(got, want) < 1e-10
+    assert rel_err(got, want) < 1e-14
 
 
 def test_kernel_symmetry():
@@ -140,3 +145,76 @@ def test_hold_tail_truncation_bound(space1):
     vals, tails = apply_at(space1, f, 1e3, np.array([1.0]))
     assert tails[0] <= 1e-10
     assert vals[0] == pytest.approx(1.0, abs=1e-6)
+
+
+# -- closed form against an independent oracle --------------------------------
+
+def mp_kernel(lam, t, x, y):
+    """P_t(x, y) from the untransformed series in cos(theta) at 50 digits:
+    (2 lam t / pi) B(lam, 1/2) A^-(lam+1)
+    * 2F1((lam+1)/2, (lam+2)/2; lam+1/2; (B/A)^2)."""
+    with mpmath.workdps(50):
+        lam, t, x, y = (mpmath.mpf(float(v)) for v in (lam, t, x, y))
+        c = (x - y) ** 2 + t * t
+        B = 2 * x * y
+        A = c + B
+        half = mpmath.mpf(1) / 2
+        return (2 * lam * t / mpmath.pi * mpmath.beta(lam, half)
+                * A ** (-(lam + 1))
+                * mpmath.hyp2f1((lam + 1) / 2, (lam + 2) / 2, lam + half,
+                                (B / A) ** 2))
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.3, 0.6, 1.0, 1.25, 1.5, 3.5, 7.0])
+def test_kernel_against_mpmath(lam):
+    rng = np.random.default_rng(int(lam * 100))
+    n = 24
+    t = np.exp(rng.uniform(np.log(1e-4), np.log(1e3), n))
+    x = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
+    y = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
+    # near-diagonal sweep: kappa = c / B from 1 down to 1e-12, split between
+    # (x - y)^2 and t^2
+    kappa = np.geomspace(1.0, 1e-12, 13)
+    xd = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), kappa.size))
+    half_c = kappa * xd * xd          # kappa * B / 2 with y ~ x
+    yd = xd + np.sqrt(half_c)
+    td = np.sqrt(kappa * 2.0 * xd * yd - (xd - yd) ** 2)
+    t, x, y = (np.concatenate(p) for p in ((t, td), (x, xd), (y, yd)))
+    space = LambdaSpace(lam)
+    got = poisson_kernel_batch(space, t, x, y)
+    want = [mp_kernel(lam, *p) for p in zip(t, x, y)]
+    err = max(abs(float((mpmath.mpf(float(g)) - w) / w))
+              for g, w in zip(got, want))
+    assert err < 1e-12
+    # the radial integrals read the same closed form
+    assert np.array_equal(kernel_values(space, t, x, y), got)
+
+
+# -- properties of the closed form -------------------------------------------
+
+lams = st.sampled_from([0.05, 0.3, 0.6, 1.0, 1.25, 1.5, 3.5, 7.0])
+log_pos = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lam=lams, t=log_pos, x=log_pos, y=log_pos)
+def test_kernel_symmetric(lam, t, x, y):
+    s = LambdaSpace(lam)
+    a = float(poisson_kernel_batch(s, t, x, y))
+    b = float(poisson_kernel_batch(s, t, y, x))
+    assert a > 0
+    assert a == pytest.approx(b, rel=1e-14)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(lam=lams, t=log_pos, x=log_pos, y=log_pos,
+       k=st.integers(min_value=-10, max_value=10))
+def test_kernel_dilation_homogeneous(lam, t, x, y, k):
+    # a power-of-two dilation scales the inputs exactly, so any defect is
+    # the kernel's own rounding
+    s = LambdaSpace(lam)
+    d = 2.0 ** k
+    scaled = float(poisson_kernel_batch(s, d * t, d * x, d * y))
+    base = float(poisson_kernel_batch(s, t, x, y))
+    assert scaled == pytest.approx(
+        base * math.pow(d, -(2.0 * lam + 1.0)), rel=1e-13)
