@@ -108,9 +108,6 @@ class SampledFunction:
 
     __rmul__ = __mul__
 
-    def with_values(self, values) -> "SampledFunction":
-        return replace(self, values=np.asarray(values, dtype=float), func=None)
-
     # -- constructors ---------------------------------------------------------
     @staticmethod
     def from_callable(func, grid, left="zero", right="zero", breakpoints=()):

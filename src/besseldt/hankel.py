@@ -33,12 +33,6 @@ def _series_crossover(nu: float) -> float:
     return max(15.5, 2.0 * nu)
 
 
-def bessel_j(nu: float, z) -> np.ndarray:
-    """J_nu(z) for z >= 0, nu >= 0."""
-    z = np.asarray(z, dtype=float)
-    return normalized_bessel(nu, z) * z ** nu
-
-
 def normalized_bessel(nu: float, z) -> np.ndarray:
     """phi(z) = z^(-nu) J_nu(z), finite at 0 with value 2^(-nu)/Gamma(nu+1)."""
     if nu < 0:

@@ -39,7 +39,7 @@ from .errors import QuadratureError, TailEstimateError
 from .functions import SampledFunction
 from .measure import Interval, LambdaSpace, measure_interval
 from .quadrature import (QuadratureSpec, jacobi_rule, legendre_rule,
-                         panel_edges, panel_nodes)
+                         panel_edges, weighted_panel_nodes)
 
 _MAX_BUCKET = 100
 _CHUNK = 1 << 22  # max elements of one (points x nodes) block
@@ -147,7 +147,7 @@ def _theta_sums(lam, c, B, n, n_exps=1, moment=False):
     return out
 
 
-def _assemble(space, t, x, y, quad, kind, n):
+def _assemble(space, t, x, y, kind, n):
     """A kernel derivative by the angular rule, vectorized; `kind` in
     {'dt', 'dx', 'dy', 'dtdx', 'dtdy'}."""
     lam = space.lam
@@ -189,10 +189,10 @@ def _batch(space, t, x, y, quad, kind):
     if kind == "p":
         return _closed_form_p(space.lam, t, x, y)
     n = quad.theta_nodes
-    prev = _assemble(space, t, x, y, quad, kind, n)
+    prev = _assemble(space, t, x, y, kind, n)
     while n < quad.theta_max_nodes:
         n = min(2 * n, quad.theta_max_nodes)
-        cur = _assemble(space, t, x, y, quad, kind, n)
+        cur = _assemble(space, t, x, y, kind, n)
         err = np.abs(cur - prev)
         tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cur))
         if np.all(err <= tol):
@@ -226,14 +226,6 @@ def poisson_kernel_dy(space, pt, quad=QuadratureSpec()) -> float:
     return float(_batch(space, pt.t, pt.x, pt.y, quad, "dy"))
 
 
-def poisson_kernel_dt_dx(space, pt, quad=QuadratureSpec()) -> float:
-    return float(_batch(space, pt.t, pt.x, pt.y, quad, "dtdx"))
-
-
-def poisson_kernel_dt_dy(space, pt, quad=QuadratureSpec()) -> float:
-    return float(_batch(space, pt.t, pt.x, pt.y, quad, "dtdy"))
-
-
 def kernel_values(space, t, x, y, quad=QuadratureSpec(), kind="p"):
     """Single-pass vectorized evaluation used inside radial integrals.
 
@@ -245,8 +237,7 @@ def kernel_values(space, t, x, y, quad=QuadratureSpec(), kind="p"):
     """
     if kind == "p":
         return _closed_form_p(space.lam, t, x, y)
-    return _assemble(space, t, x, y, quad, kind,
-                     max(24, quad.theta_nodes // 2))
+    return _assemble(space, t, x, y, kind, max(24, quad.theta_nodes // 2))
 
 
 # --------------------------------------------------------------------------
@@ -312,16 +303,8 @@ def apply_at(space: LambdaSpace, f: SampledFunction, t: float,
         edges = panel_edges(slo, hi, x, t,
                             breakpoints=f.quad_breakpoints(),
                             max_panels=quad.panel_count)
-        zl = space.weight_exponent if edges[0] == 0.0 else None
-        nodes, weights, first_w = panel_nodes(edges, quad.y_nodes_per_panel,
-                                              zero_left_exponent=zl)
-        if first_w:
-            # Jacobi weights of the first panel already hold y^(2 lam)
-            nw = quad.y_nodes_per_panel
-            weights = weights.copy()
-            weights[nw:] *= nodes[nw:] ** space.weight_exponent
-        else:
-            weights = weights * nodes ** space.weight_exponent
+        nodes, weights = weighted_panel_nodes(edges, quad.y_nodes_per_panel,
+                                              space.weight_exponent)
         all_nodes.append(nodes)
         all_weights.append(weights)
         offsets.append(offsets[-1] + nodes.size)
@@ -390,14 +373,8 @@ def kernel_difference_l1(space: LambdaSpace, t1: float, t2: float, x: float,
     hi = base * 2.0 ** K
     edges = panel_edges(0.0, hi, x, t1, breakpoints=(t1, t2, x + t1, x + t2),
                         max_panels=quad.panel_count)
-    nodes, weights, first_w = panel_nodes(edges, quad.y_nodes_per_panel,
-                                          zero_left_exponent=space.weight_exponent)
-    if first_w:
-        nw = quad.y_nodes_per_panel
-        weights = weights.copy()
-        weights[nw:] *= nodes[nw:] ** space.weight_exponent
-    else:
-        weights = weights * nodes ** space.weight_exponent
+    nodes, weights = weighted_panel_nodes(edges, quad.y_nodes_per_panel,
+                                          space.weight_exponent)
     diff = np.abs(kernel_values(space, t2, np.full_like(nodes, x), nodes, quad)
                   - kernel_values(space, t1, np.full_like(nodes, x), nodes,
                                   quad))

@@ -461,13 +461,15 @@ def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
         if any(it in _WINDOW_ITEMS for it in items):
             setup = geometric(cfg.rho, j_min, j_max,
                               v=resolve_v(cfg.v_spec, j_min, j_max))
+            grad = "window_gradient" in items
             win_rep = window_kernel_bounds(space, setup, win, pair_sweep,
-                                           quad)
+                                           quad, gradient=grad)
             if dil != 1.0:
                 setup_d = LacunarySetup(setup.a * dil, setup.v, setup.rho,
                                         setup.j_min)
                 win_rep_d = window_kernel_bounds(space, setup_d, win,
-                                                 pair_sweep * dil, quad)
+                                                 pair_sweep * dil, quad,
+                                                 gradient=grad)
         for item in items:
             if item in _WINDOW_ITEMS:
                 rep, rep_d = win_rep, win_rep_d

@@ -6,6 +6,13 @@ weights.  Integrals of piecewise-linear data against power weights are done
 with exact antiderivatives; only genuinely non-polynomial integrands
 (|f|^q for fractional q, callable-backed functions) fall back to per-cell
 Gauss rules aligned with the sample grid.
+
+Interval integrals run batched: the cells of many intervals are laid out in
+one numpy pass (searchsorted into f's grid and breakpoints), f is evaluated
+once on all their nodes and per-interval sums are taken over the cells.
+Intervals are grouped into blocks of about _CELL_CHUNK cells, which bounds
+the memory.  A single interval is a batch of one, so the maximal function's
+thousands of averages and a single norm go through the same code.
 """
 
 from __future__ import annotations
@@ -149,141 +156,194 @@ def comparability_check(space: LambdaSpace, sweep) -> ComparabilityReport:
 
 # --------------------------------------------------------------------------
 # integration of SampledFunctions over intervals
+#
+# Integrals over many intervals run as one batch.  Each interval [A, B] is cut
+# into cells whose edges are A, B and the alignment points of f strictly
+# inside; the cells of all intervals form one flat list (`owner` gives each
+# cell's interval), and per-interval results are sums over their cells.
 
-def _segments(f: SampledFunction, A: float, B: float):
-    """Yield (a, b, alpha, beta) linear pieces of f covering [A, B]; pieces
-    where f vanishes are skipped.  Only for sample-backed f (func is None)."""
-    g, v = f.grid, f.values
-    if A < g[0]:
-        if f.left == "hold" and v[0] != 0.0:
-            yield A, min(B, g[0]), 0.0, v[0]
-    lo = np.searchsorted(g, A, side="right") - 1
-    hi = np.searchsorted(g, B, side="left")
-    for i in range(max(lo, 0), min(hi, len(g) - 1)):
-        a, b = max(A, g[i]), min(B, g[i + 1])
-        if b <= a:
-            continue
-        alpha = (v[i + 1] - v[i]) / (g[i + 1] - g[i])
-        beta = v[i] - alpha * g[i]
-        if alpha == 0.0 and beta == 0.0:
-            continue
-        yield a, b, alpha, beta
-    if B > g[-1]:
-        if f.right == "hold" and v[-1] != 0.0:
-            yield max(A, g[-1]), B, 0.0, v[-1]
+#: cells per block of a batched integral (whole intervals are added to a
+#: block until it holds this many); with at most 32 Gauss nodes per cell it
+#: bounds the memory of one block
+_CELL_CHUNK = 512
 
 
-def _linear_power(a, b, alpha, beta, p):
-    """integral_a^b (alpha*y + beta) y^p dy, exact."""
-    return alpha * power_integral(a, b, p + 1.0) + beta * power_integral(a, b, p)
+def _power_integrals(a, b, p):
+    """power_integral elementwise over arrays of cells with b > a >= 0."""
+    with np.errstate(divide="ignore"):
+        if p == -1.0:
+            return np.log(b / a)
+        q = p + 1.0
+        return (b ** q - a ** q) / q
 
 
-def _gl_cells(f, A, B, p, transform, n=24):
-    """Sum of per-cell Gauss-Legendre integrals of transform(f(y)) * y^p
-    over [A, B], cells aligned with f's grid (callable-backed path)."""
-    g = f.grid
-    edges = [A]
-    for gp in g:
-        if A < gp < B:
-            edges.append(float(gp))
-    for bp in f.breakpoints:
-        if A < bp < B:
-            edges.append(float(bp))
-    edges.append(B)
-    edges = sorted(set(edges))
+def _alignment_points(f):
+    """Sorted points where the cells of an integral of f are cut: the grid,
+    and for callable-backed f also its breakpoints."""
+    if f.func is None:
+        return f.grid
+    return np.union1d(f.grid, np.asarray(f.breakpoints, dtype=float))
+
+
+def _cells(pts, A, B):
+    """Cells of the intervals [A_k, B_k] (B_k > A_k): the edges of interval k
+    are A_k, the points of the sorted array `pts` strictly inside it, and B_k.
+    Returns flat arrays (owner, a, b), cells in interval order, left to
+    right."""
+    lo = np.searchsorted(pts, A, side="right")
+    count = np.searchsorted(pts, B, side="left") - lo + 1
+    owner = np.repeat(np.arange(A.size), count)
+    pos = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    k = lo[owner] + pos
+    a = np.where(pos == 0, A[owner], pts[k - 1])
+    b = np.where(pos == count[owner] - 1, B[owner],
+                 pts[np.minimum(k, pts.size - 1)])
+    return owner, a, b
+
+
+def _gauss_cells(a, b, p, values, n):
+    """Per cell [a_i, b_i], the n-node Gauss-Legendre sum of values * y^p;
+    `values(y)` gives the integrand at the nodes y, one row per cell."""
     xs, ws = legendre_rule(n)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(a + half * (1.0 + xs))
-        weights.append(ws * half)
-    nodes = np.concatenate(nodes)
-    weights = np.concatenate(weights)
-    vals = transform(f(nodes))
-    return float(np.sum(weights * vals * nodes ** p))
+    half = 0.5 * (b - a)
+    y = a[:, None] + half[:, None] * (1.0 + xs)
+    return np.sum(ws * half[:, None] * values(y) * y ** p, axis=1)
+
+
+def _gl_cells(f, A, B, p, transform):
+    """integral_{A_k}^{B_k} transform(f(y)) y^p dy for arrays of interval
+    ends, by 24-node Gauss-Legendre cells aligned with f's grid and
+    breakpoints (callable-backed f)."""
+    owner, a, b = _cells(_alignment_points(f), A, B)
+    cell = _gauss_cells(
+        a, b, p, lambda y: transform(f(y.ravel())).reshape(y.shape), 24)
+    return np.bincount(owner, cell, minlength=A.size)
+
+
+def _linear_pieces(f, A, B):
+    """Sample-backed f on the cells of [A_k, B_k] cut at f's grid: flat
+    arrays (owner, a, b, alpha, beta) with f = alpha*y + beta on [a, b],
+    tails following f's policies."""
+    g, v = f.grid, f.values
+    owner, a, b = _cells(g, A, B)
+    slope = np.diff(v) / np.diff(g)
+    alpha = np.concatenate([[0.0], slope, [0.0]])
+    beta = np.concatenate([[v[0] if f.left == "hold" else 0.0],
+                           v[:-1] - slope * g[:-1],
+                           [v[-1] if f.right == "hold" else 0.0]])
+    seg = np.searchsorted(g, a, side="right")
+    return owner, a, b, alpha[seg], beta[seg]
+
+
+def _split_at_zeros(owner, a, b, alpha, beta):
+    """Cut each linear piece where alpha*y + beta changes sign inside it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y0 = -beta / alpha
+    cut = (alpha != 0.0) & (a < y0) & (y0 < b)
+    n = 1 + cut
+    idx = np.repeat(np.arange(a.size), n)
+    second = np.zeros(idx.size, dtype=bool)
+    second[np.cumsum(n)[cut] - 1] = True
+    first = cut[idx] & ~second
+    return (owner[idx], np.where(second, y0[idx], a[idx]),
+            np.where(first, y0[idx], b[idx]), alpha[idx], beta[idx])
+
+
+def _linear_integrals(a, b, alpha, beta, p):
+    """integral_a^b (alpha*y + beta) y^p dy per piece, exact."""
+    return (alpha * _power_integrals(a, b, p + 1.0)
+            + beta * _power_integrals(a, b, p))
+
+
+def _abs_linear_integrals(a, b, alpha, beta, p):
+    """integral_a^b |alpha*y + beta| y^p dy per piece that does not change
+    sign (see _split_at_zeros), exact."""
+    mid = 0.5 * (a + b)
+    sign = np.where(alpha * mid + beta >= 0, 1.0, -1.0)
+    return sign * _linear_integrals(a, b, alpha, beta, p)
+
+
+def _q_integrals(f, A, B, q, p):
+    """integral_{A_k}^{B_k} |f(y)|^q y^p dy for arrays of interval ends with
+    B > A; exact for q in {1, 2} on sample-backed f."""
+    if f.func is not None:
+        return _gl_cells(f, A, B, p, lambda t: np.abs(t) ** q)
+    owner, a, b, al, be = _linear_pieces(f, A, B)
+    if q == 2.0:
+        piece = (al * al * _power_integrals(a, b, p + 2.0)
+                 + 2.0 * al * be * _power_integrals(a, b, p + 1.0)
+                 + be * be * _power_integrals(a, b, p))
+        return np.bincount(owner, piece, minlength=A.size)
+    owner, a, b, al, be = _split_at_zeros(owner, a, b, al, be)
+    if q == 1.0:
+        piece = _abs_linear_integrals(a, b, al, be, p)
+    else:
+        piece = _gauss_cells(
+            a, b, p, lambda y: np.abs(al[:, None] * y + be[:, None]) ** q, 16)
+    return np.bincount(owner, piece, minlength=A.size)
 
 
 def interval_integral(space: LambdaSpace, f: SampledFunction, iv: Interval,
                       delta: float = 0.0) -> float:
     """integral_I f(y) y^delta dm_lam(y)."""
     p = space.weight_exponent + delta
-    A, B = iv.left, iv.right
     slo, shi = f.support()
-    A, B = max(A, slo), min(B, shi)
-    if B <= A:
+    A = np.array([max(iv.left, slo)])
+    B = np.array([min(iv.right, shi)])
+    if B[0] <= A[0]:
         return 0.0
     if f.func is not None:
-        return _gl_cells(f, A, B, p, lambda t: t)
-    return sum(_linear_power(a, b, al, be, p)
-               for a, b, al, be in _segments(f, A, B))
+        return float(_gl_cells(f, A, B, p, lambda t: t)[0])
+    owner, a, b, al, be = _linear_pieces(f, A, B)
+    return float(np.bincount(owner, _linear_integrals(a, b, al, be, p))[0])
 
 
 def interval_average(space: LambdaSpace, f: SampledFunction, iv: Interval) -> float:
     return interval_integral(space, f, iv) / measure_interval(space, iv)
 
 
+def interval_q_integrals(space: LambdaSpace, f: SampledFunction, left, right,
+                         q: float) -> np.ndarray:
+    """integral over (left_k, right_k) of |f|^q dm_lam for arrays of interval
+    ends; exact for q in {1, 2} on sampled f."""
+    if q < 1.0:
+        raise ValueError("q must be at least 1")
+    slo, shi = f.support()
+    A = np.maximum(np.asarray(left, dtype=float), slo)
+    B = np.minimum(np.asarray(right, dtype=float), shi)
+    live = np.flatnonzero(B > A)
+    out = np.zeros(A.shape)
+    pts = _alignment_points(f)
+    cells = (np.searchsorted(pts, B[live], side="left")
+             - np.searchsorted(pts, A[live], side="right") + 1)
+    block = (np.cumsum(cells) - cells) // _CELL_CHUNK
+    for idx in np.split(live, np.flatnonzero(np.diff(block)) + 1):
+        out[idx] = _q_integrals(f, A[idx], B[idx], q, space.weight_exponent)
+    return out
+
+
 def interval_q_integral(space: LambdaSpace, f: SampledFunction, iv: Interval,
                         q: float) -> float:
     """integral_I |f|^q dm_lam; exact for q in {1, 2} on sampled f."""
-    if q < 1.0:
-        raise ValueError("q must be at least 1")
-    p = space.weight_exponent
-    A, B = iv.left, iv.right
-    slo, shi = f.support()
-    A, B = max(A, slo), min(B, shi)
-    if B <= A:
-        return 0.0
-    if f.func is not None:
-        return _gl_cells(f, A, B, p, lambda t: np.abs(t) ** q)
-    if q == 1.0:
-        return _abs_dev_exact(f, A, B, 0.0, p)
-    if q == 2.0:
-        return sum(al * al * power_integral(a, b, p + 2.0)
-                   + 2.0 * al * be * power_integral(a, b, p + 1.0)
-                   + be * be * power_integral(a, b, p)
-                   for a, b, al, be in _segments(f, A, B))
-    xs, ws = legendre_rule(16)
-    total = 0.0
-    for a, b, al, be in _segments(f, A, B):
-        cross = -be / al if al != 0.0 and a < -be / al < b else None
-        for u, w in ((a, cross), (cross, b)) if cross else ((a, b),):
-            half = 0.5 * (w - u)
-            nodes = u + half * (1.0 + xs)
-            total += half * float(np.sum(
-                ws * np.abs(al * nodes + be) ** q * nodes ** p))
-    return total
+    return float(interval_q_integrals(space, f, [iv.left], [iv.right], q)[0])
 
 
-def _abs_dev_exact(f, A, B, c, p):
-    """integral_A^B |f - c| y^p dy for piecewise-linear f, exact."""
-    total = 0.0
-    for a, b, al, be in _segments(f, A, B):
-        be_c = be - c
-        cross = None
-        if al != 0.0:
-            y0 = -be_c / al
-            if a < y0 < b:
-                cross = y0
-        pieces = [(a, cross), (cross, b)] if cross else [(a, b)]
-        for (u, w) in pieces:
-            if w is None or u is None or w <= u:
-                continue
-            mid = 0.5 * (u + w)
-            s = 1.0 if al * mid + be_c >= 0 else -1.0
-            total += s * _linear_power(u, w, al, be_c, p)
-    if c != 0.0:
-        # regions where f == 0 contribute |c| * measure
-        covered = [(a, b) for a, b, _, _ in _segments(f, A, B)]
-        total += abs(c) * _gap_measure(A, B, covered, p)
-    return total
-
-
-def _gap_measure(A, B, covered, p):
-    """Power-measure of [A,B] minus the covered sub-segments."""
-    total = power_integral(A, B, p)
-    for a, b in covered:
-        total -= power_integral(a, b, p)
-    return max(total, 0.0)
+def interval_q_averages(space: LambdaSpace, f: SampledFunction, x, r,
+                        q: float) -> np.ndarray:
+    """q-averages (1/m(I)) integral_I |f|^q dm_lam over I = I(x, r), for
+    broadcast arrays of centers and radii (canonicalized as by Interval)."""
+    x, r = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(r, dtype=float))
+    if not (np.all(r > 0) and np.all(np.isfinite(r))
+            and np.all(np.isfinite(x))):
+        raise ValueError("radius must be positive and finite")
+    inside = x < r
+    half = 0.5 * (x + r)
+    x, r = np.where(inside, half, x), np.where(inside, half, r)
+    left, right = x - r, x + r
+    mass = _power_integrals(left, right, space.weight_exponent)
+    return (interval_q_integrals(space, f, left.ravel(), right.ravel(), q)
+            .reshape(x.shape) / mass)
 
 
 def oscillation(space: LambdaSpace, f: SampledFunction, iv: Interval) -> float:
@@ -293,10 +353,17 @@ def oscillation(space: LambdaSpace, f: SampledFunction, iv: Interval) -> float:
     p = space.weight_exponent
     A, B = iv.left, iv.right
     if f.func is not None:
-        return _gl_cells(f, A, B, p, lambda t: np.abs(t - c))
+        return float(_gl_cells(f, np.array([A]), np.array([B]), p,
+                               lambda t: np.abs(t - c))[0])
     slo, shi = f.support()
     a0, b0 = max(A, slo), min(B, shi)
-    total = _abs_dev_exact(f, a0, b0, c, p) if b0 > a0 else 0.0
+    total = 0.0
+    if b0 > a0:
+        owner, a, b, al, be = _linear_pieces(f, np.array([a0]),
+                                             np.array([b0]))
+        owner, a, b, al, be = _split_at_zeros(owner, a, b, al, be - c)
+        total = float(np.bincount(
+            owner, _abs_linear_integrals(a, b, al, be, p))[0])
     # outside the support f == 0, deviation is |c|
     if c != 0.0:
         total += abs(c) * (power_integral(A, min(a0, B), p)
@@ -341,32 +408,8 @@ def lp_norm(space: LambdaSpace, f: SampledFunction, p: float,
         return math.inf
     if slo == 0.0 and pw <= -1.0:
         return math.inf
-
-    if f.func is not None:
-        total = _gl_cells(f, slo, shi, pw, lambda t: np.abs(t) ** p)
-        return total ** (1.0 / p)
-
-    total = 0.0
-    for a, b, al, be in _segments(f, slo, shi):
-        zs = [a, b]
-        if al != 0.0:
-            y0 = -be / al
-            if a < y0 < b:
-                zs = [a, y0, b]
-        for u, w in zip(zs[:-1], zs[1:]):
-            if p == 1.0:
-                total += abs(_linear_power(u, w, al, be, pw))
-            elif p == 2.0:
-                total += (al * al * power_integral(u, w, pw + 2.0)
-                          + 2.0 * al * be * power_integral(u, w, pw + 1.0)
-                          + be * be * power_integral(u, w, pw))
-            else:
-                xs, ws_ = legendre_rule(16)
-                half = 0.5 * (w - u)
-                y = u + half * (1.0 + xs)
-                total += half * float(np.sum(
-                    ws_ * np.abs(al * y + be) ** p * y ** pw))
-    return total ** (1.0 / p)
+    total = _q_integrals(f, np.array([slo]), np.array([shi]), p, pw)[0]
+    return float(total) ** (1.0 / p)
 
 
 def ap_characteristic(space: LambdaSpace, weight: PowerWeight, p: float,

@@ -51,11 +51,6 @@ class QuadratureSpec:
             raise ValueError("theta_max_nodes must be >= theta_nodes")
 
 
-#: profile used by tests that push identities to the floating-point floor
-PRECISE = QuadratureSpec(theta_nodes=96, y_nodes_per_panel=24,
-                         abs_tol=1e-13, rel_tol=1e-12)
-
-
 @lru_cache(maxsize=512)
 def jacobi_rule(n: int, alpha: float, beta: float):
     """Nodes/weights for integral_{-1}^{1} (1-u)^alpha (1+u)^beta f(u) du."""
@@ -165,21 +160,29 @@ def panel_nodes(edges: np.ndarray, n: int, zero_left_exponent: float | None = No
     weights of the other panels do not.
     Returns (nodes, weights, first_panel_weighted: bool).
     """
+    edges = np.asarray(edges, dtype=float)
     xs, ws = legendre_rule(n)
-    nodes = []
-    weights = []
-    first_weighted = False
-    start = 0
-    if zero_left_exponent is not None and edges[0] == 0.0:
+    first_weighted = zero_left_exponent is not None and edges[0] == 0.0
+    start = 1 if first_weighted else 0
+    a = edges[start:-1]
+    half = 0.5 * (edges[start + 1:] - a)
+    nodes = (a[:, None] + half[:, None] * (1.0 + xs)).ravel()
+    weights = (ws * half[:, None]).ravel()
+    if first_weighted:
         h = edges[1]
         xj, wj = jacobi_rule(n, 0.0, zero_left_exponent)
-        nodes.append(h / 2.0 * (1.0 + xj))
-        weights.append(wj * (h / 2.0) ** (zero_left_exponent + 1.0))
-        first_weighted = True
-        start = 1
-    for i in range(start, len(edges) - 1):
-        a, b = edges[i], edges[i + 1]
-        half = 0.5 * (b - a)
-        nodes.append(a + half * (1.0 + xs))
-        weights.append(ws * half)
-    return np.concatenate(nodes), np.concatenate(weights), first_weighted
+        nodes = np.concatenate([h / 2.0 * (1.0 + xj), nodes])
+        weights = np.concatenate(
+            [wj * (h / 2.0) ** (zero_left_exponent + 1.0), weights])
+    return nodes, weights, first_weighted
+
+
+def weighted_panel_nodes(edges: np.ndarray, n: int, exponent: float):
+    """Gauss nodes/weights of the panel list for integrals against
+    y**exponent dy: the power is folded into every weight (a first panel
+    starting at 0 gets it from its Jacobi rule, see panel_nodes)."""
+    nodes, weights, first_weighted = panel_nodes(edges, n,
+                                                 zero_left_exponent=exponent)
+    k = n if first_weighted else 0
+    weights[k:] *= nodes[k:] ** exponent
+    return nodes, weights

@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, TailEstimateError
 from .functions import SampledFunction
 from .kernel import _batch, apply_at
 from .lacunary import LacunarySetup, is_lacunary, is_regular
-from .measure import (Interval, LambdaSpace, interval_q_integral, lp_norm,
+from .measure import (Interval, LambdaSpace, interval_q_averages, lp_norm,
                       measure_interval)
 from .quadrature import QuadratureSpec
 
@@ -73,12 +73,22 @@ class SemigroupTable:
         self.grid = np.asarray(grid, dtype=float)
         self.quad = quad
         self._levels: dict[int, np.ndarray] = {}
+        self.max_tail = 0.0
 
     def level(self, j: int) -> np.ndarray:
+        """P_{a_j} f on the grid.  The largest truncation-tail bound of the
+        levels computed so far is kept in `max_tail`; one above
+        max(abs_tol, 1e-14) raises TailEstimateError, as in poisson_apply."""
         if j not in self._levels:
             t = self.setup.a_at(j)
-            self._levels[j] = apply_at(self.space, self.f, t, self.grid,
-                                       self.quad)[0]
+            vals, tails = apply_at(self.space, self.f, t, self.grid,
+                                   self.quad)
+            self.max_tail = max(self.max_tail,
+                                float(np.max(tails, initial=0.0)))
+            if self.max_tail > max(self.quad.abs_tol, 1e-14):
+                raise TailEstimateError(
+                    f"truncation tail {self.max_tail:.3e} above tolerance")
+            self._levels[j] = vals
         return self._levels[j]
 
     def diff(self, j: int) -> np.ndarray:
@@ -153,22 +163,15 @@ def apply_transform_kernel_route(space, setup, win: IndexWindow,
     if math.isinf(shi):
         raise ValueError("kernel route needs a compactly supported f")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    from .quadrature import panel_edges, panel_nodes
+    from .quadrature import panel_edges, weighted_panel_nodes
     width = setup.a_at(win.n1)
     vals = np.empty_like(xs)
     for k, x in enumerate(xs):
         edges = panel_edges(slo, shi, x, width,
                             breakpoints=f.quad_breakpoints(),
                             max_panels=quad.panel_count)
-        zl = space.weight_exponent if edges[0] == 0.0 else None
-        nodes, weights, first_w = panel_nodes(edges, quad.y_nodes_per_panel,
-                                              zero_left_exponent=zl)
-        if first_w:
-            nw = quad.y_nodes_per_panel
-            weights = weights.copy()
-            weights[nw:] *= nodes[nw:] ** space.weight_exponent
-        else:
-            weights = weights * nodes ** space.weight_exponent
+        nodes, weights = weighted_panel_nodes(edges, quad.y_nodes_per_panel,
+                                              space.weight_exponent)
         kern = window_kernel(space, setup, win, np.full_like(nodes, x),
                              nodes, quad)
         vals[k] = float(np.sum(weights * kern * f(nodes)))
@@ -237,24 +240,17 @@ def default_radius_grid(lo: float = 1e-3, hi: float = 1e3,
 def maximal_hl(space, f: SampledFunction, q: float, radius_grid,
                eval_pts) -> np.ndarray:
     """M_q f(x) = max over the radius grid of the I(x,r) q-average^(1/q);
-    q = 1 is the Hardy-Littlewood maximal function."""
+    q = 1 is the Hardy-Littlewood maximal function.  All (x, r) averages
+    come from one batched interval_q_averages call."""
     radius_grid = np.asarray(radius_grid, dtype=float)
     if radius_grid.size == 0:
         raise ValueError("radius grid is empty")
     if q < 1.0:
         raise ValueError("q must be at least 1")
     eval_pts = np.atleast_1d(np.asarray(eval_pts, dtype=float))
-    vals = np.zeros(eval_pts.size)
-    for i, x in enumerate(eval_pts):
-        best = 0.0
-        for r in radius_grid:
-            iv = Interval(x, r)
-            avg = (interval_q_integral(space, f, iv, q)
-                   / measure_interval(space, iv))
-            if avg > best:
-                best = avg
-        vals[i] = best ** (1.0 / q)
-    return vals
+    avg = interval_q_averages(space, f, eval_pts[:, None],
+                              radius_grid[None, :], q)
+    return np.max(avg, axis=1, initial=0.0) ** (1.0 / q)
 
 
 @dataclass(frozen=True)
@@ -305,18 +301,20 @@ def cotlar_check(space, setup, cap: TruncationLevel, f: SampledFunction,
 @dataclass(frozen=True)
 class WindowBoundReport:
     sup_size: float        # |K_N| * m(I(x, |x-y|))
-    sup_gradient: float    # (|dK/dx| + |dK/dy|) * m(I(x, |x-y|)) * |x-y|
+    sup_gradient: float | None  # (|dK/dx| + |dK/dy|) * m(I(x, |x-y|)) * |x-y|
     sup_size_near: float   # regime x <= 2|x-y|
     sup_size_far: float    # regime x > 2|x-y|
     n_points: int
 
 
 def window_kernel_bounds(space, setup, win: IndexWindow, sweep,
-                         quad=QuadratureSpec()) -> WindowBoundReport:
+                         quad=QuadratureSpec(),
+                         gradient: bool = True) -> WindowBoundReport:
     """Fitted constants of the Calderon-Zygmund bounds of K_N.
 
     sweep: array of (x, y) with x != y covering both regimes x <= 2|x-y|
-    and x > 2|x-y|.
+    and x > 2|x-y|.  With gradient=False the derivative kernels are not
+    evaluated and sup_gradient is None.
     """
     pts = np.asarray(sweep, dtype=float)
     if pts.size == 0:
@@ -331,12 +329,13 @@ def window_kernel_bounds(space, setup, win: IndexWindow, sweep,
                          "and x > 2|x-y|")
     meas = np.array([measure_interval(space, Interval(xx, dd))
                      for xx, dd in zip(x, d)])
-    k_val = np.abs(window_kernel(space, setup, win, x, y, quad))
-    k_dx = window_kernel(space, setup, win, x, y, quad, kind="dx")
-    k_dy = window_kernel(space, setup, win, x, y, quad, kind="dy")
-    size = k_val * meas
-    grad = (np.abs(k_dx) + np.abs(k_dy)) * meas * d
-    return WindowBoundReport(float(size.max()), float(grad.max()),
+    size = np.abs(window_kernel(space, setup, win, x, y, quad)) * meas
+    sup_grad = None
+    if gradient:
+        k_dx = window_kernel(space, setup, win, x, y, quad, kind="dx")
+        k_dy = window_kernel(space, setup, win, x, y, quad, kind="dy")
+        sup_grad = float(((np.abs(k_dx) + np.abs(k_dy)) * meas * d).max())
+    return WindowBoundReport(float(size.max()), sup_grad,
                              float(size[local].max()),
                              float(size[~local].max()), len(pts))
 

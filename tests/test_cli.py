@@ -161,3 +161,24 @@ def test_subprocess_determinism_and_seed(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     # the seed must reach the sampled points, not only the meta line
     assert data_rows(a) != data_rows(c)
+
+
+def test_window_size_alone_skips_the_gradient(tmp_path, capsys):
+    # at lambda = 0.3 the node doubling of the derivative window kernels
+    # does not converge on this sweep; the size item must not need them
+    def run(lam, items):
+        cfg = tmp_path / "w.cfg"
+        cfg.write_text("experiment = bounds-suite\nn_points = 1000\n"
+                       f"dilation = 10\nlambda_list = {lam}\n"
+                       f"items = {items}\n")
+        out = tmp_path / "w.csv"
+        code = cli.main(["bounds-suite", "--config", str(cfg),
+                         "--out", str(out), "--seed", "1"])
+        assert code == 0, capsys.readouterr().err
+        return data_rows(out)
+
+    run(0.3, "window_size")
+    size = run(0.6, "window_size")
+    both = run(0.6, "window_size, window_gradient")
+    assert len(size) == 4
+    assert size == [row for row in both if "window_gradient" not in row]

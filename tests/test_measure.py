@@ -10,8 +10,9 @@ from besseldt.measure import (Interval, LambdaSpace, PowerWeight,
                               ap_characteristic, bmo_norm,
                               comparability_check, dyadic_family,
                               interval_average, interval_integral,
-                              interval_q_integral, lp_norm, measure_interval,
-                              oscillation, power_integral)
+                              interval_q_integral, interval_q_integrals,
+                              lp_norm, measure_interval, oscillation,
+                              power_integral)
 
 
 def test_space_validation():
@@ -78,6 +79,37 @@ def test_interval_average_and_q(space1):
     q2 = interval_q_integral(space1, f, Interval(0.5, 0.3), 2.0)
     want = quad_ref(lambda y: f(y) ** 2 * y ** 2, 0.2, 0.8)[0]
     assert q2 == pytest.approx(want, rel=1e-8)
+
+
+def test_interval_q_integrals_batch():
+    # many intervals in one call: some outside the support, some cut by it,
+    # some reaching into the hold tails
+    space = LambdaSpace(0.7)
+    p = space.weight_exponent
+    left = np.array([0.0, 0.01, 0.4, 1.1, 2.5, 0.02, 6.0])
+    right = np.array([0.3, 2.0, 0.9, 5.0, 3.5, 4.0, 7.0])
+    ind = indicator(1.0, 1.3)
+    for q in (1.0, 1.5, 2.0):
+        got = interval_q_integrals(space, ind, left, right, q)
+        want = [1.3 ** q * power_integral(a, min(b, 1.0), p)
+                for a, b in zip(left, right)]
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        got = interval_q_integrals(space, constant_one(), left, right, q)
+        want = [power_integral(a, b, p) for a, b in zip(left, right)]
+        assert got == pytest.approx(want, rel=1e-13)
+    grid = np.geomspace(0.05, 3.0, 12)
+    sampled = SampledFunction(grid, np.cos(2.0 * grid), left="hold",
+                              right="zero")
+    bump = smooth_bump(1.5, 0.6)
+    for f, q in ((sampled, 1.0), (sampled, 2.0), (bump, 1.0), (bump, 1.5),
+                 (bump, 2.0)):
+        got = interval_q_integrals(space, f, left, right, q)
+        for k, (a, b) in enumerate(zip(left, right)):
+            pts = [t for t in np.union1d(grid, bump.breakpoints) if a < t < b]
+            want = quad_ref(lambda y: abs(float(f(y))) ** q * y ** p, a, b,
+                            points=pts or None, limit=400, epsabs=1e-15,
+                            epsrel=1e-13)[0]
+            assert got[k] == pytest.approx(want, rel=1e-11, abs=1e-15)
 
 
 def test_lp_norm_indicator(space1):

@@ -5,7 +5,7 @@ from scipy.special import beta as beta_fn
 
 from besseldt.quadrature import (QuadratureBudgetError, QuadratureSpec,
                                  jacobi_rule, legendre_rule, panel_edges,
-                                 panel_nodes)
+                                 panel_nodes, weighted_panel_nodes)
 
 
 def test_spec_validation():
@@ -82,3 +82,57 @@ def test_panel_nodes_plain_legendre():
     nodes, weights, first_w = panel_nodes(edges, 6)
     assert not first_w
     assert abs(float(np.sum(weights * nodes ** 3)) - (4.0 ** 4 - 1) / 4) < 1e-12
+
+
+def _panel_nodes_loop(edges, n, zero_left_exponent=None):
+    """Reference: the panel rule assembled one panel at a time."""
+    xs, ws = legendre_rule(n)
+    nodes, weights = [], []
+    first = zero_left_exponent is not None and edges[0] == 0.0
+    if first:
+        h = edges[1]
+        xj, wj = jacobi_rule(n, 0.0, zero_left_exponent)
+        nodes.append(h / 2.0 * (1.0 + xj))
+        weights.append(wj * (h / 2.0) ** (zero_left_exponent + 1.0))
+    for a, b in zip(edges[int(first):-1], edges[int(first) + 1:]):
+        half = 0.5 * (b - a)
+        nodes.append(a + half * (1.0 + xs))
+        weights.append(ws * half)
+    return np.concatenate(nodes), np.concatenate(weights), first
+
+
+@pytest.mark.parametrize("lo", [0.0, 0.37])
+@pytest.mark.parametrize("zl", [None, 0.6, 2.0])
+def test_panel_nodes_bit_identical_to_panel_loop(lo, zl):
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        hi = lo + rng.uniform(0.5, 50.0)
+        edges = panel_edges(lo, hi, rng.uniform(lo, hi),
+                            10.0 ** rng.uniform(-3, 0),
+                            breakpoints=rng.uniform(lo, hi, 3),
+                            max_panels=4000)
+        for n in (8, 16):
+            got = panel_nodes(edges, n, zero_left_exponent=zl)
+            want = _panel_nodes_loop(edges, n, zero_left_exponent=zl)
+            assert got[2] == want[2] == (zl is not None and lo == 0.0)
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+    # a single panel from 0: the Jacobi rule alone
+    got = panel_nodes(np.array([0.0, 1.5]), 8, zero_left_exponent=zl)
+    want = _panel_nodes_loop(np.array([0.0, 1.5]), 8, zero_left_exponent=zl)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+def test_weighted_panel_nodes_folds_the_power():
+    for lo in (0.0, 0.5):
+        edges = panel_edges(lo, 6.0, 1.0, 0.1)
+        nodes, weights, first = panel_nodes(edges, 16, zero_left_exponent=1.4)
+        k = 16 if first else 0
+        want = weights.copy()
+        want[k:] = weights[k:] * nodes[k:] ** 1.4
+        got_nodes, got = weighted_panel_nodes(edges, 16, 1.4)
+        assert np.array_equal(got_nodes, nodes)
+        assert np.array_equal(got, want)
+        assert float(np.sum(got)) == pytest.approx(
+            (6.0 ** 2.4 - lo ** 2.4) / 2.4, rel=1e-13)

@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from besseldt.errors import ContractError
+import besseldt.transform as transform_mod
+from besseldt.errors import ContractError, TailEstimateError
 from besseldt.functions import (SampledFunction, constant_one, indicator,
                                 smooth_bump)
 from besseldt.kernel import apply_at, closed_form_lambda1
 from besseldt.lacunary import LacunarySetup, geometric, refine, remap_window
-from besseldt.measure import LambdaSpace
+from besseldt.measure import (Interval, LambdaSpace, interval_q_integral,
+                              measure_interval)
+from besseldt.quadrature import QuadratureSpec
 from besseldt.transform import (CotlarReport, IndexWindow, SemigroupTable,
                                 TruncationLevel, apply_transform,
                                 apply_transform_kernel_route,
@@ -191,6 +194,38 @@ def test_maximal_hl_indicator_pin(space1):
     assert coarse[0] == pytest.approx(want, rel=5e-2)
 
 
+def _maximal_hl_loop(space, f, q, radii, pts):
+    """Reference: one interval average per (x, r), max over the radii."""
+    out = []
+    for x in pts:
+        best = 0.0
+        for r in radii:
+            iv = Interval(x, r)
+            best = max(best, interval_q_integral(space, f, iv, q)
+                       / measure_interval(space, iv))
+        out.append(best ** (1.0 / q))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_maximal_hl_matches_per_interval_loop(lam):
+    space = LambdaSpace(lam)
+    grid = np.geomspace(0.05, 3.0, 40)
+    sampled = SampledFunction(grid, np.sin(3.0 * grid), left="hold",
+                              right="zero")
+    fs = [indicator(1.0, 1.3), smooth_bump(2.0, 0.7), constant_one(),
+          sampled]
+    # radii below and above x, and centers past every support
+    radii = np.concatenate([default_radius_grid(), [5e3]])
+    pts = np.array([1e-3, 0.05, 0.3, 1.0, 1.7, 4.0, 30.0, 400.0])
+    for f in fs:
+        for q in (1.0, 1.5, 2.0):
+            got = maximal_hl(space, f, q, radii, pts)
+            want = _maximal_hl_loop(space, f, q, radii, pts)
+            assert np.all(want > 0.0)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
 def test_maximal_hl_monotone_in_q(space1):
     f = smooth_bump(1.0, 0.5)
     pts = np.array([0.7, 1.0, 2.5])
@@ -218,6 +253,27 @@ def test_cotlar_nontrivial(space1):
     assert rep.n_degenerate == 0
 
 
+def test_table_keeps_largest_tail_bound(space1, monkeypatch):
+    f = constant_one()
+    setup = geometric(2.0, -3, 3)
+    grid = np.array([0.5, 2.0])
+    table = SemigroupTable(space1, setup, f, grid)
+    table.level(0)
+    table.level(2)
+    want = max(float(np.max(apply_at(space1, f, setup.a_at(j), grid)[1]))
+               for j in (0, 2))
+    assert table.max_tail == want
+    assert 0.0 < want <= max(QuadratureSpec().abs_tol, 1e-14)
+
+    def loose_tail(space, f, t, xs, quad):
+        vals, tails = apply_at(space, f, t, xs, quad)
+        return vals, tails + 1e-6
+
+    monkeypatch.setattr(transform_mod, "apply_at", loose_tail)
+    with pytest.raises(TailEstimateError):
+        table.level(1)
+
+
 def test_window_bounds_zero_weights(space1):
     setup = geometric(2.0, -3, 3, v=np.zeros(6))
     # one point per regime: x <= 2|x-y| and x > 2|x-y|
@@ -225,6 +281,10 @@ def test_window_bounds_zero_weights(space1):
     rep = window_kernel_bounds(space1, setup, IndexWindow(-2, 2), sweep)
     assert rep.sup_size == 0.0
     assert rep.sup_gradient == 0.0
+    size_only = window_kernel_bounds(space1, setup, IndexWindow(-2, 2), sweep,
+                                     gradient=False)
+    assert size_only.sup_gradient is None
+    assert size_only.sup_size == rep.sup_size
     with pytest.raises(ValueError):
         window_kernel_bounds(space1, setup, IndexWindow(-2, 2),
                              np.array([[1.0, 3.0]]))
