@@ -8,10 +8,9 @@ exp(-x^2/2) is a fixed point.  The subordinated semigroup acts as a Fourier
 multiplier: P_t f = H(exp(-t y) (H f)(y)), which provides a route to P_t f
 completely independent of the kernel quadrature.
 
-The Bessel function is evaluated by an ascending series in extended
-precision below a crossover argument and by the Hankel asymptotic expansion
-(summed to its smallest term) above it; both branches stay within a few ulp
-across the crossover.
+The transform of a whole grid of frequencies is one quadrature.panel_sums
+call: per frequency, panels no wider than one oscillation period, all of
+their nodes in blocks of about two million.
 """
 
 from __future__ import annotations
@@ -19,82 +18,32 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import jv
 
 from .errors import QuadratureError, TailEstimateError
 from .functions import SampledFunction
 from .measure import LambdaSpace, lp_norm
-from .quadrature import QuadratureSpec, jacobi_rule, legendre_rule
-
-
-def _series_crossover(nu: float) -> float:
-    # balance of the two error floors: the alternating series loses about
-    # e^z * eps80 to cancellation, the asymptotic expansion is optimally
-    # truncated at ~ sqrt(z) e^(-2z); they cross near z = 15.5
-    return max(15.5, 2.0 * nu)
+from .quadrature import QuadratureSpec, panel_sums, weighted_panel_nodes
 
 
 def normalized_bessel(nu: float, z) -> np.ndarray:
-    """phi(z) = z^(-nu) J_nu(z), finite at 0 with value 2^(-nu)/Gamma(nu+1)."""
+    """phi(z) = z^(-nu) J_nu(z), finite at 0 with value 2^(-nu)/Gamma(nu+1).
+
+    scipy's jv over z^nu; below z = 1e-6 the two-term series
+    (1 - z^2 / (4 (nu+1))) / (2^nu Gamma(nu+1)), exact to rounding there."""
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z < 0):
         raise ValueError("argument must be nonnegative")
     out = np.empty_like(z)
-    split = _series_crossover(nu)
-    small = z <= split
-    if small.any():
-        out[small] = _phi_series(nu, z[small])
-    big = ~small
-    if big.any():
-        zb = z[big]
-        out[big] = zb ** (-nu) * _j_asymptotic(nu, zb)
+    small = z < 1e-6
+    zs = z[small]
+    out[small] = ((1.0 - zs * zs / (4.0 * (nu + 1.0)))
+                  / (2.0 ** nu * math.gamma(nu + 1.0)))
+    zb = z[~small]
+    out[~small] = jv(nu, zb) / zb ** nu
     return out
-
-
-def _phi_series(nu: float, z: np.ndarray) -> np.ndarray:
-    # sum_k (-z^2/4)^k / (k! Gamma(nu+k+1) 2^nu); extended precision soaks
-    # up the alternating-series cancellation near the crossover.  Allterm
-    # factors must be formed in extended precision too, or their rounding
-    # gets amplified by the cancellation.
-    nu_l = np.longdouble(nu)
-    zz = (z.astype(np.longdouble) ** 2) / 4.0
-    term = np.full(z.shape, np.longdouble(2.0) ** (-nu_l)
-                   / math.gamma(nu + 1.0), dtype=np.longdouble)
-    acc = term.copy()
-    for k in range(200):
-        term = term * (-zz) / (np.longdouble(k + 1) * (nu_l + (k + 1)))
-        acc += term
-        if np.max(np.abs(term)) <= 1e-25 * max(np.max(np.abs(acc)), 1e-300):
-            break
-    return acc.astype(float)
-
-
-def _j_asymptotic(nu: float, z: np.ndarray) -> np.ndarray:
-    # J_nu(z) ~ sqrt(2/(pi z)) (P cos(chi) - Q sin(chi)), chi = z - nu pi/2
-    # - pi/4; coefficients a_{k+1}/a_k = (4 nu^2 - (2k+1)^2)/(8 (k+1)),
-    # summed until the terms stop decreasing (half-integer nu terminates).
-    mu = 4.0 * nu * nu
-    P = np.ones_like(z)
-    Q = np.zeros_like(z)
-    term = np.ones_like(z)
-    k = 0
-    last = np.inf
-    while True:
-        fac = (mu - (2 * k + 1) ** 2) / (8.0 * (k + 1))
-        term = term * fac / z
-        mag = np.max(np.abs(term))
-        if mag <= 1e-18 or mag >= last:
-            break
-        # term k+1 of the combined series: odd indices feed Q, even feed P,
-        # with sign pattern + + - - + + ...
-        (Q if k % 2 == 0 else P)[...] += term * (-1.0) ** ((k + 1) // 2)
-        last = mag
-        k += 1
-        if k > 60:  # pragma: no cover - unreachable past the crossover
-            raise QuadratureError("asymptotic Bessel series diverged")
-    chi = z - (0.5 * nu + 0.25) * math.pi
-    return np.sqrt(2.0 / (math.pi * z)) * (P * np.cos(chi) - Q * np.sin(chi))
 
 
 # --------------------------------------------------------------------------
@@ -150,58 +99,17 @@ def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
     if math.isinf(shi):
         raise ValueError("hankel_transform needs right tail policy 'zero'")
     nu = space.lam - 0.5
-    n = quad.y_nodes_per_panel
-    xl, wl = legendre_rule(n)
-    uj, wj = jacobi_rule(n, 0.0, space.weight_exponent)
     bps = f.quad_breakpoints()
-
-    budget = 1 << 21  # flush the node buffer at ~2M entries
 
     def closure(ys):
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        vals = np.zeros_like(ys)
         if shi <= slo:
-            return vals
-        nodes_l, weights_l, offs, idx = [], [], [0], []
-        pending = 0
-
-        def flush():
-            nonlocal nodes_l, weights_l, offs, idx, pending
-            if not idx:
-                return
-            xs = np.concatenate(nodes_l)
-            ws = np.concatenate(weights_l)
-            yrep = np.repeat(ys[idx], np.diff(offs))
-            contrib = ws * f(xs) * normalized_bessel(nu, xs * yrep)
-            vals[idx] = np.add.reduceat(contrib, offs[:-1])
-            nodes_l, weights_l, offs, idx = [], [], [0], []
-            pending = 0
-
-        for i, y in enumerate(ys):
-            edges = _osc_edges(slo, shi, abs(y) + extra_freq, bps, max_panels)
-            a, b = edges[0], edges[1]
-            if a == 0.0:
-                h = b - a
-                xs0 = h / 2.0 * (1.0 + uj)
-                ws0 = wj * (h / 2.0) ** (space.weight_exponent + 1.0)
-            else:
-                h2 = 0.5 * (b - a)
-                xs0 = a + h2 * (1.0 + xl)
-                ws0 = wl * h2 * xs0 ** space.weight_exponent
-            mids_a = edges[1:-1]
-            mids_b = edges[2:]
-            half = 0.5 * (mids_b - mids_a)
-            xsm = mids_a[:, None] + half[:, None] * (1.0 + xl)[None, :]
-            wsm = half[:, None] * wl[None, :] * xsm ** space.weight_exponent
-            nodes_l.append(np.concatenate([xs0, xsm.ravel()]))
-            weights_l.append(np.concatenate([ws0, wsm.ravel()]))
-            offs.append(offs[-1] + nodes_l[-1].size)
-            idx.append(i)
-            pending += nodes_l[-1].size
-            if pending >= budget:
-                flush()
-        flush()
-        return vals
+            return np.zeros_like(ys)
+        layouts = (weighted_panel_nodes(
+            _osc_edges(slo, shi, abs(y) + extra_freq, bps, max_panels),
+            quad.y_nodes_per_panel, space.weight_exponent) for y in ys)
+        return panel_sums(ys, layouts, lambda y, x, w: (
+            w * f(x) * normalized_bessel(nu, x * y)))
 
     eval_grid = np.asarray(eval_grid, dtype=float)
     vals = closure(eval_grid)

@@ -37,9 +37,9 @@ from scipy.special import beta, hyp2f1
 
 from .errors import QuadratureError, TailEstimateError
 from .functions import SampledFunction
-from .measure import Interval, LambdaSpace, measure_interval
+from .measure import LambdaSpace
 from .quadrature import (QuadratureSpec, jacobi_rule, legendre_rule,
-                         panel_edges, weighted_panel_nodes)
+                         panel_edges, panel_sums, weighted_panel_nodes)
 
 _MAX_BUCKET = 100
 _CHUNK = 1 << 22  # max elements of one (points x nodes) block
@@ -243,10 +243,22 @@ def kernel_values(space, t, x, y, quad=QuadratureSpec(), kind="p"):
 # --------------------------------------------------------------------------
 # applying the semigroup
 
-def _mass_tail_constant(lam: float) -> float:
-    """Leading constant of integral_Y^inf P_t(x,y) dm(y) ~ C * t / Y."""
-    return 2.0 * math.gamma(lam + 1.0) / (math.sqrt(math.pi)
-                                          * math.gamma(lam + 0.5))
+def _radial_end(lam: float, t: float, hold: float, base: float, quad):
+    """End Y = base * 2^K of a radial integral against P_t of a function
+    bounded by `hold` beyond base, with the tail beyond Y below half the
+    tolerance: returns (Y, tail bound).  The tail is about C t hold / Y,
+    C = 2 Gamma(lam+1) / (sqrt(pi) Gamma(lam+1/2)), doubled as a margin for
+    finite-Y corrections."""
+    target = 0.5 * max(quad.abs_tol, 1e-14)
+    c_tail = 2.0 * math.gamma(lam + 1.0) / (math.sqrt(math.pi)
+                                            * math.gamma(lam + 0.5)) * 2.0
+    need = c_tail * t * max(hold, 1e-300) / (target * base)
+    K = max(1, math.ceil(math.log2(max(need, 2.0))))
+    if K > 200:
+        raise TailEstimateError(
+            f"tail truncation needs 2^{K} * {base:g}; not attainable")
+    hi = base * 2.0 ** K
+    return hi, c_tail * t * hold / hi
 
 
 def apply_at(space: LambdaSpace, f: SampledFunction, t: float,
@@ -256,63 +268,34 @@ def apply_at(space: LambdaSpace, f: SampledFunction, t: float,
     Returns (values, tail_bounds).  The radial integral runs over panels
     aligned with f's breakpoints and graded around y = x at scale t; an
     unbounded support (nonzero hold tail) is truncated where the analytic
-    kernel-decay bound drops below the tolerance.
+    kernel-decay bound drops below the tolerance.  The nodes of all x are
+    summed by one quadrature.panel_sums call.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("evaluation points must be positive")
-    lam = space.lam
     slo, shi = f.support()
     if shi <= slo:
         return np.zeros_like(xs), np.zeros_like(xs)
-    target = 0.5 * max(quad.abs_tol, 1e-14)
-    c_tail = _mass_tail_constant(lam) * 2.0  # margin for finite-Y corrections
-
-    vals = np.zeros_like(xs)
     tails = np.zeros_like(xs)
-    budget = 1 << 21
-    all_nodes, all_weights, offsets, idx = [], [], [0], []
-    pending = 0
 
-    def flush():
-        nonlocal all_nodes, all_weights, offsets, idx, pending
-        if not idx:
-            return
-        ys = np.concatenate(all_nodes)
-        ws = np.concatenate(all_weights)
-        xrep = np.repeat(xs[idx], np.diff(offsets))
-        contrib = ws * kernel_values(space, t, xrep, ys, quad) * f(ys)
-        vals[idx] = np.add.reduceat(contrib, offsets[:-1])
-        all_nodes, all_weights, offsets, idx = [], [], [0], []
-        pending = 0
+    def layouts():
+        for k, x in enumerate(xs):
+            hi = shi
+            if math.isinf(shi):
+                hi, tails[k] = _radial_end(space.lam, t,
+                                           abs(float(f.values[-1])),
+                                           max(x, t, f.grid[-1]), quad)
+            edges = panel_edges(slo, hi, x, t,
+                                breakpoints=f.quad_breakpoints(),
+                                max_panels=quad.panel_count)
+            yield weighted_panel_nodes(edges, quad.y_nodes_per_panel,
+                                       space.weight_exponent)
 
-    for k, x in enumerate(xs):
-        hi = shi
-        if math.isinf(shi):
-            hold = abs(float(f.values[-1]))
-            base = max(x, t, f.grid[-1])
-            need = c_tail * t * max(hold, 1e-300) / (target * base)
-            K = max(1, math.ceil(math.log2(max(need, 2.0))))
-            if K > 200:
-                raise TailEstimateError(
-                    f"tail truncation needs 2^{K} * {base:g}; not attainable")
-            hi = base * 2.0 ** K
-            tails[k] = c_tail * t * hold / hi
-        edges = panel_edges(slo, hi, x, t,
-                            breakpoints=f.quad_breakpoints(),
-                            max_panels=quad.panel_count)
-        nodes, weights = weighted_panel_nodes(edges, quad.y_nodes_per_panel,
-                                              space.weight_exponent)
-        all_nodes.append(nodes)
-        all_weights.append(weights)
-        offsets.append(offsets[-1] + nodes.size)
-        idx.append(k)
-        pending += nodes.size
-        if pending >= budget:
-            flush()
-    flush()
+    vals = panel_sums(xs, layouts(), lambda x, y, w: (
+        w * kernel_values(space, t, x, y, quad) * f(y)))
     return vals, tails
 
 
@@ -362,15 +345,7 @@ def kernel_difference_l1(space: LambdaSpace, t1: float, t2: float, x: float,
     """
     if not 0.0 < t1 < t2:
         raise ValueError("needs 0 < t1 < t2")
-    target = 0.5 * max(quad.abs_tol, 1e-14)
-    c_tail = _mass_tail_constant(space.lam) * 2.0
-    base = max(x, t2)
-    need = c_tail * t2 / (target * base)
-    K = max(1, math.ceil(math.log2(max(need, 2.0))))
-    if K > 200:
-        raise TailEstimateError(
-            f"tail truncation needs 2^{K} * {base:g}; not attainable")
-    hi = base * 2.0 ** K
+    hi, _ = _radial_end(space.lam, t2, 1.0, max(x, t2), quad)
     edges = panel_edges(0.0, hi, x, t1, breakpoints=(t1, t2, x + t1, x + t2),
                         max_panels=quad.panel_count)
     nodes, weights = weighted_panel_nodes(edges, quad.y_nodes_per_panel,

@@ -182,6 +182,9 @@ class ExperimentConfig:
 
 _FIELD_OF_KEY = {"lambda": "lam", "v": "v_spec", "f": "f_spec", "m": "m_cap"}
 
+#: default (lo, hi) of the t and x, y ranges of the bounds-suite sweeps
+_SWEEP_RANGE = (1e-2, 1e2)
+
 #: default (j_min, j_max) and (n1, n2) of the experiments with a window
 _WINDOW_DEFAULTS = {"bounds-suite": ((-4, 4), (-3, 3)),
                     "transform": ((-6, 6), (-2, 2))}
@@ -267,6 +270,20 @@ def _validate(cfg: ExperimentConfig, lines_of: dict):
             bad(key, f"{key} entries must be positive")
     if cfg.lambda_list is not None and any(v <= 0 for v in cfg.lambda_list):
         bad("lambda_list", "lambda_list entries must be positive")
+    # a count or range of 0 would otherwise be replaced by its default
+    for key in ("f_count", "windows", "n_points", "n_y", "theta_nodes",
+                "y_nodes"):
+        val = getattr(cfg, key)
+        if val is not None and val < 1:
+            bad(key, f"{key} must be at least 1")
+    for keys in (("t_lo", "t_hi"), ("xy_lo", "xy_hi")):
+        lo_hi = [getattr(cfg, key) for key in keys]
+        for key, val in zip(keys, lo_hi):
+            if val is not None and not val > 0:
+                bad(key, f"{key} must be positive")
+        lo, hi = [d if v is None else v for v, d in zip(lo_hi, _SWEEP_RANGE)]
+        if not lo < hi:
+            bad(keys[0], f"needs {keys[0]} < {keys[1]}, got ({lo:g}, {hi:g})")
     if cfg.experiment in _WINDOW_DEFAULTS:
         j_min, j_max, n1, n2 = _window_keys(cfg)
         if n1 >= n2:
@@ -446,8 +463,8 @@ def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
             raise ConfigError(f"unknown bound item {item!r}")
     n = cfg.n_points or 400
     dil = cfg.dilation if cfg.dilation is not None else 1.0
-    t_rng = (cfg.t_lo or 1e-2, cfg.t_hi or 1e2)
-    xy_rng = (cfg.xy_lo or 1e-2, cfg.xy_hi or 1e2)
+    t_rng = (cfg.t_lo or _SWEEP_RANGE[0], cfg.t_hi or _SWEEP_RANGE[1])
+    xy_rng = (cfg.xy_lo or _SWEEP_RANGE[0], cfg.xy_hi or _SWEEP_RANGE[1])
     j_min, j_max, n1, n2 = _window_keys(cfg)
     win = IndexWindow(n1, n2)
 
@@ -529,9 +546,7 @@ def run_transform(cfg: ExperimentConfig) -> ExperimentResult:
     f = resolve_f(cfg.f_spec, rng)
     grid = _grid(cfg, 1e-2, 1e2, 129)
     table = SemigroupTable(space, setup, f, grid, quad)
-    vals = np.zeros(grid.size)
-    for j in range(win.n1, win.n2 + 1):
-        vals += setup.v_at(j) * table.diff(j)
+    vals = table.window(win.n1, win.n2)
     header = ["x", "t_n"]
     columns = [grid, vals]
     summary = {"sup_t_n": float(np.max(np.abs(vals)))}
@@ -651,10 +666,8 @@ def run_uniform_l2(cfg: ExperimentConfig) -> ExperimentResult:
         norm_f = lp_norm(space, f, 2.0)
         table = SemigroupTable(space, setup, f, grid, quad)
         for win in wins:
-            vals = np.zeros(grid.size)
-            for j in range(win.n1, win.n2 + 1):
-                vals += setup.v_at(j) * table.diff(j)
-            tn = SampledFunction(grid, vals, left="hold", right="zero")
+            tn = SampledFunction(grid, table.window(win.n1, win.n2),
+                                 left="hold", right="zero")
             ratio = lp_norm(space, tn, 2.0) / norm_f
             rows.append((i, win.n1, win.n2, win.length, ratio))
             ratios.append(ratio)
@@ -763,10 +776,8 @@ def run_bmo_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         if not (j_min <= -L and L + 1 <= j_max):
             raise ConfigError(f"window (-{L},{L}) does not fit in "
                               f"[{j_min},{j_max}]")
-        vals = np.zeros(grid.size)
-        for j in range(-L, L + 1):
-            vals += setup.v_at(j) * table.diff(j)
-        tn = SampledFunction(grid, vals, left="hold", right="zero")
+        tn = SampledFunction(grid, table.window(-L, L), left="hold",
+                             right="zero")
         b = bmo_norm(space, tn, fam)
         r_inf = b / sup_f if sup_f > 0 else math.nan
         r_bmo = b / bmo_f if bmo_f > 0 else math.nan

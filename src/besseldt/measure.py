@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .functions import SampledFunction
-from .quadrature import legendre_rule
+from .quadrature import jacobi_rule, legendre_rule
 
 
 @dataclass(frozen=True)
@@ -108,16 +108,7 @@ def power_integral(a: float, b: float, p: float) -> float:
     """integral_a^b y^p dy, exact antiderivative; a >= 0, b >= a."""
     if b <= a:
         return 0.0
-    if p == -1.0:
-        if a == 0.0:
-            return math.inf
-        return math.log(b / a)
-    q = p + 1.0
-    if a == 0.0:
-        if q <= 0.0:
-            return math.inf
-        return b ** q / q
-    return (b ** q - a ** q) / q
+    return float(_power_integrals(np.float64(a), np.float64(b), p))
 
 
 def measure_interval(space: LambdaSpace, iv: Interval) -> float:
@@ -169,12 +160,19 @@ _CELL_CHUNK = 512
 
 
 def _power_integrals(a, b, p):
-    """power_integral elementwise over arrays of cells with b > a >= 0."""
+    """integral_a^b y^p dy elementwise over arrays with b > a >= 0 (inf where
+    it diverges at a = 0).  With L = log1p((b-a)/a) = log(b/a) and q = p+1
+    it is L for q = 0, else b^q (1 - e^(-qL)) / q or a^q (e^(qL) - 1) / q,
+    whichever power does not grow with L: full relative precision on narrow
+    intervals far from 0, where b^q - a^q would cancel."""
+    q = p + 1.0
     with np.errstate(divide="ignore"):
-        if p == -1.0:
-            return np.log(b / a)
-        q = p + 1.0
-        return (b ** q - a ** q) / q
+        L = np.log1p((b - a) / a)
+        if q == 0.0:
+            return L
+        if q > 0.0:
+            return b ** q * -np.expm1(-q * L) / q
+        return a ** q * np.expm1(q * L) / q
 
 
 def _alignment_points(f):
@@ -202,12 +200,22 @@ def _cells(pts, A, B):
 
 
 def _gauss_cells(a, b, p, values, n):
-    """Per cell [a_i, b_i], the n-node Gauss-Legendre sum of values * y^p;
-    `values(y)` gives the integrand at the nodes y, one row per cell."""
+    """Per cell [a_i, b_i], the n-node Gauss sum of values * y^p;
+    `values(y)` gives the integrand at the nodes y, one row per cell.
+    Cells with a_i = 0 use the Gauss-Jacobi rule absorbing y^p, which is
+    not smooth at 0; the others use Gauss-Legendre."""
     xs, ws = legendre_rule(n)
-    half = 0.5 * (b - a)
-    y = a[:, None] + half[:, None] * (1.0 + xs)
-    return np.sum(ws * half[:, None] * values(y) * y ** p, axis=1)
+    half = 0.5 * (b - a)[:, None]
+    y = a[:, None] + half * (1.0 + xs)
+    zero = np.flatnonzero(a == 0.0)
+    if zero.size:
+        xj, wj = jacobi_rule(n, 0.0, p)
+        y[zero] = half[zero] * (1.0 + xj)
+    v = values(y)
+    terms = ws * half * v * y ** p
+    if zero.size:
+        terms[zero] = wj * half[zero] ** (p + 1.0) * v[zero]
+    return np.sum(terms, axis=1)
 
 
 def _gl_cells(f, A, B, p, transform):
@@ -328,10 +336,9 @@ def interval_q_integral(space: LambdaSpace, f: SampledFunction, iv: Interval,
     return float(interval_q_integrals(space, f, [iv.left], [iv.right], q)[0])
 
 
-def interval_q_averages(space: LambdaSpace, f: SampledFunction, x, r,
-                        q: float) -> np.ndarray:
-    """q-averages (1/m(I)) integral_I |f|^q dm_lam over I = I(x, r), for
-    broadcast arrays of centers and radii (canonicalized as by Interval)."""
+def _interval_ends(x, r):
+    """Ends of I(x, r) for broadcast arrays of centers and radii,
+    canonicalized with the float operations of Interval."""
     x, r = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(r, dtype=float))
     if not (np.all(r > 0) and np.all(np.isfinite(r))
@@ -340,10 +347,22 @@ def interval_q_averages(space: LambdaSpace, f: SampledFunction, x, r,
     inside = x < r
     half = 0.5 * (x + r)
     x, r = np.where(inside, half, x), np.where(inside, half, r)
-    left, right = x - r, x + r
+    return x - r, x + r
+
+
+def interval_masses(space: LambdaSpace, x, r) -> np.ndarray:
+    """m_lam(I(x, r)) for broadcast arrays of centers and radii."""
+    return _power_integrals(*_interval_ends(x, r), space.weight_exponent)
+
+
+def interval_q_averages(space: LambdaSpace, f: SampledFunction, x, r,
+                        q: float) -> np.ndarray:
+    """q-averages (1/m(I)) integral_I |f|^q dm_lam over I = I(x, r), for
+    broadcast arrays of centers and radii (canonicalized as by Interval)."""
+    left, right = _interval_ends(x, r)
     mass = _power_integrals(left, right, space.weight_exponent)
     return (interval_q_integrals(space, f, left.ravel(), right.ravel(), q)
-            .reshape(x.shape) / mass)
+            .reshape(left.shape) / mass)
 
 
 def oscillation(space: LambdaSpace, f: SampledFunction, iv: Interval) -> float:

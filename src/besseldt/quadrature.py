@@ -186,3 +186,40 @@ def weighted_panel_nodes(edges: np.ndarray, n: int, exponent: float):
     k = n if first_weighted else 0
     weights[k:] *= nodes[k:] ** exponent
     return nodes, weights
+
+
+#: nodes per block of panel_sums; bounds the memory of one integrand call
+_NODE_BLOCK = 1 << 21
+
+
+def panel_sums(points, layouts, integrand) -> np.ndarray:
+    """Per point x_k, the sum over its (nodes, weights) layout of
+    integrand(x_k, y, w).
+
+    `layouts` yields one nonempty (nodes, weights) pair per point, in order.
+    The integrand is vectorized: it gets the flat nodes y and weights w of a
+    block of points, with each point repeated once per node of its layout,
+    and returns the terms.  A block is closed once it holds _NODE_BLOCK
+    nodes; a point's sum does not depend on how the points are blocked.
+    """
+    points = np.asarray(points, dtype=float)
+    out = np.zeros(points.size)
+
+    def flush(first, block):
+        stop = first + len(block)
+        counts = [y.size for y, _ in block]
+        terms = integrand(np.repeat(points[first:stop], counts),
+                          np.concatenate([y for y, _ in block]),
+                          np.concatenate([w for _, w in block]))
+        out[first:stop] = np.add.reduceat(terms, np.cumsum(counts) - counts)
+        return stop
+
+    first, block, pending = 0, [], 0
+    for layout in layouts:
+        block.append(layout)
+        pending += layout[0].size
+        if pending >= _NODE_BLOCK:
+            first, block, pending = flush(first, block), [], 0
+    if block:
+        flush(first, block)
+    return out

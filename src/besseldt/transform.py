@@ -4,7 +4,9 @@ For a time sequence {a_j} and bounded weights {v_j},
 
     T_N f = sum_{j=N1}^{N2} v_j (P_{a_{j+1}} f - P_{a_j} f),
 
-with windowed kernel K_N(x,y) built from the same differences.  The
+with windowed kernel K_N(x,y) built from the same differences.  On a grid,
+T_N f is SemigroupTable.window, which adds the terms in j order; the kernel
+sums of K_N and of the partial-sum bounds go through _window_sum.  The
 truncated maximal operator
 
     T*_M f(x) = max over -M <= N1 < N2 <= M of |T_N f(x)|
@@ -26,9 +28,10 @@ from .errors import ContractError, TailEstimateError
 from .functions import SampledFunction
 from .kernel import _batch, apply_at
 from .lacunary import LacunarySetup, is_lacunary, is_regular
-from .measure import (Interval, LambdaSpace, interval_q_averages, lp_norm,
-                      measure_interval)
-from .quadrature import QuadratureSpec
+from .measure import (LambdaSpace, interval_masses, interval_q_averages,
+                      lp_norm)
+from .quadrature import (QuadratureSpec, panel_edges, panel_sums,
+                         weighted_panel_nodes)
 
 
 @dataclass(frozen=True)
@@ -94,6 +97,16 @@ class SemigroupTable:
     def diff(self, j: int) -> np.ndarray:
         return self.level(j + 1) - self.level(j)
 
+    def window(self, n1: int, n2: int) -> np.ndarray:
+        """T_N f on the grid for N = (n1, n2): the terms v_j (p_{j+1} - p_j)
+        added one by one in j order (prefix differences would round
+        differently)."""
+        _check_window(self.setup, n1, n2)
+        vals = np.zeros(self.grid.size)
+        for j in range(n1, n2 + 1):
+            vals += self.setup.v_at(j) * self.diff(j)
+        return vals
+
     def weighted_prefixes(self, m_cap: int) -> np.ndarray:
         """S[i] = sum_{j=-M}^{-M+i-1} v_j (p_{j+1} - p_j), i = 0..2M+1."""
         M = m_cap
@@ -111,44 +124,20 @@ def window_kernel(space, setup, win: IndexWindow, x, y,
                   quad=QuadratureSpec(), kind="p"):
     """K_N(x, y) (or a first derivative for kind 'dx'/'dy'), vectorized."""
     _check_window(setup, win.n1, win.n2)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = 0.0
-    prev = None
-    for j in range(win.n1, win.n2 + 2):
-        cur = _batch(space, setup.a_at(j), x, y, quad, kind)
-        if prev is not None:
-            out = out + setup.v_at(j - 1) * (cur - prev)
-        prev = cur
-    return out
+    return _window_sum(space, setup, win.n1, win.n2, x, y, quad, kind)
 
 
 def apply_transform(space, setup, win: IndexWindow, f: SampledFunction,
-                    eval_grid, quad=QuadratureSpec(),
-                    table: SemigroupTable | None = None) -> SampledFunction:
-    """T_N f on eval_grid through the sum-of-semigroups route."""
-    _check_window(setup, win.n1, win.n2)
-    eval_grid = np.asarray(eval_grid, dtype=float)
-    if table is None or table.grid.shape != eval_grid.shape \
-            or not np.array_equal(table.grid, eval_grid):
-        table = SemigroupTable(space, setup, f, eval_grid, quad)
-    vals = np.zeros(eval_grid.size)
-    for j in range(win.n1, win.n2 + 1):
-        vals += setup.v_at(j) * table.diff(j)
-
+                    eval_grid, quad=QuadratureSpec()) -> SampledFunction:
+    """T_N f on eval_grid through the sum-of-semigroups route; the attached
+    closure sums a fresh table over the points it is called at."""
     def closure(ys):
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        acc = np.zeros_like(ys)
-        prev = None
-        for j in range(win.n1, win.n2 + 2):
-            cur = apply_at(space, f, setup.a_at(j), ys, quad)[0]
-            if prev is not None:
-                acc += setup.v_at(j - 1) * (cur - prev)
-            prev = cur
-        return acc
+        return SemigroupTable(space, setup, f, ys, quad).window(win.n1, win.n2)
 
-    return SampledFunction(eval_grid, vals, left="hold", right="zero",
-                           func=closure)
+    eval_grid = np.asarray(eval_grid, dtype=float)
+    return SampledFunction(eval_grid, closure(eval_grid), left="hold",
+                           right="zero", func=closure)
 
 
 def apply_transform_kernel_route(space, setup, win: IndexWindow,
@@ -163,19 +152,13 @@ def apply_transform_kernel_route(space, setup, win: IndexWindow,
     if math.isinf(shi):
         raise ValueError("kernel route needs a compactly supported f")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    from .quadrature import panel_edges, weighted_panel_nodes
     width = setup.a_at(win.n1)
-    vals = np.empty_like(xs)
-    for k, x in enumerate(xs):
-        edges = panel_edges(slo, shi, x, width,
-                            breakpoints=f.quad_breakpoints(),
-                            max_panels=quad.panel_count)
-        nodes, weights = weighted_panel_nodes(edges, quad.y_nodes_per_panel,
-                                              space.weight_exponent)
-        kern = window_kernel(space, setup, win, np.full_like(nodes, x),
-                             nodes, quad)
-        vals[k] = float(np.sum(weights * kern * f(nodes)))
-    return vals
+    layouts = (weighted_panel_nodes(
+        panel_edges(slo, shi, x, width, breakpoints=f.quad_breakpoints(),
+                    max_panels=quad.panel_count),
+        quad.y_nodes_per_panel, space.weight_exponent) for x in xs)
+    return panel_sums(xs, layouts, lambda x, y, w: (
+        w * window_kernel(space, setup, win, x, y, quad) * f(y)))
 
 
 # --------------------------------------------------------------------------
@@ -277,11 +260,9 @@ def cotlar_check(space, setup, cap: TruncationLevel, f: SampledFunction,
     M = cap.m_cap
     table = SemigroupTable(space, setup, f, eval_grid, quad)
     tstar = maximal_transform(space, setup, cap, f, eval_grid, quad, table)
-    full = apply_transform(space, setup, IndexWindow(-M, M), f, eval_grid,
-                           quad, table)
-    full_sampled = SampledFunction(full.grid, full.values,
-                                   left="hold", right="zero")
-    m_of_t = maximal_hl(space, full_sampled, 1.0, radius_grid, eval_grid)
+    full = SampledFunction(eval_grid, table.window(-M, M), left="hold",
+                           right="zero")
+    m_of_t = maximal_hl(space, full, 1.0, radius_grid, eval_grid)
     m_q = maximal_hl(space, f, q, radius_grid, eval_grid)
     denom = m_of_t + m_q
     ratios = np.zeros_like(denom)
@@ -327,8 +308,7 @@ def window_kernel_bounds(space, setup, win: IndexWindow, sweep,
     if not local.any() or local.all():
         raise ValueError("sweep must cover both regimes x <= 2|x-y| "
                          "and x > 2|x-y|")
-    meas = np.array([measure_interval(space, Interval(xx, dd))
-                     for xx, dd in zip(x, d)])
+    meas = interval_masses(space, x, d)
     size = np.abs(window_kernel(space, setup, win, x, y, quad)) * meas
     sup_grad = None
     if gradient:
@@ -365,7 +345,7 @@ def head_sum_bound_ratio(space, setup, m: int, m_top: int, sweep,
         raise ValueError("no sweep points satisfy |x - y| <= a_m")
     x, y = used[:, 0], used[:, 1]
     total = _window_sum(space, setup, m, m_top, x, y, quad)
-    meas = np.array([measure_interval(space, Interval(xx, a_m)) for xx in x])
+    meas = interval_masses(space, x, a_m)
     ratios = np.abs(total) * meas
     return TailBoundReport(float(ratios.max()), len(used),
                            int(np.count_nonzero(~keep)))
@@ -389,17 +369,21 @@ def tail_sum_bound_ratio(space, setup, m: int, k: int, m_bot: int, sweep,
         raise ValueError("no sweep points satisfy a_k <= |x - y| <= a_{k+1}")
     x, y = used[:, 0], used[:, 1]
     total = _window_sum(space, setup, m_bot, m - 1, x, y, quad)
-    meas = np.array([measure_interval(space, Interval(xx, a_k)) for xx in x])
+    meas = interval_masses(space, x, a_k)
     ratios = np.abs(total) * meas * setup.rho ** (k - m + 1)
     return TailBoundReport(float(ratios.max()), len(used),
                            int(np.count_nonzero(~keep)))
 
 
-def _window_sum(space, setup, j_lo, j_hi, x, y, quad):
+def _window_sum(space, setup, j_lo, j_hi, x, y, quad, kind="p"):
+    """sum_{j=j_lo}^{j_hi} v_j (P_{a_{j+1}} - P_{a_j})(x, y), or the same sum
+    of a derivative kind, over broadcast arrays x, y."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     total = 0.0
     prev = None
     for j in range(j_lo, j_hi + 2):
-        cur = _batch(space, setup.a_at(j), x, y, quad, "p")
+        cur = _batch(space, setup.a_at(j), x, y, quad, kind)
         if prev is not None:
             total = total + setup.v_at(j - 1) * (cur - prev)
         prev = cur
@@ -439,14 +423,7 @@ def convergence_probe(space, setup, f: SampledFunction, eval_pts, caps,
         raise ValueError("caps must increase")
     eval_pts = np.asarray(eval_pts, dtype=float)
     table = SemigroupTable(space, setup, f, eval_pts, quad)
-    vals = []
-    for L in caps:
-        win = IndexWindow(-L, L)
-        _check_window(setup, -L, L)
-        acc = np.zeros(eval_pts.size)
-        for j in range(-L, L + 1):
-            acc += setup.v_at(j) * table.diff(j)
-        vals.append(acc)
+    vals = [table.window(-L, L) for L in caps]
     sup_diffs = np.array([np.max(np.abs(b - a))
                           for a, b in zip(vals[:-1], vals[1:])])
     dim = space.dimension

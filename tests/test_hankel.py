@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import jv
@@ -14,13 +16,34 @@ from conftest import rel_err
 
 
 def test_normalized_bessel_against_scipy():
-    # z^-nu J_nu(z) across the series/asymptotic crossover
+    # z^-nu J_nu(z) from moderate to large arguments
     z = np.geomspace(1e-3, 60.0, 400)
     for nu in (0.5, 1.2, 3.0):
         got = normalized_bessel(nu, z)
         want = jv(nu, z) / z ** nu
         # scipy's jv itself carries ~1e-13 relative noise at moderate z
         assert rel_err(got, want) < 5e-12
+
+
+def test_normalized_bessel_against_mpmath():
+    # error relative to the envelope min(phi(0), sqrt(2/pi) z^(-nu-1/2)) of
+    # phi, against 40-digit mpmath, from z = 0 through the tiny-z series
+    # into the oscillatory range
+    mp = pytest.importorskip("mpmath")
+    z = np.concatenate([[0.0], np.geomspace(1e-300, 1e-3, 40),
+                        np.geomspace(1e-3, 4000.0, 200)])
+    with mp.workdps(40):
+        for nu in (0.0, 0.25, 0.75, 1.2, 3.0, 6.5):
+            got = normalized_bessel(nu, z)
+            at0 = 2.0 ** -nu / math.gamma(nu + 1.0)
+            for zi, g in zip(z, got):
+                if zi == 0.0:
+                    want, env = mp.mpf(at0), at0
+                else:
+                    want = mp.besselj(nu, zi) / mp.mpf(zi) ** nu
+                    env = min(at0, float(mp.sqrt(2 / mp.pi)
+                                         * mp.mpf(zi) ** (-nu - 0.5)))
+                assert float(abs(g - want)) <= 1e-13 * env, (nu, zi)
 
 
 def test_normalized_bessel_at_zero_limit():

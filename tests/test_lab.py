@@ -71,6 +71,23 @@ def test_parse_config_error_carries_line_number():
     ("experiment=hankel-check\nt = -2\n", "t must be positive"),
     ("experiment=kernel-eval\nt_list = 1, -3\n", "must be positive"),
     ("experiment=bounds-suite\nlambda_list = 0.5, 0\n", "must be positive"),
+    # counts and ranges that a runner would otherwise replace by defaults
+    ("experiment=uniform-l2\nf_count = 0\n", "f_count must be at least 1"),
+    ("experiment=weighted\nf_count = -2\n", "f_count must be at least 1"),
+    ("experiment=uniform-l2\nwindows = 0\n", "windows must be at least 1"),
+    ("experiment=bmo\nwindows = 0\n", "windows must be at least 1"),
+    ("experiment=bounds-suite\nn_points = 0\n", "n_points must be at least 1"),
+    ("experiment=hankel-check\nn_y = 0\n", "n_y must be at least 1"),
+    ("experiment=kernel-eval\ntheta_nodes = 0\n",
+     "theta_nodes must be at least 1"),
+    ("experiment=transform\ny_nodes = 0\n", "y_nodes must be at least 1"),
+    ("experiment=bounds-suite\nt_lo = 0\n", "t_lo must be positive"),
+    ("experiment=bounds-suite\nt_hi = -1\n", "t_hi must be positive"),
+    ("experiment=bounds-suite\nxy_lo = 0\n", "xy_lo must be positive"),
+    ("experiment=bounds-suite\nxy_hi = 0\n", "xy_hi must be positive"),
+    ("experiment=bounds-suite\nt_lo = 5\nt_hi = 2\n", "t_lo < t_hi"),
+    ("experiment=bounds-suite\nt_lo = 500\n", "t_lo < t_hi"),
+    ("experiment=bounds-suite\nxy_lo = 1\nxy_hi = 1\n", "xy_lo < xy_hi"),
 ])
 def test_validation_gates(text, needle):
     with pytest.raises(ConfigError, match=needle):

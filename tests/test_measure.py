@@ -10,8 +10,8 @@ from besseldt.measure import (Interval, LambdaSpace, PowerWeight,
                               ap_characteristic, bmo_norm,
                               comparability_check, dyadic_family,
                               interval_average, interval_integral,
-                              interval_q_integral, interval_q_integrals,
-                              lp_norm, measure_interval, oscillation,
+                              interval_q_averages, interval_q_integral,
+                              interval_q_integrals, lp_norm, measure_interval, oscillation,
                               power_integral)
 
 
@@ -110,6 +110,18 @@ def test_interval_q_integrals_batch():
                             points=pts or None, limit=400, epsabs=1e-15,
                             epsrel=1e-13)[0]
             assert got[k] == pytest.approx(want, rel=1e-11, abs=1e-15)
+
+
+@pytest.mark.parametrize("lam", [0.05, 0.3, 2.5])
+def test_interval_averages_of_one_are_one(lam):
+    # I(400, 1e-3) is narrow and far from 0, where b^q - a^q cancels; I(0.1,
+    # 3) and I(0.1, 0.5) start at 0, where y^(2 lam) is not smooth
+    space = LambdaSpace(lam)
+    for f, x, r in ((constant_one(), 400.0, 1e-3), (constant_one(), 0.1, 3.0),
+                    (indicator(1.0), 0.1, 0.5)):
+        for q in (1.0, 1.5, 2.0):
+            avg = interval_q_averages(space, f, x, r, q)
+            assert abs(float(avg) - 1.0) <= 1e-14, (f, x, r, q)
 
 
 def test_lp_norm_indicator(space1):

@@ -3,9 +3,15 @@ import pytest
 from scipy.integrate import quad as quad_ref
 from scipy.special import beta as beta_fn
 
+import besseldt.quadrature as quadrature_mod
+from besseldt.functions import smooth_bump
+from besseldt.hankel import hankel_transform
+from besseldt.kernel import apply_at
+from besseldt.measure import LambdaSpace
 from besseldt.quadrature import (QuadratureBudgetError, QuadratureSpec,
                                  jacobi_rule, legendre_rule, panel_edges,
-                                 panel_nodes, weighted_panel_nodes)
+                                 panel_nodes, panel_sums,
+                                 weighted_panel_nodes)
 
 
 def test_spec_validation():
@@ -136,3 +142,34 @@ def test_weighted_panel_nodes_folds_the_power():
         assert np.array_equal(got, want)
         assert float(np.sum(got)) == pytest.approx(
             (6.0 ** 2.4 - lo ** 2.4) / 2.4, rel=1e-13)
+
+
+def test_panel_sums_blocking_is_bit_identical(monkeypatch):
+    rng = np.random.default_rng(5)
+    points = rng.uniform(0.5, 3.0, 60)
+    layouts = [weighted_panel_nodes(panel_edges(0.0, 8.0, x, 0.1), 16, 1.4)
+               for x in points]
+
+    def integrand(x, y, w):
+        return w * np.cos(x * y) * np.exp(-y)
+
+    space, f = LambdaSpace(0.7), smooth_bump(2.0, 1.0)
+    xs = np.geomspace(0.05, 20.0, 40)
+    whole = panel_sums(points, iter(layouts), integrand)
+    applied = apply_at(space, f, 0.3, xs)[0]
+    transformed = hankel_transform(space, f, xs).values
+
+    calls = []
+
+    def counted(x, y, w):
+        calls.append(y.size)
+        return integrand(x, y, w)
+
+    monkeypatch.setattr(quadrature_mod, "_NODE_BLOCK", 1000)
+    assert np.array_equal(panel_sums(points, iter(layouts), counted), whole)
+    assert len(calls) > 3 and max(calls) < 2000
+    assert np.array_equal(apply_at(space, f, 0.3, xs)[0], applied)
+    assert np.array_equal(hankel_transform(space, f, xs).values, transformed)
+    per_point = [np.sum(integrand(x, y, w))
+                 for x, (y, w) in zip(points, layouts)]
+    assert np.allclose(whole, per_point, rtol=1e-14, atol=0.0)

@@ -274,6 +274,33 @@ def test_table_keeps_largest_tail_bound(space1, monkeypatch):
         table.level(1)
 
 
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_table_window_is_the_explicit_sum(lam):
+    space = LambdaSpace(lam)
+    setup = geometric(2.0, -5, 5, v=np.random.default_rng(3).normal(size=10))
+    table = SemigroupTable(space, setup, smooth_bump(1.0, 0.5), GRID)
+    S = table.weighted_prefixes(4)
+    for n1, n2 in ((-5, 4), (-3, 2), (0, 1), (-4, 4)):
+        want = np.zeros(GRID.size)
+        for j in range(n1, n2 + 1):
+            want += setup.v_at(j) * (table.level(j + 1) - table.level(j))
+        got = table.window(n1, n2)
+        assert np.array_equal(got, want)
+        if -4 <= n1 and n2 <= 4:
+            diff = S[n2 + 5] - S[n1 + 4]
+            assert np.max(np.abs(got - diff)) <= 1e-13 * np.max(np.abs(got))
+    for n1, n2 in ((-6, 0), (0, 5), (5, 6)):
+        with pytest.raises(IndexError):
+            table.window(n1, n2)
+
+
+def test_apply_transform_closure_reproduces_values(space1):
+    setup = geometric(2.0, -4, 4, v=alternating(-4, 4))
+    tn = apply_transform(space1, setup, IndexWindow(-3, 2),
+                         smooth_bump(1.0, 0.5), GRID)
+    assert np.array_equal(tn(GRID), tn.values)
+
+
 def test_window_bounds_zero_weights(space1):
     setup = geometric(2.0, -3, 3, v=np.zeros(6))
     # one point per regime: x <= 2|x-y| and x > 2|x-y|
