@@ -20,7 +20,7 @@ import math
 import numpy as np
 from scipy.special import jv
 
-from .errors import QuadratureError, TailEstimateError
+from .errors import NumericsError, QuadratureError, TailEstimateError
 from .functions import SampledFunction
 from .measure import LambdaSpace, lp_norm
 from .quadrature import QuadratureSpec, panel_sums, weighted_panel_nodes
@@ -187,15 +187,23 @@ def plancherel_defect(space: LambdaSpace, f: SampledFunction,
     from a dense sampling of H f (period-resolving n_y is the caller's job).
 
     |Hf|^2 y^(2 lam) is smooth, so Simpson on the sample grid converges two
-    orders faster than the piecewise-linear norm would.
+    orders faster than the piecewise-linear norm would.  An n_y too small
+    to resolve H f can drive the Simpson sum negative: NumericsError.
     """
     from scipy.integrate import simpson
 
+    if n_y < 16:
+        raise ValueError(f"n_y must be at least 16, got {n_y}")
     y_grid = np.unique(np.concatenate([
         np.geomspace(y_max * 1e-6, y_max * 1e-2, n_y // 8),
         np.linspace(y_max * 1e-2, y_max, n_y)]))
     hf = hankel_transform(space, f, y_grid, quad)
     lhs = lp_norm(space, f, 2.0)
     integrand = hf.values ** 2 * y_grid ** space.weight_exponent
-    rhs = math.sqrt(float(simpson(integrand, x=y_grid)))
+    rhs_sq = float(simpson(integrand, x=y_grid))
+    if not rhs_sq >= 0.0:
+        raise NumericsError(
+            f"Simpson sum of |Hf|^2 y^(2 lam) is {rhs_sq:.3e} < 0: "
+            f"n_y = {n_y} does not resolve H f")
+    rhs = math.sqrt(rhs_sq)
     return lhs, rhs, abs(lhs - rhs) / lhs

@@ -3,46 +3,51 @@
     P_t(x,y) = (2 lam t / pi) * integral_0^pi sin(th)^(2 lam - 1)
                / (x^2 + y^2 + t^2 - 2 x y cos(th))^(lam + 1) dth
 
-The kernel itself is evaluated in closed form.  With c = (x-y)^2 + t^2,
-B = 2xy and A = c + B, expanding in cos(th) gives
-A^-(lam+1) B(lam, 1/2) 2F1((lam+1)/2, (lam+2)/2; lam+1/2; (B/A)^2), and the
-Euler transformation (DLMF 15.8.1) moves the (1 - (B/A)^2)^-1 singularity
-of the diagonal into an explicit factor:
+The kernel and its derivatives in t, x, y are evaluated in closed form.
+With c = (x-y)^2 + t^2, B = 2xy, A = c + B, z = (B/A)^2 and kappa = c/B,
+differentiating under the integral sign only changes the exponent and
+inserts the moment 1 - cos(th), so everything is a combination of
 
-    P_t(x,y) = (2 lam t / pi) B(lam, 1/2) A^(1-lam) / (c (c + 2B))
-               * 2F1(lam/2, (lam-1)/2; lam+1/2; (B/A)^2)
+    I_k = integral_0^pi sin(th)^(2 lam - 1) (A - B cos th)^-(lam+k) dth
+        = B(lam, 1/2) A^(k-lam) (c (c + 2B))^-k
+          * 2F1((lam+1-k)/2, (lam-k)/2; lam+1/2; z)
+    J_k = integral_0^pi sin(th)^(2 lam - 1) cos(th) (A - B cos th)^-(lam+k) dth
+        = (lam+k) (B/A) B(lam, 3/2) A^(k-lam) (c (c + 2B))^-k
+          * 2F1((lam+2-k)/2, (lam+1-k)/2; lam+3/2; z)
+    M_k = integral_0^pi sin(th)^(2 lam - 1) (1 - cos th)
+                        (A - B cos th)^-(lam+k) dth
 
-with 1 - (B/A)^2 = c (c + 2B) / A^2 formed as a product, never by
-subtraction, so relative accuracy holds uniformly in (t, x, y).
+Expanding in cos(th) gives a 2F1 with c-a-b = -k, and the Euler
+transformation (DLMF 15.8.1) moves its (1 - z)^-k singularity at the
+diagonal into the explicit factor: 1 - z = c (c + 2B) / A^2 is formed as a
+product, never by subtraction, and the transformed 2F1 has c-a-b = k, so it
+is finite at z = 1.  Relative accuracy holds uniformly in (t, x, y).  The
+moment is M_k = (I_(k-1) - c I_k) / B where kappa < 1 and M_k = I_k - J_k
+where kappa >= 1, the form that does not cancel in each regime.  Then
 
-The derivatives in t, x, y still come from the angular integral,
-differentiated under the integral sign (which only changes the exponent and
-inserts polynomial moments).  After u = cos(th) the integrand carries the
-Jacobi weight (1-u^2)^(lam-1).  For kappa = c / B >= 1 a single
-Gauss-Jacobi rule converges geometrically.  Near the diagonal (kappa << 1)
-the integrand develops a spike of width kappa at u = 1, so the rule switches
-to geometrically graded panels in w = 1 - u with Jacobi end rules absorbing
-w^(lam-1) and (2-w)^(lam-1).  Pointwise derivative values are verified by
-doubling the node count.
+    P_t     = (2 lam / pi) t I_1
+    dP/dt   = (2 lam / pi) (I_1 - 2 (lam+1) t^2 I_2)
+    dP/dx   = -(2 lam / pi) t (lam+1) (2 (x-y) I_2 + 2y M_2)
+
+with dP/dy the same after swapping x and y, and the mixed derivatives
+d2P/dtdx, d2P/dtdy adding the I_3, M_3 terms of d/dt.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy.special import beta, hyp2f1
 
-from .errors import QuadratureError, TailEstimateError
+from .errors import TailEstimateError
 from .functions import SampledFunction
 from .measure import LambdaSpace
-from .quadrature import (QuadratureSpec, jacobi_rule, legendre_rule,
-                         panel_edges, panel_sums, weighted_panel_nodes)
+from .quadrature import (QuadratureSpec, panel_edges, panel_sums,
+                         weighted_panel_nodes)
 
-_MAX_BUCKET = 100
-_CHUNK = 1 << 22  # max elements of one (points x nodes) block
+_KINDS = ("p", "dt", "dx", "dy", "dtdx", "dtdy")
 
 
 @dataclass(frozen=True)
@@ -63,181 +68,86 @@ def closed_form_lambda1(t, x, y):
                                 * ((x + y) ** 2 + t ** 2))
 
 
-def _closed_form_p(lam, t, x, y):
-    """P_t(x, y) for any lam > 0 through the Euler-transformed 2F1 (see the
-    module docstring), vectorized over broadcast (t, x, y)."""
+def _i_k(lam, k, scale, A, q, z):
+    """scale / B(lam, 1/2) times I_k, with q = c (c + 2B)."""
+    # numpy's q ** 1 is a full power pass, and the kernel (k = 1) is hot
+    qk = q if k == 1 else q ** k
+    return (scale * A ** (k - lam) / qk
+            * hyp2f1(0.5 * (lam - (k - 1)), 0.5 * (lam - k), lam + 0.5, z))
+
+
+def _j_k(lam, k, scale, A, B, q, z):
+    """scale / ((lam + k) B(lam, 3/2)) times J_k, with q = c (c + 2B)."""
+    return (scale * (B / A) * A ** (k - lam) / q ** k
+            * hyp2f1(0.5 * (lam - (k - 2)), 0.5 * (lam - (k - 1)),
+                     lam + 1.5, z))
+
+
+def kernel_values(space, t, x, y, kind="p"):
+    """P_t(x, y) or one of its derivatives over broadcast arrays (t, x, y),
+    in closed form (see the module docstring); kind is one of
+    p, dt, dx, dy, dtdx, dtdy."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    lam = space.lam
     t, x, y = np.broadcast_arrays(np.asarray(t, dtype=float),
                                   np.asarray(x, dtype=float),
                                   np.asarray(y, dtype=float))
     c = (x - y) ** 2 + t * t
     B = 2.0 * x * y
     A = c + B
+    z = (B / A) ** 2
+    q = c * (c + 2.0 * B)
+    # (2 lam / pi) B(lam, 1/2): every I_k below carries the kernel's factor
     front = 2.0 * lam / math.pi * beta(lam, 0.5)
-    hyp = hyp2f1(0.5 * lam, 0.5 * (lam - 1.0), lam + 0.5, (B / A) ** 2)
-    return front * t * A ** (1.0 - lam) / (c * (c + 2.0 * B)) * hyp
-
-
-# --------------------------------------------------------------------------
-# angular quadrature engine (derivative kinds)
-
-@lru_cache(maxsize=4096)
-def _bucket_rule(lam: float, bucket: int, n: int):
-    """Nodes w in (0,2) and weights absorbing w^(lam-1) (2-w)^(lam-1).
-
-    bucket == 0: the single Gauss-Jacobi rule on u in (-1,1), re-expressed in
-    w = 1-u.  bucket b >= 1: composite rule with first panel [0, 2^-b].
-    """
-    if bucket == 0:
-        u, wj = jacobi_rule(n, lam - 1.0, lam - 1.0)
-        w = 1.0 - u
-        return w, wj.copy()
-    delta = 2.0 ** (-bucket)
-    nodes, weights = [], []
-    # [0, delta]: Jacobi rule with weight w^(lam-1)
-    uj, wj = jacobi_rule(n, 0.0, lam - 1.0)
-    w0 = delta / 2.0 * (1.0 + uj)
-    nodes.append(w0)
-    weights.append(wj * (delta / 2.0) ** lam * (2.0 - w0) ** (lam - 1.0))
-    # geometric middle panels [delta 2^i, delta 2^(i+1)] up to 1, then [1, 1.5]
-    xl, wl = legendre_rule(n)
-    edges = [delta * 2.0 ** i for i in range(bucket + 1)] + [1.5]
-    for a, b in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (b - a)
-        wm = a + half * (1.0 + xl)
-        nodes.append(wm)
-        weights.append(wl * half * wm ** (lam - 1.0) * (2.0 - wm) ** (lam - 1.0))
-    # [1.5, 2]: Jacobi rule absorbing (2-w)^(lam-1)
-    s = (1.0 + uj) / 4.0
-    wlast = 2.0 - s
-    nodes.append(wlast)
-    weights.append(wj * 0.25 ** lam * wlast ** (lam - 1.0))
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
-def _theta_sums(lam, c, B, n, n_exps=1, moment=False):
-    """S[e, m] = integral_0^2 w^(lam-1+m) (2-w)^(lam-1) (c + B w)^(-e) dw
-    for e = lam+1 .. lam+n_exps and m in {0} or {0, 1}, vectorized over the
-    flat arrays c (= (x-y)^2 + t^2) and B (= 2xy)."""
-    c = np.asarray(c, dtype=float).ravel()
-    B = np.asarray(B, dtype=float).ravel()
-    npts = c.size
-    kap = c / B
-    bucket = np.zeros(npts, dtype=np.int64)
-    small = kap < 1.0
-    with np.errstate(divide="ignore"):
-        bucket[small] = np.minimum(
-            np.ceil(-np.log2(kap[small])).astype(np.int64), _MAX_BUCKET)
-    mom_range = (0, 1) if moment else (0,)
-    out = {(e, m): np.empty(npts) for e in range(n_exps) for m in mom_range}
-    for b in np.unique(bucket):
-        idx = np.nonzero(bucket == b)[0]
-        w, W0 = _bucket_rule(float(lam), int(b), int(n))
-        rows = max(1, _CHUNK // w.size)
-        for s in range(0, idx.size, rows):
-            ii = idx[s:s + rows]
-            base = c[ii, None] + B[ii, None] * w[None, :]
-            powv = base ** (-(lam + 1.0))
-            inv = 1.0 / base
-            for e in range(n_exps):
-                if e > 0:
-                    powv = powv * inv
-                out[(e, 0)][ii] = powv @ W0
-                if moment:
-                    out[(e, 1)][ii] = powv @ (W0 * w)
-    return out
-
-
-def _assemble(space, t, x, y, kind, n):
-    """A kernel derivative by the angular rule, vectorized; `kind` in
-    {'dt', 'dx', 'dy', 'dtdx', 'dtdy'}."""
-    lam = space.lam
-    t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    t, x, y = np.broadcast_arrays(t, x, y)
-    shape = t.shape
-    t, x, y = t.ravel(), x.ravel(), y.ravel()
-    c = (x - y) ** 2 + t * t
-    B = 2.0 * x * y
-    front = 2.0 * lam / math.pi
+    if kind == "p":
+        return _i_k(lam, 1, front * t, A, q, z)
     if kind == "dt":
-        S = _theta_sums(lam, c, B, n, n_exps=2)
-        val = front * (S[(0, 0)] - 2.0 * (lam + 1.0) * t * t * S[(1, 0)])
-    elif kind in ("dx", "dy"):
-        S = _theta_sums(lam, c, B, n, n_exps=2, moment=True)
-        d = (x - y) if kind == "dx" else (y - x)
-        other = y if kind == "dx" else x
-        val = -front * t * (lam + 1.0) * (2.0 * d * S[(1, 0)]
-                                          + 2.0 * other * S[(1, 1)])
-    elif kind in ("dtdx", "dtdy"):
-        S = _theta_sums(lam, c, B, n, n_exps=3, moment=True)
-        d = (x - y) if kind == "dtdx" else (y - x)
-        other = y if kind == "dtdx" else x
-        g1 = 2.0 * d * S[(1, 0)] + 2.0 * other * S[(1, 1)]
-        g2 = 2.0 * d * S[(2, 0)] + 2.0 * other * S[(2, 1)]
-        val = front * (-(lam + 1.0) * g1
-                       + 2.0 * (lam + 1.0) * (lam + 2.0) * t * t * g2)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown kind {kind!r}")
-    return val.reshape(shape)
+        return (_i_k(lam, 1, front, A, q, z)
+                - 2.0 * (lam + 1.0) * t * t * _i_k(lam, 2, front, A, q, z))
+
+    small = c < B
+    large = ~small
+    front_j = 2.0 * lam / math.pi * beta(lam, 1.5)
+
+    def m_k(k, ik):
+        """(2 lam / pi) M_k from (2 lam / pi) I_k, each regime on its mask."""
+        out = np.empty_like(c)
+        out[small] = (_i_k(lam, k - 1, front, A[small], q[small], z[small])
+                      - c[small] * ik[small]) / B[small]
+        out[large] = ik[large] - _j_k(lam, k, (lam + k) * front_j, A[large],
+                                      B[large], q[large], z[large])
+        return out
+
+    d, other = (x - y, y) if kind in ("dx", "dtdx") else (y - x, x)
+    i2 = _i_k(lam, 2, front, A, q, z)
+    g1 = 2.0 * d * i2 + 2.0 * other * m_k(2, i2)
+    if kind in ("dx", "dy"):
+        return -t * (lam + 1.0) * g1
+    i3 = _i_k(lam, 3, front, A, q, z)
+    g2 = 2.0 * d * i3 + 2.0 * other * m_k(3, i3)
+    return -(lam + 1.0) * g1 + 2.0 * (lam + 1.0) * (lam + 2.0) * t * t * g2
 
 
-def _batch(space, t, x, y, quad, kind):
-    """Batch evaluation.  The kernel is exact in closed form; a derivative
-    doubles the per-panel node count until the whole batch moves by less
-    than the tolerances, refining all points."""
-    if kind == "p":
-        return _closed_form_p(space.lam, t, x, y)
-    n = quad.theta_nodes
-    prev = _assemble(space, t, x, y, kind, n)
-    while n < quad.theta_max_nodes:
-        n = min(2 * n, quad.theta_max_nodes)
-        cur = _assemble(space, t, x, y, kind, n)
-        err = np.abs(cur - prev)
-        tol = np.maximum(quad.abs_tol, quad.rel_tol * np.abs(cur))
-        if np.all(err <= tol):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"theta quadrature did not converge at {quad.theta_max_nodes} nodes")
+def poisson_kernel_batch(space, t, x, y, kind="p"):
+    """Kernel (or derivative) values for arrays of (t, x, y): kernel_values."""
+    return kernel_values(space, t, x, y, kind)
 
 
-def poisson_kernel_batch(space, t, x, y, quad=QuadratureSpec(), kind="p"):
-    """Kernel (or derivative) values for arrays of (t, x, y); kind in
-    {p, dt, dx, dy, dtdx, dtdy}.  'p' is the closed form; the derivatives
-    use the angular rule, verified by node doubling."""
-    return _batch(space, t, x, y, quad, kind)
+def poisson_kernel(space: LambdaSpace, pt: KernelPoint) -> float:
+    return float(kernel_values(space, pt.t, pt.x, pt.y))
 
 
-def poisson_kernel(space: LambdaSpace, pt: KernelPoint,
-                   quad: QuadratureSpec = QuadratureSpec()) -> float:
-    return float(_batch(space, pt.t, pt.x, pt.y, quad, "p"))
+def poisson_kernel_dt(space, pt) -> float:
+    return float(kernel_values(space, pt.t, pt.x, pt.y, "dt"))
 
 
-def poisson_kernel_dt(space, pt, quad=QuadratureSpec()) -> float:
-    return float(_batch(space, pt.t, pt.x, pt.y, quad, "dt"))
+def poisson_kernel_dx(space, pt) -> float:
+    return float(kernel_values(space, pt.t, pt.x, pt.y, "dx"))
 
 
-def poisson_kernel_dx(space, pt, quad=QuadratureSpec()) -> float:
-    return float(_batch(space, pt.t, pt.x, pt.y, quad, "dx"))
-
-
-def poisson_kernel_dy(space, pt, quad=QuadratureSpec()) -> float:
-    return float(_batch(space, pt.t, pt.x, pt.y, quad, "dy"))
-
-
-def kernel_values(space, t, x, y, quad=QuadratureSpec(), kind="p"):
-    """Single-pass vectorized evaluation used inside radial integrals.
-
-    'p' is the closed form, exact to rounding.  A derivative kind takes one
-    pass of the angular rule at half the configured node count, without
-    doubling: the composite rule is already far below integrator tolerances
-    there, and integral-level checks (normalization, dual-route agreement)
-    guard the end-to-end accuracy.
-    """
-    if kind == "p":
-        return _closed_form_p(space.lam, t, x, y)
-    return _assemble(space, t, x, y, kind, max(24, quad.theta_nodes // 2))
+def poisson_kernel_dy(space, pt) -> float:
+    return float(kernel_values(space, pt.t, pt.x, pt.y, "dy"))
 
 
 # --------------------------------------------------------------------------
@@ -259,6 +169,14 @@ def _radial_end(lam: float, t: float, hold: float, base: float, quad):
             f"tail truncation needs 2^{K} * {base:g}; not attainable")
     hi = base * 2.0 ** K
     return hi, c_tail * t * hold / hi
+
+
+def check_tail(bound: float, quad: QuadratureSpec) -> None:
+    """Raise TailEstimateError when a truncation-tail bound of apply_at is
+    above max(abs_tol, 1e-14)."""
+    if bound > max(quad.abs_tol, 1e-14):
+        raise TailEstimateError(
+            f"truncation tail {bound:.3e} above tolerance")
 
 
 def apply_at(space: LambdaSpace, f: SampledFunction, t: float,
@@ -295,7 +213,7 @@ def apply_at(space: LambdaSpace, f: SampledFunction, t: float,
                                        space.weight_exponent)
 
     vals = panel_sums(xs, layouts(), lambda x, y, w: (
-        w * kernel_values(space, t, x, y, quad) * f(y)))
+        w * kernel_values(space, t, x, y) * f(y)))
     return vals, tails
 
 
@@ -304,20 +222,17 @@ def poisson_apply(space: LambdaSpace, f: SampledFunction, t: float,
                   ) -> SampledFunction:
     """P_t f as a function: sampled on eval_grid and exactly evaluable
     anywhere via the attached quadrature closure (so compositions like
-    P_s(P_t f) do not pay interpolation error)."""
-    eval_grid = np.asarray(eval_grid, dtype=float)
-    vals, tails = apply_at(space, f, t, eval_grid, quad)
-    bad = tails > max(quad.abs_tol, 1e-14)
-    if np.any(bad):
-        raise TailEstimateError(
-            f"truncation tail {tails[bad].max():.3e} above tolerance")
-
+    P_s(P_t f) do not pay interpolation error).  Every evaluation checks its
+    truncation tails (check_tail)."""
     def closure(ys):
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        return apply_at(space, f, t, ys, quad)[0]
+        vals, tails = apply_at(space, f, t, ys, quad)
+        check_tail(float(np.max(tails, initial=0.0)), quad)
+        return vals
 
-    return SampledFunction(eval_grid, vals, left="hold", right="zero",
-                           func=closure)
+    eval_grid = np.asarray(eval_grid, dtype=float)
+    return SampledFunction(eval_grid, closure(eval_grid), left="hold",
+                           right="zero", func=closure)
 
 
 def kernel_mass(space: LambdaSpace, t: float, x: float,
@@ -350,9 +265,8 @@ def kernel_difference_l1(space: LambdaSpace, t1: float, t2: float, x: float,
                         max_panels=quad.panel_count)
     nodes, weights = weighted_panel_nodes(edges, quad.y_nodes_per_panel,
                                           space.weight_exponent)
-    diff = np.abs(kernel_values(space, t2, np.full_like(nodes, x), nodes, quad)
-                  - kernel_values(space, t1, np.full_like(nodes, x), nodes,
-                                  quad))
+    diff = np.abs(kernel_values(space, t2, x, nodes)
+                  - kernel_values(space, t1, x, nodes))
     return float(np.sum(weights * diff))
 
 
@@ -386,7 +300,7 @@ def _bound_denominator(space, item, t, x, y):
     raise ValueError(f"item must be one of {_BOUND_ITEMS}")
 
 
-def kernel_bound_ratios(space, sweep, item, quad=QuadratureSpec()) -> BoundReport:
+def kernel_bound_ratios(space, sweep, item) -> BoundReport:
     """Size/smoothness bound check: sup over the sweep of |kernel quantity|
     divided by the corresponding two-form bound (constants set to 1).
 
@@ -400,18 +314,14 @@ def kernel_bound_ratios(space, sweep, item, quad=QuadratureSpec()) -> BoundRepor
     near = np.abs(x - y) <= t
     if not near.any() or near.all():
         raise ValueError("sweep must cover both |x-y| <= t and |x-y| > t")
-    if item == "i":
-        num = np.abs(_batch(space, t, x, y, quad, "p"))
-    elif item == "ii":
-        num = np.abs(_batch(space, t, x, y, quad, "dx"))
-    elif item == "iii":
-        num = np.abs(_batch(space, t, x, y, quad, "dt"))
-    elif item == "iv":
-        num = (np.abs(_batch(space, t, x, y, quad, "dtdx"))
-               + np.abs(_batch(space, t, x, y, quad, "dtdy")))
+    den = _bound_denominator(space, item, t, x, y)
+    if item == "iv":
+        num = (np.abs(kernel_values(space, t, x, y, "dtdx"))
+               + np.abs(kernel_values(space, t, x, y, "dtdy")))
     else:
-        raise ValueError(f"item must be one of {_BOUND_ITEMS}")
-    ratio = num / _bound_denominator(space, item, t, x, y)
+        kind = {"i": "p", "ii": "dx", "iii": "dt"}[item]
+        num = np.abs(kernel_values(space, t, x, y, kind))
+    ratio = num / den
     return BoundReport(item, float(ratio.max()),
                        float(ratio[near].max()), float(ratio[~near].max()),
                        len(pts))

@@ -23,8 +23,7 @@ from .functions import (SampledFunction, bump_mixture, indicator,
 from .hankel import (gaussian_fixed_point_defect, involution_defect,
                      plancherel_defect, spectral_poisson_apply)
 from .kernel import (KernelPoint, apply_at, kernel_bound_ratios,
-                     kernel_difference_l1, kernel_sweep,
-                     poisson_kernel_batch)
+                     kernel_difference_l1, kernel_sweep, kernel_values)
 from .lacunary import LacunarySetup, geometric
 from .measure import (Interval, LambdaSpace, PowerWeight, bmo_norm,
                       dyadic_family, interval_integral, lp_norm,
@@ -38,8 +37,7 @@ from .transform import (IndexWindow, SemigroupTable, max_window_sum_abs,
 
 _KEY_TYPES = {
     "experiment": "str", "lambda": "float", "seed": "int", "out": "str",
-    "theta_nodes": "int", "y_nodes": "int", "abs_tol": "float",
-    "rel_tol": "float",
+    "y_nodes": "int", "abs_tol": "float", "rel_tol": "float",
     "t": "float", "t_list": "floats", "x_list": "floats", "y_list": "floats",
     "lambda_list": "floats", "items": "strs", "n_points": "int",
     "rho": "float", "j_min": "int", "j_max": "int", "v": "str",
@@ -55,8 +53,8 @@ _KEY_TYPES = {
     "t_lo": "float", "t_hi": "float", "xy_lo": "float", "xy_hi": "float",
 }
 
-_COMMON_KEYS = {"experiment", "lambda", "seed", "out", "theta_nodes",
-                "y_nodes", "abs_tol", "rel_tol"}
+_COMMON_KEYS = {"experiment", "lambda", "seed", "out", "y_nodes", "abs_tol",
+                "rel_tol"}
 
 _ALLOWED_KEYS = {
     "kernel-eval": {"t_list", "x_list", "y_list"},
@@ -126,7 +124,6 @@ class ExperimentConfig:
     lam: float = 1.0
     seed: int = 0
     out: Optional[str] = None
-    theta_nodes: Optional[int] = None
     y_nodes: Optional[int] = None
     abs_tol: Optional[float] = None
     rel_tol: Optional[float] = None
@@ -174,7 +171,6 @@ class ExperimentConfig:
     def quadrature(self) -> QuadratureSpec:
         base = QuadratureSpec()
         return QuadratureSpec(
-            theta_nodes=self.theta_nodes or base.theta_nodes,
             y_nodes_per_panel=self.y_nodes or base.y_nodes_per_panel,
             abs_tol=self.abs_tol if self.abs_tol is not None else base.abs_tol,
             rel_tol=self.rel_tol if self.rel_tol is not None else base.rel_tol)
@@ -206,6 +202,9 @@ def parse_config(text: str) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key == "theta_nodes":
+            raise ConfigError(f"line {lineno}: key 'theta_nodes' was removed: "
+                              "the kernel derivatives are closed form")
         if key not in _KEY_TYPES:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
@@ -271,11 +270,12 @@ def _validate(cfg: ExperimentConfig, lines_of: dict):
     if cfg.lambda_list is not None and any(v <= 0 for v in cfg.lambda_list):
         bad("lambda_list", "lambda_list entries must be positive")
     # a count or range of 0 would otherwise be replaced by its default
-    for key in ("f_count", "windows", "n_points", "n_y", "theta_nodes",
-                "y_nodes"):
+    for key in ("f_count", "windows", "n_points", "y_nodes"):
         val = getattr(cfg, key)
         if val is not None and val < 1:
             bad(key, f"{key} must be at least 1")
+    if cfg.n_y is not None and cfg.n_y < 16:
+        bad("n_y", f"n_y must be at least 16, got {cfg.n_y}")
     for keys in (("t_lo", "t_hi"), ("xy_lo", "xy_hi")):
         lo_hi = [getattr(cfg, key) for key in keys]
         for key, val in zip(keys, lo_hi):
@@ -397,7 +397,7 @@ class ExperimentResult:
 def _base_meta(cfg: ExperimentConfig, **extra) -> dict:
     quad = cfg.quadrature()
     meta = {"experiment": cfg.experiment, "lambda": cfg.lam,
-            "seed": cfg.seed, "theta_nodes": quad.theta_nodes,
+            "seed": cfg.seed,
             "y_nodes_per_panel": quad.y_nodes_per_panel,
             "abs_tol": quad.abs_tol, "rel_tol": quad.rel_tol}
     meta.update(extra)
@@ -416,7 +416,6 @@ def _grid(cfg: ExperimentConfig, lo: float, hi: float, n: int) -> np.ndarray:
 def run_kernel_eval(cfg: ExperimentConfig) -> ExperimentResult:
     """P_t(x, y) and its first derivatives over a (t, x, y) product grid."""
     space = LambdaSpace(cfg.lam)
-    quad = cfg.quadrature()
     ts = cfg.t_list or (1.0,)
     xs = np.asarray(cfg.x_list or tuple(np.geomspace(0.1, 10.0, 5)))
     ys = np.asarray(cfg.y_list or tuple(np.geomspace(0.1, 10.0, 5)))
@@ -424,7 +423,7 @@ def run_kernel_eval(cfg: ExperimentConfig) -> ExperimentResult:
     for t in ts:
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         gx, gy = gx.ravel(), gy.ravel()
-        cols = {kind: poisson_kernel_batch(space, t, gx, gy, quad, kind)
+        cols = {kind: kernel_values(space, t, gx, gy, kind)
                 for kind in ("p", "dt", "dx", "dy")}
         for i in range(gx.size):
             rows.append((t, gx[i], gy[i], cols["p"][i], cols["dt"][i],
@@ -454,7 +453,6 @@ _DEFAULT_ITEMS = ("i", "ii", "iii", "iv") + _WINDOW_ITEMS
 def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
     """Fitted constants of the kernel size/smoothness bounds and of the
     windowed-kernel bounds, per regime, with a dilation-invariance column."""
-    quad = cfg.quadrature()
     rng = np.random.default_rng(cfg.seed)
     lams = cfg.lambda_list or (cfg.lam,)
     items = cfg.items if cfg.items is not None else _DEFAULT_ITEMS
@@ -480,12 +478,12 @@ def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
                               v=resolve_v(cfg.v_spec, j_min, j_max))
             grad = "window_gradient" in items
             win_rep = window_kernel_bounds(space, setup, win, pair_sweep,
-                                           quad, gradient=grad)
+                                           gradient=grad)
             if dil != 1.0:
                 setup_d = LacunarySetup(setup.a * dil, setup.v, setup.rho,
                                         setup.j_min)
                 win_rep_d = window_kernel_bounds(space, setup_d, win,
-                                                 pair_sweep * dil, quad,
+                                                 pair_sweep * dil,
                                                  gradient=grad)
         for item in items:
             if item in _WINDOW_ITEMS:
@@ -504,11 +502,11 @@ def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
                                 rep_d.sup_gradient if rep_d
                                 else rep.sup_gradient)]
             else:
-                rep = kernel_bound_ratios(space, sweep, item, quad)
+                rep = kernel_bound_ratios(space, sweep, item)
                 if dil != 1.0:
                     sweep_d = [KernelPoint(p.t * dil, p.x * dil, p.y * dil)
                                for p in sweep]
-                    rep_d = kernel_bound_ratios(space, sweep_d, item, quad)
+                    rep_d = kernel_bound_ratios(space, sweep_d, item)
                 else:
                     rep_d = rep
                 triples = [("all", rep.sup_ratio, rep_d.sup_ratio),

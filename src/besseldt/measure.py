@@ -271,9 +271,30 @@ def _abs_linear_integrals(a, b, alpha, beta, p):
     return sign * _linear_integrals(a, b, alpha, beta, p)
 
 
+def _zero_end_q_integrals(a, b, fa, fb, q, p, n):
+    """integral_a^b |f(y)|^q y^p dy per piece on which f is linear from fa
+    to fb, keeps its sign and vanishes at exactly one end y0.  There
+    |f|^q = |f(other end)|^q (|y - y0| / (b - a))^q is not smooth at y0, and
+    an n-node Gauss-Jacobi rule absorbs |y - y0|^q.  Such a piece never
+    starts at 0: a sampled grid is positive and f is constant below it."""
+    out = np.empty(a.size)
+    half = 0.5 * (b - a)
+    for left_zero in (False, True):
+        rows = np.flatnonzero((fa == 0.0) == left_zero)
+        # weight (1 - u)^q at a zero end b, (1 + u)^q at a zero end a
+        xj, wj = jacobi_rule(n, *((0.0, q) if left_zero else (q, 0.0)))
+        y = a[rows, None] + half[rows, None] * (1.0 + xj)
+        other = (fb if left_zero else fa)[rows]
+        out[rows] = (half[rows] * (0.5 * np.abs(other)) ** q
+                     * np.sum(wj * y ** p, axis=1))
+    return out
+
+
 def _q_integrals(f, A, B, q, p):
     """integral_{A_k}^{B_k} |f(y)|^q y^p dy for arrays of interval ends with
-    B > A; exact for q in {1, 2} on sample-backed f."""
+    B > A; exact for q in {1, 2} on sample-backed f.  For other q a piece of
+    a sample-backed f that ends at a zero of f gets a Gauss-Jacobi rule
+    absorbing the zero (_zero_end_q_integrals), the others 16-node Gauss."""
     if f.func is not None:
         return _gl_cells(f, A, B, p, lambda t: np.abs(t) ** q)
     owner, a, b, al, be = _linear_pieces(f, A, B)
@@ -286,8 +307,19 @@ def _q_integrals(f, A, B, q, p):
     if q == 1.0:
         piece = _abs_linear_integrals(a, b, al, be, p)
     else:
-        piece = _gauss_cells(
-            a, b, p, lambda y: np.abs(al[:, None] * y + be[:, None]) ** q, 16)
+        # f(a), f(b), with a rounding-level value set to the zero it stands for
+        fa, fb = al * a + be, al * b + be
+        tiny = 4.0 * np.finfo(float).eps * (np.abs(al) * b + np.abs(be))
+        fa[np.abs(fa) <= tiny] = 0.0
+        fb[np.abs(fb) <= tiny] = 0.0
+        zero_end = (fa == 0.0) != (fb == 0.0)
+        piece = np.zeros(a.size)
+        smooth = np.flatnonzero(~zero_end & (fa != 0.0))
+        als, bes = al[smooth, None], be[smooth, None]
+        piece[smooth] = _gauss_cells(
+            a[smooth], b[smooth], p, lambda y: np.abs(als * y + bes) ** q, 16)
+        piece[zero_end] = _zero_end_q_integrals(
+            a[zero_end], b[zero_end], fa[zero_end], fb[zero_end], q, p, 16)
     return np.bincount(owner, piece, minlength=A.size)
 
 

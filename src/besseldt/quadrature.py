@@ -1,9 +1,9 @@
 """Gauss rules and panel builders shared by the kernel and Hankel integrators.
 
 All weighted rules come from scipy's Golub-Welsch implementations; they are
-cached because the same (n, alpha, beta) combinations recur thousands of times
-inside vectorized kernel sweeps.  Panel layouts are deterministic functions of
-their inputs so that repeated runs are bit-identical.
+cached because the same (n, alpha, beta) combinations recur for every panel
+layout.  Panel layouts are deterministic functions of their inputs so that
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -19,36 +19,28 @@ from .errors import NumericsError
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Accuracy knobs for the integral operators.
+    """Accuracy knobs for the radial and Hankel integrals.  The kernel and
+    its derivatives are closed form and take no knob.
 
-    theta_nodes       nodes of the angular Gauss-Jacobi rule (per panel in the
-                      composite near-diagonal regime); used by the kernel
-                      derivatives only, the kernel itself is closed form
     y_nodes_per_panel Gauss-Legendre nodes per radial panel
     panel_count       budget cap on radial panels for one integral
-    abs_tol, rel_tol  convergence targets; refinement stops when the change
-                      between node counts is below max(abs_tol, rel_tol*|value|)
-    theta_max_nodes   doubling cap for the angular rule of the derivatives
+    abs_tol           truncation-tail tolerance of the infinite integrals
+    rel_tol           relative tolerance; recorded in the CSV meta block, but
+                      no integrator reads it
     """
 
-    theta_nodes: int = 64
     y_nodes_per_panel: int = 16
     panel_count: int = 400
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    theta_max_nodes: int = 1024
 
     def __post_init__(self):
-        if self.theta_nodes < 16:
-            raise ValueError("theta_nodes must be >= 16")
         if self.y_nodes_per_panel < 4:
             raise ValueError("y_nodes_per_panel must be >= 4")
         if self.panel_count < 4:
             raise ValueError("panel_count must be >= 4")
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise ValueError("tolerances must be positive")
-        if self.theta_max_nodes < self.theta_nodes:
-            raise ValueError("theta_max_nodes must be >= theta_nodes")
 
 
 @lru_cache(maxsize=512)

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, TailEstimateError
+from .errors import ContractError
 from .functions import SampledFunction
-from .kernel import _batch, apply_at
+from .kernel import apply_at, check_tail, kernel_values
 from .lacunary import LacunarySetup, is_lacunary, is_regular
 from .measure import (LambdaSpace, interval_masses, interval_q_averages,
                       lp_norm)
@@ -81,16 +81,14 @@ class SemigroupTable:
     def level(self, j: int) -> np.ndarray:
         """P_{a_j} f on the grid.  The largest truncation-tail bound of the
         levels computed so far is kept in `max_tail`; one above
-        max(abs_tol, 1e-14) raises TailEstimateError, as in poisson_apply."""
+        max(abs_tol, 1e-14) raises TailEstimateError (kernel.check_tail)."""
         if j not in self._levels:
             t = self.setup.a_at(j)
             vals, tails = apply_at(self.space, self.f, t, self.grid,
                                    self.quad)
             self.max_tail = max(self.max_tail,
                                 float(np.max(tails, initial=0.0)))
-            if self.max_tail > max(self.quad.abs_tol, 1e-14):
-                raise TailEstimateError(
-                    f"truncation tail {self.max_tail:.3e} above tolerance")
+            check_tail(self.max_tail, self.quad)
             self._levels[j] = vals
         return self._levels[j]
 
@@ -120,11 +118,10 @@ class SemigroupTable:
 # --------------------------------------------------------------------------
 # the transform and its kernel
 
-def window_kernel(space, setup, win: IndexWindow, x, y,
-                  quad=QuadratureSpec(), kind="p"):
+def window_kernel(space, setup, win: IndexWindow, x, y, kind="p"):
     """K_N(x, y) (or a first derivative for kind 'dx'/'dy'), vectorized."""
     _check_window(setup, win.n1, win.n2)
-    return _window_sum(space, setup, win.n1, win.n2, x, y, quad, kind)
+    return _window_sum(space, setup, win.n1, win.n2, x, y, kind)
 
 
 def apply_transform(space, setup, win: IndexWindow, f: SampledFunction,
@@ -158,7 +155,7 @@ def apply_transform_kernel_route(space, setup, win: IndexWindow,
                     max_panels=quad.panel_count),
         quad.y_nodes_per_panel, space.weight_exponent) for x in xs)
     return panel_sums(xs, layouts, lambda x, y, w: (
-        w * window_kernel(space, setup, win, x, y, quad) * f(y)))
+        w * window_kernel(space, setup, win, x, y) * f(y)))
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +286,6 @@ class WindowBoundReport:
 
 
 def window_kernel_bounds(space, setup, win: IndexWindow, sweep,
-                         quad=QuadratureSpec(),
                          gradient: bool = True) -> WindowBoundReport:
     """Fitted constants of the Calderon-Zygmund bounds of K_N.
 
@@ -309,11 +305,11 @@ def window_kernel_bounds(space, setup, win: IndexWindow, sweep,
         raise ValueError("sweep must cover both regimes x <= 2|x-y| "
                          "and x > 2|x-y|")
     meas = interval_masses(space, x, d)
-    size = np.abs(window_kernel(space, setup, win, x, y, quad)) * meas
+    size = np.abs(window_kernel(space, setup, win, x, y)) * meas
     sup_grad = None
     if gradient:
-        k_dx = window_kernel(space, setup, win, x, y, quad, kind="dx")
-        k_dy = window_kernel(space, setup, win, x, y, quad, kind="dy")
+        k_dx = window_kernel(space, setup, win, x, y, kind="dx")
+        k_dy = window_kernel(space, setup, win, x, y, kind="dy")
         sup_grad = float(((np.abs(k_dx) + np.abs(k_dy)) * meas * d).max())
     return WindowBoundReport(float(size.max()), sup_grad,
                              float(size[local].max()),
@@ -327,8 +323,8 @@ class TailBoundReport:
     n_rejected: int
 
 
-def head_sum_bound_ratio(space, setup, m: int, m_top: int, sweep,
-                         quad=QuadratureSpec()) -> TailBoundReport:
+def head_sum_bound_ratio(space, setup, m: int, m_top: int,
+                         sweep) -> TailBoundReport:
     """Partial sum over j in [m, m_top] against 1/m(I(x, a_m)) for points
     with |x - y| <= a_m; constraint violations are rejected and counted."""
     ok, _ = is_regular(setup)
@@ -344,15 +340,15 @@ def head_sum_bound_ratio(space, setup, m: int, m_top: int, sweep,
     if used.size == 0:
         raise ValueError("no sweep points satisfy |x - y| <= a_m")
     x, y = used[:, 0], used[:, 1]
-    total = _window_sum(space, setup, m, m_top, x, y, quad)
+    total = _window_sum(space, setup, m, m_top, x, y)
     meas = interval_masses(space, x, a_m)
     ratios = np.abs(total) * meas
     return TailBoundReport(float(ratios.max()), len(used),
                            int(np.count_nonzero(~keep)))
 
 
-def tail_sum_bound_ratio(space, setup, m: int, k: int, m_bot: int, sweep,
-                         quad=QuadratureSpec()) -> TailBoundReport:
+def tail_sum_bound_ratio(space, setup, m: int, k: int, m_bot: int,
+                         sweep) -> TailBoundReport:
     """Partial sum over j in [m_bot, m-1] against rho^-(k-m+1)/m(I(x, a_k))
     for points with a_k <= |x - y| <= a_{k+1}."""
     ok, _ = is_regular(setup)
@@ -368,22 +364,20 @@ def tail_sum_bound_ratio(space, setup, m: int, k: int, m_bot: int, sweep,
     if used.size == 0:
         raise ValueError("no sweep points satisfy a_k <= |x - y| <= a_{k+1}")
     x, y = used[:, 0], used[:, 1]
-    total = _window_sum(space, setup, m_bot, m - 1, x, y, quad)
+    total = _window_sum(space, setup, m_bot, m - 1, x, y)
     meas = interval_masses(space, x, a_k)
     ratios = np.abs(total) * meas * setup.rho ** (k - m + 1)
     return TailBoundReport(float(ratios.max()), len(used),
                            int(np.count_nonzero(~keep)))
 
 
-def _window_sum(space, setup, j_lo, j_hi, x, y, quad, kind="p"):
+def _window_sum(space, setup, j_lo, j_hi, x, y, kind="p"):
     """sum_{j=j_lo}^{j_hi} v_j (P_{a_{j+1}} - P_{a_j})(x, y), or the same sum
     of a derivative kind, over broadcast arrays x, y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     total = 0.0
     prev = None
     for j in range(j_lo, j_hi + 2):
-        cur = _batch(space, setup.a_at(j), x, y, quad, kind)
+        cur = kernel_values(space, setup.a_at(j), x, y, kind)
         if prev is not None:
             total = total + setup.v_at(j - 1) * (cur - prev)
         prev = cur

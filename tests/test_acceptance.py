@@ -46,7 +46,7 @@ def test_criterion_01_closed_form_lambda1():
     start = time.perf_counter()
     worst = 0.0
     for i in range(n):
-        got = float(poisson_kernel_batch(SPACE1, t[i], x[i], y[i], QUAD))
+        got = float(poisson_kernel_batch(SPACE1, t[i], x[i], y[i]))
         want = float(closed_form_lambda1(t[i], x[i], y[i]))
         worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - start
@@ -232,7 +232,7 @@ def test_criterion_08_uniformity_checks():
     for _ in range(5):
         win = IndexWindow(int(rng.integers(-10, -5)),
                           int(rng.integers(6, 10)))
-        rep = window_kernel_bounds(SPACE1, setup, win, sweep, QUAD)
+        rep = window_kernel_bounds(SPACE1, setup, win, sweep)
         sizes.append(rep.sup_size)
         grads.append(rep.sup_gradient)
     size_spread = (max(sizes) - min(sizes)) / max(sizes)
@@ -282,7 +282,7 @@ def test_criterion_09_tail_bound_constants():
         x = s * a_k
         y = x + np.where(x - d <= 0, 1.0, side) * d
         rep = tail_sum_bound_ratio(SPACE1, setup, 0, k, -10,
-                                   np.column_stack([x, y]), QUAD)
+                                   np.column_stack([x, y]))
         assert rep.n_rejected == 0
         consts.append(rep.sup_ratio)
     consts = np.array(consts)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -164,8 +165,7 @@ def test_subprocess_determinism_and_seed(tmp_path):
 
 
 def test_window_size_alone_skips_the_gradient(tmp_path, capsys):
-    # at lambda = 0.3 the node doubling of the derivative window kernels
-    # does not converge on this sweep; the size item must not need them
+    # the size item must not evaluate the derivative window kernels
     def run(lam, items):
         cfg = tmp_path / "w.cfg"
         cfg.write_text("experiment = bounds-suite\nn_points = 1000\n"
@@ -182,3 +182,22 @@ def test_window_size_alone_skips_the_gradient(tmp_path, capsys):
     both = run(0.6, "window_size, window_gradient")
     assert len(size) == 4
     assert size == [row for row in both if "window_gradient" not in row]
+
+
+def test_window_gradient_at_small_lambda(tmp_path, capsys):
+    # the derivative window kernels at lambda = 0.3 on a sweep that once
+    # failed to converge under angular quadrature: exit 0, finite constants
+    # that survive the 1e-10 dilation check
+    cfg = tmp_path / "g.cfg"
+    cfg.write_text("experiment = bounds-suite\nlambda_list = 0.3\n"
+                   "items = window_size,window_gradient\nn_points = 1000\n"
+                   "dilation = 10\n")
+    out = tmp_path / "g.csv"
+    code = cli.main(["bounds-suite", "--config", str(cfg), "--out", str(out),
+                     "--seed", "1"])
+    assert code == 0, capsys.readouterr().err
+    rows = [line.split(",") for line in data_rows(out)[1:]]
+    assert [r[1] for r in rows] == ["window_size"] * 3 + ["window_gradient"]
+    for row in rows:
+        assert all(math.isfinite(float(v)) and float(v) > 0
+                   for v in row[3:]), row

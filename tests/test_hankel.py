@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from besseldt.errors import TailEstimateError
+from besseldt.errors import NumericsError, TailEstimateError
 from besseldt.functions import SampledFunction, constant_one, smooth_bump
 from besseldt.hankel import (gaussian_fixed_point_defect, hankel_transform,
                              involution_defect, normalized_bessel,
@@ -105,6 +105,16 @@ def test_plancherel_smooth_bump(space1):
     lhs, rhs, rel = plancherel_defect(space1, f, y_max=60.0, n_y=768)
     assert lhs > 0 and rhs > 0
     assert rel < 1e-5
+
+
+def test_plancherel_rejects_unresolved_n_y(space1):
+    # too few frequencies: Simpson's sum of |Hf|^2 y^(2 lam) goes negative,
+    # and below 16 the geometric part of the grid cannot be built
+    f = smooth_bump(2.0, 1.0)
+    with pytest.raises(NumericsError, match="n_y = 32"):
+        plancherel_defect(space1, f, 300.0, 32)
+    with pytest.raises(ValueError, match="n_y must be at least 16"):
+        plancherel_defect(space1, f, 300.0, 8)
 
 
 def test_spectral_route_matches_direct(space1):

@@ -7,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as quad_ref
 
+import besseldt.kernel as kernel_mod
+from besseldt.errors import TailEstimateError
 from besseldt.functions import SampledFunction, indicator
-from besseldt.kernel import (KernelPoint, apply_at, closed_form_lambda1,
+from besseldt.kernel import (KernelPoint, _bound_denominator, apply_at,
+                             closed_form_lambda1,
                              kernel_bound_ratios, kernel_difference_l1,
                              kernel_mass, kernel_sweep, kernel_values,
                              poisson_apply, poisson_kernel,
@@ -150,11 +153,12 @@ def test_hold_tail_truncation_bound(space1):
 # -- closed form against an independent oracle --------------------------------
 
 def mp_kernel(lam, t, x, y):
-    """P_t(x, y) from the untransformed series in cos(theta) at 50 digits:
+    """P_t(x, y) from the untransformed series in cos(theta) at 50 digits (or
+    the caller's precision, if higher):
     (2 lam t / pi) B(lam, 1/2) A^-(lam+1)
     * 2F1((lam+1)/2, (lam+2)/2; lam+1/2; (B/A)^2)."""
-    with mpmath.workdps(50):
-        lam, t, x, y = (mpmath.mpf(float(v)) for v in (lam, t, x, y))
+    with mpmath.workdps(max(50, mpmath.mp.dps)):
+        lam, t, x, y = (mpmath.mpf(v) for v in (lam, t, x, y))
         c = (x - y) ** 2 + t * t
         B = 2 * x * y
         A = c + B
@@ -165,21 +169,27 @@ def mp_kernel(lam, t, x, y):
                                 (B / A) ** 2))
 
 
-@pytest.mark.parametrize("lam", [0.05, 0.3, 0.6, 1.0, 1.25, 1.5, 3.5, 7.0])
-def test_kernel_against_mpmath(lam):
-    rng = np.random.default_rng(int(lam * 100))
-    n = 24
+def oracle_points(rng, n, kappa):
+    """n log-uniform (t, x, y), then one near-diagonal point per entry of
+    kappa = c / B, with c split between (x - y)^2 and t^2."""
     t = np.exp(rng.uniform(np.log(1e-4), np.log(1e3), n))
     x = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
     y = np.exp(rng.uniform(np.log(1e-3), np.log(1e3), n))
-    # near-diagonal sweep: kappa = c / B from 1 down to 1e-12, split between
-    # (x - y)^2 and t^2
-    kappa = np.geomspace(1.0, 1e-12, 13)
     xd = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), kappa.size))
     half_c = kappa * xd * xd          # kappa * B / 2 with y ~ x
     yd = xd + np.sqrt(half_c)
     td = np.sqrt(kappa * 2.0 * xd * yd - (xd - yd) ** 2)
-    t, x, y = (np.concatenate(p) for p in ((t, td), (x, xd), (y, yd)))
+    return (np.concatenate(p) for p in ((t, td), (x, xd), (y, yd)))
+
+
+ORACLE_LAMS = [0.05, 0.3, 0.6, 1.0, 1.25, 1.5, 3.5, 7.0]
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMS)
+def test_kernel_against_mpmath(lam):
+    rng = np.random.default_rng(int(lam * 100))
+    # near-diagonal sweep: kappa from 1 down to 1e-12
+    t, x, y = oracle_points(rng, 24, np.geomspace(1.0, 1e-12, 13))
     space = LambdaSpace(lam)
     got = poisson_kernel_batch(space, t, x, y)
     want = [mp_kernel(lam, *p) for p in zip(t, x, y)]
@@ -190,9 +200,48 @@ def test_kernel_against_mpmath(lam):
     assert np.array_equal(kernel_values(space, t, x, y), got)
 
 
+#: derivative kind -> (order in (t, x, y), bound item whose scale it is
+#: measured on)
+DERIVATIVES = {"dt": ((1, 0, 0), "iii"), "dx": ((0, 1, 0), "ii"),
+               "dy": ((0, 0, 1), "ii"), "dtdx": ((1, 1, 0), "iv"),
+               "dtdy": ((1, 0, 1), "iv")}
+
+
+@pytest.mark.parametrize("lam", ORACLE_LAMS)
+def test_kernel_derivatives_against_mpmath(lam):
+    # oracle: the 50-digit kernel differentiated by mpmath at 40 digits; the
+    # error is measured on the scale of the size/smoothness bound of the
+    # kind, because a derivative vanishes where its sign changes
+    rng = np.random.default_rng(int(lam * 100) + 1)
+    t, x, y = oracle_points(rng, 8, np.geomspace(1.0, 1e-12, 7))
+    space = LambdaSpace(lam)
+    for kind, (order, item) in DERIVATIVES.items():
+        got = kernel_values(space, t, x, y, kind)
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.diff(
+                lambda *v: mp_kernel(lam, *v), p, order))
+                for p in zip(t, x, y)])
+        scale = _bound_denominator(space, item, t, x, y)
+        err = float(np.max(np.abs(got - want) / scale))
+        assert err <= 1e-12, (kind, err)
+
+
+def test_poisson_apply_closure_checks_tails(space1, monkeypatch):
+    # a held tail is truncated; the closure must check the tail bounds of
+    # the points it evaluates, as the sampled grid is checked
+    f = SampledFunction(np.array([1.0, 2.0]), np.array([1.0, 1.0]),
+                        left="hold", right="hold")
+    g = poisson_apply(space1, f, 0.5, np.array([1.0, 2.0]))
+    radial_end = kernel_mod._radial_end
+    monkeypatch.setattr(kernel_mod, "_radial_end",
+                        lambda *a: (radial_end(*a)[0], 1e-6))
+    with pytest.raises(TailEstimateError, match="1.000e-06"):
+        g(np.array([1.5]))
+
+
 # -- properties of the closed form -------------------------------------------
 
-lams = st.sampled_from([0.05, 0.3, 0.6, 1.0, 1.25, 1.5, 3.5, 7.0])
+lams = st.sampled_from(ORACLE_LAMS)
 log_pos = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
 
 

@@ -78,8 +78,12 @@ def test_parse_config_error_carries_line_number():
     ("experiment=bmo\nwindows = 0\n", "windows must be at least 1"),
     ("experiment=bounds-suite\nn_points = 0\n", "n_points must be at least 1"),
     ("experiment=hankel-check\nn_y = 0\n", "n_y must be at least 1"),
+    # fewer frequencies cannot resolve H f in the Plancherel check
+    ("experiment=hankel-check\nn_y = 8\n", "n_y must be at least 16"),
+    ("experiment=hankel-check\nn_y = 15\n", "n_y must be at least 16"),
+    # the kernel derivatives are closed form; the angular rule is gone
     ("experiment=kernel-eval\ntheta_nodes = 0\n",
-     "theta_nodes must be at least 1"),
+     "key 'theta_nodes' was removed"),
     ("experiment=transform\ny_nodes = 0\n", "y_nodes must be at least 1"),
     ("experiment=bounds-suite\nt_lo = 0\n", "t_lo must be positive"),
     ("experiment=bounds-suite\nt_hi = -1\n", "t_hi must be positive"),
@@ -184,10 +188,12 @@ def test_emit_csv_deterministic(tmp_path):
 
 
 def test_quadrature_overrides():
-    cfg = parse_config("experiment = kernel-eval\ntheta_nodes = 48\n"
-                       "abs_tol = 1e-9\n")
+    with pytest.raises(ConfigError, match="line 2: key 'theta_nodes' was "
+                                          "removed"):
+        parse_config("experiment = kernel-eval\ntheta_nodes = 48\n"
+                     "abs_tol = 1e-9\n")
+    cfg = parse_config("experiment = kernel-eval\nabs_tol = 1e-9\n")
     quad = cfg.quadrature()
-    assert quad.theta_nodes == 48
     assert quad.abs_tol == 1e-9
     base = ExperimentConfig("kernel-eval").quadrature()
     assert quad.y_nodes_per_panel == base.y_nodes_per_panel

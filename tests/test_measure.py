@@ -112,6 +112,33 @@ def test_interval_q_integrals_batch():
             assert got[k] == pytest.approx(want, rel=1e-11, abs=1e-15)
 
 
+def test_q_integrals_at_zeros_of_sampled_f():
+    # |f|^q with q not in {1, 2} is not smooth at a zero of f, so the pieces
+    # that end at one need Gauss-Jacobi rules: cos(2y) sampled crosses 0
+    # between grid points, the second f is 0 at two of its grid points
+    space = LambdaSpace(0.7)
+    p = space.weight_exponent
+    grid = np.geomspace(0.05, 3.0, 12)
+    left = np.array([0.0, 0.3, 0.05, 1.0, 0.7, 0.2])
+    right = np.array([3.0, 2.9, 1.0, 2.5, 0.9, 1.0])
+    for f in (SampledFunction(grid, np.cos(2.0 * grid)),
+              SampledFunction(np.array([0.25, 0.5, 1.0, 2.0]),
+                              np.array([0.0, 1.0, 0.0, -0.7]))):
+        g, v = f.grid, f.values
+        cross = np.flatnonzero(v[:-1] * v[1:] < 0)
+        zeros = g[cross] - v[cross] * (g[cross + 1] - g[cross]) / (
+            v[cross + 1] - v[cross])
+        kinks = np.concatenate([g, zeros])
+        got = interval_q_integrals(space, f, left, right, 1.5)
+        for k, (a, b) in enumerate(zip(left, right)):
+            a, b = max(a, g[0]), min(b, g[-1])
+            pts = [t for t in kinks if a < t < b]
+            want = quad_ref(lambda y: abs(float(f(y))) ** 1.5 * y ** p, a, b,
+                            points=pts or None, limit=400, epsabs=0.0,
+                            epsrel=1e-13)[0]
+            assert got[k] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("lam", [0.05, 0.3, 2.5])
 def test_interval_averages_of_one_are_one(lam):
     # I(400, 1e-3) is narrow and far from 0, where b^q - a^q cancels; I(0.1,

@@ -15,16 +15,15 @@ from besseldt.quadrature import (QuadratureBudgetError, QuadratureSpec,
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        QuadratureSpec(theta_nodes=8)
+    # the angular rule of the kernel derivatives and its knobs are gone
+    with pytest.raises(TypeError):
+        QuadratureSpec(theta_nodes=64)
     with pytest.raises(ValueError):
         QuadratureSpec(y_nodes_per_panel=2)
     with pytest.raises(ValueError):
         QuadratureSpec(panel_count=1)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
-    with pytest.raises(ValueError):
-        QuadratureSpec(theta_nodes=64, theta_max_nodes=32)
 
 
 def test_jacobi_rule_moments():
