@@ -20,7 +20,7 @@ from scipy import stats
 from .errors import ConfigError
 from .functions import (SampledFunction, bump_mixture, indicator,
                         smooth_bump, smoothed_step)
-from .hankel import (gaussian_fixed_point_defect, involution_defect,
+from .hankel import (NU_MAX, gaussian_fixed_point_defect, involution_defect,
                      plancherel_defect, spectral_poisson_apply)
 from .kernel import (KernelPoint, apply_at, kernel_bound_ratios,
                      kernel_difference_l1, kernel_sweep, kernel_values)
@@ -242,6 +242,11 @@ def _validate(cfg: ExperimentConfig, lines_of: dict):
 
     if not cfg.lam > 0:
         bad("lambda", f"lambda must be positive, got {cfg.lam:g}")
+    if cfg.experiment == "hankel-check" \
+            and not 0.5 <= cfg.lam <= NU_MAX + 0.5:
+        bad("lambda", f"hankel-check needs 1/2 <= lambda <= "
+                      f"{NU_MAX + 0.5:g} (Bessel order lambda - 1/2 in "
+                      f"[0, {NU_MAX:g}]), got {cfg.lam:g}")
     if not cfg.rho > 1:
         bad("rho", f"rho must exceed 1, got {cfg.rho:g}")
     if cfg.p is not None and not cfg.p >= 1:
@@ -472,6 +477,8 @@ def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
         space = LambdaSpace(lam)
         sweep = kernel_sweep(rng, n, t_rng, xy_rng)
         pair_sweep = _regime_sweep(rng, n, *xy_rng)
+        sweep_d = [KernelPoint(p.t * dil, p.x * dil, p.y * dil)
+                   for p in sweep] if dil != 1.0 else sweep
         win_rep = win_rep_d = None
         if any(it in _WINDOW_ITEMS for it in items):
             setup = geometric(cfg.rho, j_min, j_max,
@@ -503,12 +510,8 @@ def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
                                 else rep.sup_gradient)]
             else:
                 rep = kernel_bound_ratios(space, sweep, item)
-                if dil != 1.0:
-                    sweep_d = [KernelPoint(p.t * dil, p.x * dil, p.y * dil)
-                               for p in sweep]
-                    rep_d = kernel_bound_ratios(space, sweep_d, item)
-                else:
-                    rep_d = rep
+                rep_d = (kernel_bound_ratios(space, sweep_d, item)
+                         if dil != 1.0 else rep)
                 triples = [("all", rep.sup_ratio, rep_d.sup_ratio),
                            ("near", rep.sup_near, rep_d.sup_near),
                            ("far", rep.sup_far, rep_d.sup_far)]

@@ -92,6 +92,22 @@ def test_window_outside_range_is_config_error(tmp_path, capsys, keys,
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.mark.parametrize("lam", ["45", "41.5", "0.3"])
+def test_hankel_check_lambda_outside_bessel_range(tmp_path, capsys, lam):
+    # lambda = 45 used to exit 2 with spectral_vs_direct = 1.7e13 and
+    # lambda = 0.3 to stop on "nu must be nonnegative"
+    path = tmp_path / "h.cfg"
+    path.write_text(f"experiment = hankel-check\nlambda = {lam}\n")
+    code = cli.main(["hankel-check", "--config", str(path),
+                     "--out", str(tmp_path / "h.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: line 2: ")
+    assert "1/2 <= lambda <= 41" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "h.csv").exists()
+
+
 def test_unreadable_config(tmp_path, capsys):
     code = cli.main(["kernel-eval", "--config", str(tmp_path / "none.cfg")])
     assert code == 1

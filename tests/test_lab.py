@@ -69,6 +69,10 @@ def test_parse_config_error_carries_line_number():
      "grid_lo < grid_hi"),
     ("experiment=transform\ngrid_points = 1\n", "at least 2"),
     ("experiment=hankel-check\nt = -2\n", "t must be positive"),
+    # the Bessel order lambda - 1/2 of the Hankel route must lie in
+    # [0, 40.5], where normalized_bessel is validated
+    ("experiment=hankel-check\nlambda = 45\n", "1/2 <= lambda <= 41"),
+    ("experiment=hankel-check\nlambda = 0.3\n", "1/2 <= lambda <= 41"),
     ("experiment=kernel-eval\nt_list = 1, -3\n", "must be positive"),
     ("experiment=bounds-suite\nlambda_list = 0.5, 0\n", "must be positive"),
     # counts and ranges that a runner would otherwise replace by defaults
