@@ -60,7 +60,7 @@ def main(argv=None) -> int:
                 f"config names experiment {cfg.experiment!r} but the "
                 f"subcommand is {args.command!r}")
         if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
+            cfg = replace(cfg, values={**cfg.values, "seed": args.seed})
 
         result = EXPERIMENTS[cfg.experiment](cfg)
 

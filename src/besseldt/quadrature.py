@@ -25,22 +25,19 @@ class QuadratureSpec:
     y_nodes_per_panel Gauss-Legendre nodes per radial panel
     panel_count       budget cap on radial panels for one integral
     abs_tol           truncation-tail tolerance of the infinite integrals
-    rel_tol           relative tolerance; recorded in the CSV meta block, but
-                      no integrator reads it
     """
 
     y_nodes_per_panel: int = 16
     panel_count: int = 400
     abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
 
     def __post_init__(self):
         if self.y_nodes_per_panel < 4:
             raise ValueError("y_nodes_per_panel must be >= 4")
         if self.panel_count < 4:
             raise ValueError("panel_count must be >= 4")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        if not self.abs_tol > 0:
+            raise ValueError("abs_tol must be positive")
 
 
 @lru_cache(maxsize=512)

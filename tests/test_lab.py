@@ -1,13 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
+import besseldt
 from besseldt.errors import ConfigError
-from besseldt.lab import (ExperimentConfig, _fmt, _parse_floats, emit_csv,
-                          parse_config, resolve_f, resolve_v, run_bmo_experiment,
-                          run_bounds_suite, run_kernel_eval, run_log_growth,
-                          run_weighted_sweep)
+from besseldt.lab import (EXPERIMENTS, _fmt, _parse_floats, _spearman,
+                          emit_csv, parse_config, resolve_f, resolve_v,
+                          run_bounds_suite, run_kernel_eval)
+from besseldt.quadrature import QuadratureSpec
 
 
 def test_parse_config_full():
@@ -21,21 +27,29 @@ def test_parse_config_full():
         "x_list = geometric:0.25,2,3\n"
         "out = run.csv\n")
     assert cfg.experiment == "kernel-eval"
-    assert cfg.lam == 0.75
-    assert cfg.seed == 7
-    assert cfg.t_list == (0.5, 1.0, 2.0)
-    assert cfg.x_list == (0.25, 0.5, 1.0)
+    assert cfg["lambda"] == 0.75
+    assert cfg["seed"] == 7
+    assert cfg["t_list"] == (0.5, 1.0, 2.0)
+    assert cfg["x_list"] == (0.25, 0.5, 1.0)
     assert cfg.out == "run.csv"
-    # unset keys stay None; runners fill defaults
-    assert cfg.y_list is None and cfg.grid_points is None
+    # unset keys hold their defaults; keys of other experiments are absent
+    assert cfg["y_list"] == tuple(np.geomspace(0.1, 10.0, 5))
+    assert "grid_points" not in cfg.values and "out" not in cfg.values
 
 
 def test_parse_config_key_aliases():
+    # keys are read under their config names
     cfg = parse_config("experiment = transform\nv = alternating\n"
                        "f = indicator:1\nm = 4\n")
-    assert cfg.v_spec == "alternating"
-    assert cfg.f_spec == "indicator:1"
-    assert cfg.m_cap == 4
+    assert cfg["v"] == "alternating"
+    assert cfg["f"] == "indicator:1"
+    assert cfg["m"] == 4
+    # m is the one optional key: unset, transform has no t_star column
+    assert "m" not in parse_config("experiment = transform\n").values
+    # bmo's index range is derived from its window count
+    bmo = parse_config("experiment = bmo\nwindows = 2\n")
+    assert (bmo["j_min"], bmo["j_max"]) == (-6, 6)
+    assert parse_config("experiment = bmo\nj_min = -20\n")["j_max"] == 9
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -96,6 +110,34 @@ def test_parse_config_error_carries_line_number():
     ("experiment=bounds-suite\nt_lo = 5\nt_hi = 2\n", "t_lo < t_hi"),
     ("experiment=bounds-suite\nt_lo = 500\n", "t_lo < t_hi"),
     ("experiment=bounds-suite\nxy_lo = 1\nxy_hi = 1\n", "xy_lo < xy_hi"),
+    ("experiment=kernel-eval\nrel_tol = 1e-3\n",
+     "line 2: key 'rel_tol' was removed"),
+    # reals must be finite (only p takes inf); each of these once ran
+    # forever, wrote nan rows or ended in a traceback
+    ("experiment=transform\ngrid_hi = inf\n",
+     "line 2: bad value for 'grid_hi': inf is not finite"),
+    ("experiment=kernel-eval\nt_list = inf\n",
+     "line 2: bad value for 't_list': inf is not finite"),
+    ("experiment=kernel-eval\nx_list = geometric:1,2,100000\n",
+     "line 2: bad value for 'x_list': geometric spec overflows"),
+    ("experiment=bounds-suite\nt_hi = inf\n",
+     "line 2: bad value for 't_hi': inf is not finite"),
+    ("experiment=transform\nf = bump:1\n",
+     "line 2: bad value for 'f': .*bump takes 2 to 3 numbers, got 1"),
+    ("experiment=weighted\np = -inf\n", "line 2: .*-inf is not finite"),
+    # an empty list is an error, not a request for the default
+    ("experiment=kernel-eval\nx_list =\n", "line 2: .*'x_list': empty list"),
+    ("experiment=kernel-eval\nt_list =\n", "line 2: .*'t_list': empty list"),
+    ("experiment=loggrowth\nr_list =\n", "line 2: .*'r_list': empty list"),
+    ("experiment=bounds-suite\nlambda_list =\n",
+     "line 2: .*'lambda_list': empty list"),
+    # cross-key checks run on resolved values, defaults included
+    ("experiment=l1diff\nj_min = 5\n", "line 2: needs j_min < j_max"),
+    ("experiment=uniform-l2\nj_min = 9\n",
+     "line 2: .*needs j_max - j_min >= 2"),
+    ("experiment=transform\ngrid_lo = 500\n", "line 2: .*grid_lo < grid_hi"),
+    ("experiment=uniform-l2\nj_max = 3\nv = 1, 2\n",
+     "line 3: explicit v has 2 entries"),
 ])
 def test_validation_gates(text, needle):
     with pytest.raises(ConfigError, match=needle):
@@ -104,7 +146,8 @@ def test_validation_gates(text, needle):
 
 def test_parse_floats_geometric():
     assert _parse_floats("geometric:0.25, 2, 5") == (0.25, 0.5, 1.0, 2.0, 4.0)
-    assert _parse_floats("") == ()
+    with pytest.raises(ValueError, match="empty list"):
+        _parse_floats("")
     with pytest.raises(ValueError):
         _parse_floats("geometric:1,2")
     with pytest.raises(ValueError):
@@ -114,7 +157,7 @@ def test_parse_floats_geometric():
 
 
 def test_resolve_v_families():
-    assert np.array_equal(resolve_v(None, -2, 2), np.ones(4))
+    assert np.array_equal(resolve_v("constant:1", -2, 2), np.ones(4))
     assert np.array_equal(resolve_v("constant:2.5", 0, 3), np.full(3, 2.5))
     alt = resolve_v("alternating", -2, 2)
     assert np.array_equal(alt, [1.0, -1.0, 1.0, -1.0])
@@ -137,7 +180,7 @@ def test_resolve_v_rejects():
 
 def test_resolve_f_specs():
     rng = np.random.default_rng(0)
-    assert resolve_f(None, rng).lipschitz is not None       # default bump
+    assert resolve_f("bump:1,0.5", rng).lipschitz is not None
     ind = resolve_f("indicator:2,3", rng)
     assert ind.support() == (0.0, 2.0)
     assert float(ind(np.array([1.0]))[0]) == 3.0
@@ -150,6 +193,8 @@ def test_resolve_f_specs():
         resolve_f("sine", rng)
     with pytest.raises(ConfigError, match="bad f spec"):
         resolve_f("bump:abc", rng)
+    with pytest.raises(ConfigError, match="indicator takes 0 to 2 numbers"):
+        resolve_f("indicator:1,2,3", rng)
 
 
 def test_fmt_round_trip():
@@ -199,7 +244,8 @@ def test_quadrature_overrides():
     cfg = parse_config("experiment = kernel-eval\nabs_tol = 1e-9\n")
     quad = cfg.quadrature()
     assert quad.abs_tol == 1e-9
-    base = ExperimentConfig("kernel-eval").quadrature()
+    base = parse_config("experiment = kernel-eval\n").quadrature()
+    assert base == QuadratureSpec()
     assert quad.y_nodes_per_panel == base.y_nodes_per_panel
 
 
@@ -222,30 +268,84 @@ def test_bounds_suite_empty_items():
 
 
 def test_bounds_suite_unknown_item():
-    cfg = parse_config("experiment = bounds-suite\nitems = i, v\n")
-    with pytest.raises(ConfigError, match="unknown bound item"):
-        run_bounds_suite(cfg)
+    with pytest.raises(ConfigError, match="line 2: .*unknown bound item"):
+        parse_config("experiment = bounds-suite\nitems = i, v\n")
 
 
 def test_weighted_ap_gate():
-    cfg = parse_config("experiment = weighted\ndelta = 5\nf_count = 1\n")
-    with pytest.raises(ConfigError, match=r"A_p gate \(-3, *3\)"):
-        run_weighted_sweep(cfg)
+    with pytest.raises(ConfigError, match=r"line 2: .*A_p gate \(-3, *3\)"):
+        parse_config("experiment = weighted\ndelta = 5\nf_count = 1\n")
 
 
 def test_weighted_m_must_be_even():
-    cfg = parse_config("experiment = weighted\nm = 3\nf_count = 1\n")
-    with pytest.raises(ConfigError, match="even"):
-        run_weighted_sweep(cfg)
+    with pytest.raises(ConfigError, match="line 2: .*even"):
+        parse_config("experiment = weighted\nm = 3\nf_count = 1\n")
 
 
 def test_loggrowth_radius_gate():
-    cfg = parse_config("experiment = loggrowth\nr_list = 0.5, 0.25\n")
-    with pytest.raises(ConfigError, match="2r < 1"):
-        run_log_growth(cfg)
+    with pytest.raises(ConfigError, match="line 2: .*2r < 1"):
+        parse_config("experiment = loggrowth\nr_list = 0.5, 0.25\n")
 
 
 def test_bmo_window_fit_gate():
-    cfg = parse_config("experiment = bmo\nj_max = 3\ngrid_points = 16\n")
-    with pytest.raises(ConfigError, match="does not fit"):
-        run_bmo_experiment(cfg)
+    with pytest.raises(ConfigError, match="line 2: .*does not fit"):
+        parse_config("experiment = bmo\nj_max = 3\ngrid_points = 16\n")
+
+
+def test_spearman_matches_scipy_with_ties():
+    rng = np.random.default_rng(11)
+    for n in (6, 40, 600):
+        a = rng.integers(1, 8, size=n)            # many ties
+        b = rng.normal(size=n).round(1)           # some ties
+        want = scipy.stats.spearmanr(a, b).statistic
+        assert _spearman(a, b) == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = ("import sys, besseldt.cli; "
+            "print('scipy.stats' in sys.modules)")
+    # the child imports the same besseldt as this suite
+    root = str(Path(besseldt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
+#: small sizes of every experiment for the meta round trip
+ROUND_TRIP = {
+    "kernel-eval": "t_list = 0.5, 2\nx_list = geometric:0.5,2,3\n",
+    "bounds-suite": "lambda_list = 0.6, 1.5\nn_points = 8\ndilation = 10\n",
+    "transform": "grid_points = 6\nm = 2\nf = mixture\nseed = 4\n",
+    "loggrowth": "m = 4\nr_list = 0.25, 0.125\ngrid_points = 8\np = 1.5\n",
+    "uniform-l2": "f_count = 1\nwindows = 2\nj_min = -3\nj_max = 3\n"
+                  "grid_points = 4\n",
+    "weighted": "f_count = 1\nm = 2\ngrid_points = 4\ndelta = 0.5\n",
+    "bmo": "windows = 1\ngrid_points = 6\nk_lo = -1\nk_hi = 1\n"
+           "m_lo = -1\nm_hi = 0\n",
+    "l1diff": "j_min = -1\nj_max = 1\nx_list = 0.5, 2\n",
+    "hankel-check": "lambda = 1.5\ngrid_points = 4\nn_y = 64\n"
+                    "y_max = 6\n",
+}
+
+
+def _run_csv(cfg, path):
+    res = EXPERIMENTS[cfg.experiment](cfg)
+    emit_csv(path, res.meta, res.header, res.rows)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("exp", sorted(ROUND_TRIP))
+def test_meta_block_reproduces_the_run(tmp_path, exp):
+    cfg = parse_config(f"experiment = {exp}\nout = x.csv\n" + ROUND_TRIP[exp])
+    first = _run_csv(cfg, tmp_path / "a.csv")
+    meta = [line[2:] for line in first.decode("utf-8").splitlines()
+            if line.startswith("# ")]
+    # the config lines of the meta block: every resolved key, and not out
+    keys = [line.split(" = ", 1)[0] for line in meta]
+    assert keys[0] == "experiment" and "out" not in keys
+    assert keys[1:len(cfg.values) + 1] == list(cfg.values)
+    again = parse_config("\n".join(meta[:len(cfg.values) + 1]) + "\n")
+    assert again == parse_config(f"experiment = {exp}\n"
+                                 + ROUND_TRIP[exp])
+    assert _run_csv(again, tmp_path / "b.csv") == first
