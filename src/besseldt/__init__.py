@@ -3,7 +3,8 @@
 The measure is dm(x) = x^(2*lambda) dx.  Modules:
 
 - ``measure``: the weighted half-line, intervals, Lp norms, Ap weights, BMO
-- ``quadrature``: panel ladders and Gauss rules shared by the integrators
+- ``quadrature``: Gauss rules and the one panel-layout builder of the
+  integrators
 - ``functions``: piecewise-linear sampled functions and stock builders
 - ``kernel``: Poisson kernel values/derivatives, semigroup application,
   pointwise bound sweeps
@@ -24,14 +25,13 @@ from .hankel import (gaussian_fixed_point_defect, hankel_transform,
                      spectral_poisson_apply)
 from .kernel import (KernelPoint, closed_form_lambda1, kernel_bound_ratios,
                      kernel_difference_l1, kernel_mass, kernel_sweep,
-                     kernel_values, poisson_apply, poisson_kernel,
-                     poisson_kernel_batch)
+                     kernel_values, poisson_apply)
 from .lacunary import (LacunarySetup, RefinedSetup, geometric, is_lacunary,
                        is_regular, refine, remap_window)
 from .measure import (Interval, LambdaSpace, PowerWeight, ap_characteristic,
                       bmo_norm, comparability_check, dyadic_family,
-                      interval_average, interval_integral, lp_norm,
-                      measure_interval, oscillation)
+                      interval_integral, lp_norm, measure_interval,
+                      oscillation)
 from .quadrature import QuadratureSpec
 from .transform import (CotlarReport, IndexWindow, SemigroupTable,
                         TruncationLevel, apply_transform,
@@ -52,11 +52,11 @@ __all__ = [
     "normalized_bessel", "plancherel_defect", "spectral_poisson_apply",
     "KernelPoint", "closed_form_lambda1", "kernel_bound_ratios",
     "kernel_difference_l1", "kernel_mass", "kernel_sweep", "kernel_values",
-    "poisson_apply", "poisson_kernel", "poisson_kernel_batch",
+    "poisson_apply",
     "LacunarySetup", "RefinedSetup", "geometric", "is_lacunary",
     "is_regular", "refine", "remap_window",
     "Interval", "LambdaSpace", "PowerWeight", "ap_characteristic",
-    "bmo_norm", "comparability_check", "dyadic_family", "interval_average",
+    "bmo_norm", "comparability_check", "dyadic_family",
     "interval_integral", "lp_norm", "measure_interval", "oscillation",
     "QuadratureSpec",
     "CotlarReport", "IndexWindow", "SemigroupTable", "TruncationLevel",

@@ -15,7 +15,7 @@ class NumericsError(RuntimeError):
 
 
 class QuadratureError(NumericsError):
-    """Quadrature failed to converge within the node budget."""
+    """A panel layout needs more panels than its budget allows."""
 
 
 class TailEstimateError(NumericsError):

@@ -10,11 +10,12 @@ completely independent of the kernel quadrature.
 
 The transform of a whole grid of frequencies y is one quadrature.panel_sums
 call.  Per frequency, panels of y_nodes_per_panel Gauss nodes at most one
-oscillation period 2 pi/y of J_nu(x y) wide, aligned with f's breakpoints.
-One builder lays out the panels and nodes of all frequencies with array
-operations, a run of frequencies at a time; panel_sums evaluates them in
-blocks of about two million nodes.  The Bessel order nu = lam - 1/2 must
-lie in [0, NU_MAX] = [0, 40.5], where scipy's jv is validated.
+oscillation period 2 pi/y of J_nu(x y) wide, aligned with f's breakpoints:
+quadrature.panel_layouts, the one layout builder of the Gauss-panel
+integrals, lays out all frequencies with array operations and yields them
+in runs of about two million nodes, which panel_sums evaluates one at a
+time.  The Bessel order nu = lam - 1/2 must lie in
+[0, NU_MAX] = [0, 40.5], where scipy's jv is validated.
 """
 
 from __future__ import annotations
@@ -24,11 +25,10 @@ import math
 import numpy as np
 from scipy.special import jv
 
-from .errors import NumericsError, QuadratureError, TailEstimateError
+from .errors import NumericsError, TailEstimateError
 from .functions import SampledFunction
 from .measure import LambdaSpace, lp_norm
-from .quadrature import (_NODE_BLOCK, QuadratureSpec, jacobi_rule,
-                         legendre_rule, panel_sums)
+from .quadrature import QuadratureSpec, panel_layouts, panel_sums
 
 
 #: largest order nu (lambda = 41) at which normalized_bessel is validated;
@@ -60,87 +60,21 @@ def normalized_bessel(nu: float, z) -> np.ndarray:
 # --------------------------------------------------------------------------
 # transform quadrature
 
-def _osc_layouts(lo: float, hi: float, freqs, breakpoints, n: int,
-                 exponent: float, max_panels: int):
-    """Yield, per frequency in `freqs`, the Gauss (nodes, weights) of [lo, hi]
-    for integrals against x**exponent dx, with panels no wider than one
-    oscillation period 2 pi/freq (nor than hi - lo).
-
-    Every breakpoint is an edge.  In a breakpoint gap [a, b] with
-    0 < a < min(b, cap) the edges first double, a 2^i, up to the first one
-    at or past min(b, cap) (clipped to b); this log-grades the panels away
-    from 0.  The rest of the gap is split into max(1, ceil(rest / cap))
-    equal pieces.  A frequency whose layout needs max_panels or more panels
-    raises QuadratureError.
-
-    The layouts of a run of frequencies are built together by one pass of
-    array operations, with the rules and the arithmetic of
-    weighted_panel_nodes (Gauss-Legendre; Gauss-Jacobi on a first panel at
-    0), and the caller gets views of them.
-    """
+def _period_layouts(lo: float, hi: float, freqs, breakpoints, n: int,
+                    exponent: float, max_panels: int):
+    """quadrature.panel_layouts of [lo, hi], one point per frequency in
+    `freqs`: the breakpoints inside (lo, hi) are the base edges of every
+    frequency, and panels are no wider than one oscillation period
+    2 pi/freq (nor than hi - lo)."""
     freqs = np.asarray(freqs, dtype=float)
     bps = np.asarray(breakpoints, dtype=float)
     base = np.unique(np.concatenate([[lo, hi], bps[(bps > lo) & (bps < hi)]]))
-    a, b = base[:-1], base[1:]
     two_pi = 2.0 * math.pi
-    cap = (two_pi / np.maximum(freqs, two_pi / (hi - lo)))[:, None]
-
-    # per (frequency, gap): m doubling edges up to cur, then k equal pieces;
-    # m is the least m >= 1 with a 2^m >= min(b, cap), from a rounded log2
-    top = np.minimum(b, cap)
-    grows = (a > 0.0) & (a < top)
-    log2_a = np.log2(np.where(a > 0.0, a, 1.0))
-    m = np.where(grows, np.maximum(1.0, np.ceil(np.log2(top) - log2_a)), 0.0
-                 ).astype(np.int64)
-    m += grows & (np.ldexp(a, m) < top)
-    m -= grows & (m > 1) & (np.ldexp(a, m - 1) >= top)
-    cur = np.where(grows, np.minimum(b, np.ldexp(a, m)), a)
-    rest = b - cur
-    k = np.where(rest > 0.0, np.maximum(1.0, np.ceil(rest / cap)), 0.0
-                 ).astype(np.int64)
-    panels = (m + k).sum(axis=1)
-    over = np.flatnonzero(panels >= max_panels)
-    if over.size:
-        raise QuadratureError(
-            f"oscillatory panelization exceeds {max_panels} panels "
-            f"on [{lo:g}, {hi:g}] at frequency {freqs[over[0]]:g}")
-    gaps = np.broadcast_arrays(a, b, cur, rest / np.maximum(k, 1), m, k)
-
-    xs, ws = legendre_rule(n)
-    # runs of about _NODE_BLOCK / 16 nodes keep the arrays of a run small
-    # beside the block that panel_sums assembles from its views
-    first_node = (np.cumsum(panels) - panels) * n
-    cuts = [*(np.flatnonzero(np.diff(first_node // (_NODE_BLOCK // 16))) + 1)]
-    for sl in map(slice, [0, *cuts], [*cuts, freqs.size]):
-        count = (m[sl] + k[sl]).ravel()
-        ga, gb, gcur, gstep, gm, gk = (np.repeat(v[sl].ravel(), count)
-                                       for v in gaps)
-        # right edge number i of a gap: a 2^(i+1) while doubling, then
-        # cur + j step as np.linspace(cur, b, k + 1) makes them
-        i = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
-                                                count)
-        j = i - gm + 1
-        right = np.where(
-            i < gm, np.minimum(gb, np.ldexp(ga, np.minimum(i + 1, gm))),
-            np.where(j == gk, gb, j * gstep + gcur))
-        firsts = np.cumsum(panels[sl]) - panels[sl]
-        left = np.empty_like(right)
-        left[1:] = right[:-1]
-        left[firsts] = lo
-        half = 0.5 * (right - left)
-        nodes = left[:, None] + half[:, None] * (1.0 + xs)
-        weights = ws * half[:, None]
-        weights *= nodes ** exponent
-        if lo == 0.0:
-            xj, wj = jacobi_rule(n, 0.0, exponent)
-            h = half[firsts]
-            nodes[firsts] = h[:, None] * (1.0 + xj)
-            # scalar powers, as weighted_panel_nodes takes them
-            weights[firsts] = wj * np.array(
-                [v ** (exponent + 1.0) for v in h.tolist()])[:, None]
-        for first, p in zip(firsts, panels[sl]):
-            yield (nodes[first:first + p].ravel(),
-                   weights[first:first + p].ravel())
+    cap = two_pi / np.maximum(freqs, two_pi / (hi - lo))
+    return panel_layouts(np.tile(base, freqs.size),
+                         np.full(freqs.size, base.size),
+                         np.repeat(cap, base.size - 1), n, exponent,
+                         max_panels)
 
 
 def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
@@ -152,7 +86,8 @@ def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
     Requires f to vanish beyond its grid (right tail policy "zero"); a
     nonzero hold tail has no integrable truncation and raises ValueError.
     extra_freq adds to the panelization frequency when f itself oscillates
-    (e.g. f is a transform supported up to extra_freq).
+    (e.g. f is a transform supported up to extra_freq).  A frequency whose
+    layout needs more than max_panels panels raises QuadratureError.
     """
     slo, shi = f.support()
     if math.isinf(shi):
@@ -164,10 +99,10 @@ def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         if shi <= slo:
             return np.zeros_like(ys)
-        layouts = _osc_layouts(slo, shi, np.abs(ys) + extra_freq, bps,
+        runs = _period_layouts(slo, shi, np.abs(ys) + extra_freq, bps,
                                quad.y_nodes_per_panel, space.weight_exponent,
                                max_panels)
-        return panel_sums(ys, layouts, lambda y, x, w: (
+        return panel_sums(ys, runs, lambda y, x, w: (
             w * f(x) * normalized_bessel(nu, x * y)))
 
     eval_grid = np.asarray(eval_grid, dtype=float)

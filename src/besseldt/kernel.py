@@ -44,8 +44,7 @@ from scipy.special import beta, hyp2f1
 from .errors import TailEstimateError
 from .functions import SampledFunction
 from .measure import LambdaSpace
-from .quadrature import (QuadratureSpec, panel_edges, panel_sums,
-                         weighted_panel_nodes)
+from .quadrature import QuadratureSpec, panel_sums, radial_layouts
 
 _KINDS = ("p", "dt", "dx", "dy", "dtdx", "dtdy")
 
@@ -129,45 +128,26 @@ def kernel_values(space, t, x, y, kind="p"):
     return -(lam + 1.0) * g1 + 2.0 * (lam + 1.0) * (lam + 2.0) * t * t * g2
 
 
-def poisson_kernel_batch(space, t, x, y, kind="p"):
-    """Kernel (or derivative) values for arrays of (t, x, y): kernel_values."""
-    return kernel_values(space, t, x, y, kind)
-
-
-def poisson_kernel(space: LambdaSpace, pt: KernelPoint) -> float:
-    return float(kernel_values(space, pt.t, pt.x, pt.y))
-
-
-def poisson_kernel_dt(space, pt) -> float:
-    return float(kernel_values(space, pt.t, pt.x, pt.y, "dt"))
-
-
-def poisson_kernel_dx(space, pt) -> float:
-    return float(kernel_values(space, pt.t, pt.x, pt.y, "dx"))
-
-
-def poisson_kernel_dy(space, pt) -> float:
-    return float(kernel_values(space, pt.t, pt.x, pt.y, "dy"))
-
-
 # --------------------------------------------------------------------------
 # applying the semigroup
 
-def _radial_end(lam: float, t: float, hold: float, base: float, quad):
-    """End Y = base * 2^K of a radial integral against P_t of a function
-    bounded by `hold` beyond base, with the tail beyond Y below half the
-    tolerance: returns (Y, tail bound).  The tail is about C t hold / Y,
-    C = 2 Gamma(lam+1) / (sqrt(pi) Gamma(lam+1/2)), doubled as a margin for
-    finite-Y corrections."""
+def _radial_end(lam: float, t: float, hold: float, base, quad):
+    """Ends Y = base * 2^K of radial integrals against P_t of a function
+    bounded by `hold` beyond base, for an array of bases, with the tail
+    beyond Y below half the tolerance: returns (Y, tail bounds).  The tail is
+    about C t hold / Y, C = 2 Gamma(lam+1) / (sqrt(pi) Gamma(lam+1/2)),
+    doubled as a margin for finite-Y corrections."""
     target = 0.5 * max(quad.abs_tol, 1e-14)
     c_tail = 2.0 * math.gamma(lam + 1.0) / (math.sqrt(math.pi)
                                             * math.gamma(lam + 0.5)) * 2.0
+    base = np.asarray(base, dtype=float)
     need = c_tail * t * max(hold, 1e-300) / (target * base)
-    K = max(1, math.ceil(math.log2(max(need, 2.0))))
-    if K > 200:
+    K = np.maximum(1.0, np.ceil(np.log2(np.maximum(need, 2.0))))
+    if np.any(K > 200):
         raise TailEstimateError(
-            f"tail truncation needs 2^{K} * {base:g}; not attainable")
-    hi = base * 2.0 ** K
+            f"tail truncation needs 2^{K.max():g} * {base.max():g}; "
+            "not attainable")
+    hi = np.ldexp(base, K.astype(np.int64))
     return hi, c_tail * t * hold / hi
 
 
@@ -183,11 +163,12 @@ def apply_at(space: LambdaSpace, f: SampledFunction, t: float,
              xs, quad: QuadratureSpec = QuadratureSpec()):
     """(P_t f)(x) for an array of x, with a truncation-tail estimate.
 
-    Returns (values, tail_bounds).  The radial integral runs over panels
-    aligned with f's breakpoints and graded around y = x at scale t; an
-    unbounded support (nonzero hold tail) is truncated where the analytic
-    kernel-decay bound drops below the tolerance.  The nodes of all x are
-    summed by one quadrature.panel_sums call.
+    Returns (values, tail_bounds).  The radial integral runs over the panels
+    of quadrature.radial_layouts: aligned with f's breakpoints and graded
+    around y = x at scale t.  An unbounded support (nonzero hold tail) is
+    truncated where the analytic kernel-decay bound drops below the
+    tolerance.  One radial_layouts call lays out all x, and one
+    quadrature.panel_sums call sums their nodes.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -197,22 +178,14 @@ def apply_at(space: LambdaSpace, f: SampledFunction, t: float,
     slo, shi = f.support()
     if shi <= slo:
         return np.zeros_like(xs), np.zeros_like(xs)
-    tails = np.zeros_like(xs)
-
-    def layouts():
-        for k, x in enumerate(xs):
-            hi = shi
-            if math.isinf(shi):
-                hi, tails[k] = _radial_end(space.lam, t,
-                                           abs(float(f.values[-1])),
-                                           max(x, t, f.grid[-1]), quad)
-            edges = panel_edges(slo, hi, x, t,
-                                breakpoints=f.quad_breakpoints(),
-                                max_panels=quad.panel_count)
-            yield weighted_panel_nodes(edges, quad.y_nodes_per_panel,
-                                       space.weight_exponent)
-
-    vals = panel_sums(xs, layouts(), lambda x, y, w: (
+    his, tails = np.full_like(xs, shi), np.zeros_like(xs)
+    if math.isinf(shi):
+        his, tails = _radial_end(space.lam, t, abs(float(f.values[-1])),
+                                 np.maximum(xs, max(t, f.grid[-1])), quad)
+    runs = radial_layouts(slo, his, xs, t, f.quad_breakpoints(),
+                          quad.y_nodes_per_panel, space.weight_exponent,
+                          quad.panel_count)
+    vals = panel_sums(xs, runs, lambda x, y, w: (
         w * kernel_values(space, t, x, y) * f(y)))
     return vals, tails
 
@@ -261,13 +234,11 @@ def kernel_difference_l1(space: LambdaSpace, t1: float, t2: float, x: float,
     if not 0.0 < t1 < t2:
         raise ValueError("needs 0 < t1 < t2")
     hi, _ = _radial_end(space.lam, t2, 1.0, max(x, t2), quad)
-    edges = panel_edges(0.0, hi, x, t1, breakpoints=(t1, t2, x + t1, x + t2),
-                        max_panels=quad.panel_count)
-    nodes, weights = weighted_panel_nodes(edges, quad.y_nodes_per_panel,
-                                          space.weight_exponent)
-    diff = np.abs(kernel_values(space, t2, x, nodes)
-                  - kernel_values(space, t1, x, nodes))
-    return float(np.sum(weights * diff))
+    runs = radial_layouts(0.0, hi, x, t1, (t1, t2, x + t1, x + t2),
+                          quad.y_nodes_per_panel, space.weight_exponent,
+                          quad.panel_count)
+    return float(panel_sums([x], runs, lambda x, y, w: w * np.abs(
+        kernel_values(space, t2, x, y) - kernel_values(space, t1, x, y)))[0])
 
 
 # --------------------------------------------------------------------------

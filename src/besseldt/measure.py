@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .functions import SampledFunction
-from .quadrature import jacobi_rule, legendre_rule
+from .quadrature import gauss_panels, jacobi_rule
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,6 @@ class Interval:
     @property
     def right(self) -> float:
         return self.center + self.radius
-
-    def dilate(self, c: float) -> "Interval":
-        return Interval(self.center, c * self.radius)
 
 
 @dataclass(frozen=True)
@@ -200,22 +197,12 @@ def _cells(pts, A, B):
 
 
 def _gauss_cells(a, b, p, values, n):
-    """Per cell [a_i, b_i], the n-node Gauss sum of values * y^p;
-    `values(y)` gives the integrand at the nodes y, one row per cell.
-    Cells with a_i = 0 use the Gauss-Jacobi rule absorbing y^p, which is
-    not smooth at 0; the others use Gauss-Legendre."""
-    xs, ws = legendre_rule(n)
-    half = 0.5 * (b - a)[:, None]
-    y = a[:, None] + half * (1.0 + xs)
-    zero = np.flatnonzero(a == 0.0)
-    if zero.size:
-        xj, wj = jacobi_rule(n, 0.0, p)
-        y[zero] = half[zero] * (1.0 + xj)
-    v = values(y)
-    terms = ws * half * v * y ** p
-    if zero.size:
-        terms[zero] = wj * half[zero] ** (p + 1.0) * v[zero]
-    return np.sum(terms, axis=1)
+    """Per cell [a_i, b_i], the n-node Gauss sum of values * y^p on the
+    nodes and weights of quadrature.gauss_panels (Gauss-Jacobi absorbing
+    y^p, which is not smooth at 0, on cells at 0); `values(y)` gives the
+    integrand at the nodes y, one row per cell."""
+    y, w = gauss_panels(a, b, n, p)
+    return np.sum(w * values(y), axis=1)
 
 
 def _gl_cells(f, A, B, p, transform):
@@ -336,10 +323,6 @@ def interval_integral(space: LambdaSpace, f: SampledFunction, iv: Interval,
         return float(_gl_cells(f, A, B, p, lambda t: t)[0])
     owner, a, b, al, be = _linear_pieces(f, A, B)
     return float(np.bincount(owner, _linear_integrals(a, b, al, be, p))[0])
-
-
-def interval_average(space: LambdaSpace, f: SampledFunction, iv: Interval) -> float:
-    return interval_integral(space, f, iv) / measure_interval(space, iv)
 
 
 def interval_q_integrals(space: LambdaSpace, f: SampledFunction, left, right,

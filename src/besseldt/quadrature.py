@@ -1,20 +1,30 @@
-"""Gauss rules and panel builders shared by the kernel and Hankel integrators.
+"""Gauss rules and the one panel-layout builder of the Gauss-panel integrals.
 
 All weighted rules come from scipy's Golub-Welsch implementations; they are
 cached because the same (n, alpha, beta) combinations recur for every panel
 layout.  Panel layouts are deterministic functions of their inputs so that
 repeated runs are bit-identical.
+
+panel_layouts lays out the panels and Gauss nodes of many points with array
+operations: per point, base edges and a cap on the panel width of each gap
+between them.  radial_layouts gives it the base edges and caps of the
+radial integrals against the kernel (apply_at, kernel_difference_l1 and the
+kernel route of T_N); the Hankel transform gives it f's breakpoints and one
+oscillation period per frequency.  Its node step, gauss_panels, also makes
+the Gauss cells of measure's interval integrals.  panel_sums evaluates the
+runs of points that panel_layouts yields, about _NODE_BLOCK nodes at a time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import NumericsError
+from .errors import QuadratureError
 
 
 @dataclass(frozen=True)
@@ -57,158 +67,160 @@ def legendre_rule(n: int):
     return x, w
 
 
-def panel_edges(lo: float, hi: float, center: float, width: float,
-                breakpoints=(), max_panels: int = 400) -> np.ndarray:
-    """Geometrically graded panel edges on [lo, hi].
-
-    Panels are sized so that a panel [a, b] satisfies both
-      b - a <= 0.75*(width + dist([a,b], center))   (resolves a kernel peak of
-                                                     scale `width` at `center`)
-      b - a <= a                                    (ratio <= 2, keeps power
-                                                     weights y^(2*lam) tame)
-    except that a panel starting at lo == 0 is exempt from the ratio rule (the
-    caller integrates it with a Jacobi endpoint rule).  `breakpoints` are
-    always included as edges.
-    """
-    if not (hi > lo >= 0.0):
-        raise ValueError("need hi > lo >= 0")
-    width = max(float(width), 1e-300)
-
-    edges = {lo, hi}
-    for b in breakpoints:
-        if lo < b < hi:
-            edges.add(float(b))
-    # ladder around the peak
-    if center is not None:
-        for sgn in (-1.0, 1.0):
-            step = width
-            while True:
-                e = center + sgn * step
-                if sgn < 0 and e <= lo:
-                    break
-                if sgn > 0 and e >= hi:
-                    break
-                edges.add(e)
-                step *= 2.0
-                if step > 4.0 * (hi - lo) + 4.0 * abs(center) + width:
-                    break
-        if lo < center < hi:
-            edges.add(float(center))
-    out = sorted(edges)
-
-    # bisect panels violating the size rules
-    def ok(a, b):
-        if b - a <= 1e-15 * b:
-            return True
-        if center is None:
-            dist = np.inf
-        elif center < a:
-            dist = a - center
-        elif center > b:
-            dist = center - b
-        else:
-            dist = 0.0
-        if b - a > 0.75 * (width + dist):
-            return False
-        if a > 0.0 and b - a > a:
-            return False
-        return True
-
-    i = 0
-    while i < len(out) - 1:
-        a, b = out[i], out[i + 1]
-        if ok(a, b):
-            i += 1
-            continue
-        if a == 0.0:
-            # split on a geometric scale rather than midpoint
-            m = min(b / 2.0, max(width, b * 1e-6))
-        elif center is not None and a < center < b:
-            m = center
-        else:
-            m = 0.5 * (a + b)
-        if not (a < m < b):
-            m = 0.5 * (a + b)
-        out.insert(i + 1, m)
-        if len(out) > max_panels + 1:
-            raise QuadratureBudgetError(
-                f"panel budget {max_panels} exhausted on [{lo}, {hi}]")
-    return np.asarray(out)
-
-
-class QuadratureBudgetError(NumericsError):
-    """The radial panel layout needs more panels than its budget allows."""
-
-
-def panel_nodes(edges: np.ndarray, n: int, zero_left_exponent: float | None = None):
-    """Gauss nodes/weights for the panel list.
-
-    Interior panels use Gauss-Legendre.  If `zero_left_exponent` is given and
-    edges[0] == 0, the first panel uses a Gauss-Jacobi rule absorbing the
-    weight y**zero_left_exponent; its weights already include that factor,
-    weights of the other panels do not.
-    Returns (nodes, weights, first_panel_weighted: bool).
-    """
-    edges = np.asarray(edges, dtype=float)
+def gauss_panels(left, right, n: int, exponent: float):
+    """Gauss nodes and weights, one row of n per panel [left_i, right_i],
+    for integrals against y**exponent dy: Gauss-Legendre with the power
+    folded into the weights, and on a panel at 0, where the power is not
+    smooth, the Gauss-Jacobi rule absorbing it."""
     xs, ws = legendre_rule(n)
-    first_weighted = zero_left_exponent is not None and edges[0] == 0.0
-    start = 1 if first_weighted else 0
-    a = edges[start:-1]
-    half = 0.5 * (edges[start + 1:] - a)
-    nodes = (a[:, None] + half[:, None] * (1.0 + xs)).ravel()
-    weights = (ws * half[:, None]).ravel()
-    if first_weighted:
-        h = edges[1]
-        xj, wj = jacobi_rule(n, 0.0, zero_left_exponent)
-        nodes = np.concatenate([h / 2.0 * (1.0 + xj), nodes])
-        weights = np.concatenate(
-            [wj * (h / 2.0) ** (zero_left_exponent + 1.0), weights])
-    return nodes, weights, first_weighted
-
-
-def weighted_panel_nodes(edges: np.ndarray, n: int, exponent: float):
-    """Gauss nodes/weights of the panel list for integrals against
-    y**exponent dy: the power is folded into every weight (a first panel
-    starting at 0 gets it from its Jacobi rule, see panel_nodes)."""
-    nodes, weights, first_weighted = panel_nodes(edges, n,
-                                                 zero_left_exponent=exponent)
-    k = n if first_weighted else 0
-    weights[k:] *= nodes[k:] ** exponent
+    half = 0.5 * (right - left)[:, None]
+    nodes = left[:, None] + half * (1.0 + xs)
+    weights = ws * half
+    weights *= nodes ** exponent
+    zero = np.flatnonzero(left == 0.0)
+    if zero.size:
+        xj, wj = jacobi_rule(n, 0.0, exponent)
+        nodes[zero] = half[zero] * (1.0 + xj)
+        weights[zero] = wj * half[zero] ** (exponent + 1.0)
     return nodes, weights
 
 
-#: nodes per block of panel_sums; bounds the memory of one integrand call
+#: nodes per run of panel_layouts; bounds the memory of one integrand call
 _NODE_BLOCK = 1 << 21
 
 
-def panel_sums(points, layouts, integrand) -> np.ndarray:
-    """Per point x_k, the sum over its (nodes, weights) layout of
+def panel_layouts(edges, counts, caps, n: int, exponent: float,
+                  max_panels: int):
+    """Gauss layouts of many points for integrals against y**exponent dy.
+
+    Point i owns the next counts[i] >= 2 entries of `edges`, its sorted and
+    distinct base edges; all of them are edges of its layout.  The gaps
+    between base edges, in the same order, have panels no wider than their
+    entry of `caps`.  In a gap [a, b] with 0 < a < min(b, cap) the edges
+    first double, a 2^i, up to the first one at or past min(b, cap)
+    (clipped to b); this log-grades the panels away from 0 and keeps each
+    no wider than its left end.  The rest of the gap is cut into
+    ceil(rest / cap) equal pieces.  A point whose layout needs more than
+    max_panels panels raises QuadratureError.
+
+    Yields runs of whole points, about _NODE_BLOCK nodes each, as
+    (nodes, weights, counts): the flat gauss_panels nodes and weights of the
+    run's points in order, counts[i] of them for point i.
+    """
+    edges = np.asarray(edges, dtype=float)
+    counts = np.asarray(counts, dtype=np.int64)
+    cap = np.asarray(caps, dtype=float)
+    starts = np.cumsum(counts) - counts
+    inner = np.ones(edges.size, dtype=bool)
+    inner[starts] = False
+    a, b = edges[np.roll(inner, -1)], edges[inner]
+
+    # per gap: m doubling edges up to cur, then k equal pieces; m is the
+    # least m >= 1 with a 2^m >= min(b, cap), from a rounded log2
+    top = np.minimum(b, cap)
+    grows = (a > 0.0) & (a < top)
+    log2_a = np.log2(np.where(a > 0.0, a, 1.0))
+    m = np.where(grows, np.maximum(1.0, np.ceil(np.log2(top) - log2_a)), 0.0
+                 ).astype(np.int64)
+    m += grows & (np.ldexp(a, m) < top)
+    m -= grows & (m > 1) & (np.ldexp(a, m - 1) >= top)
+    cur = np.where(grows, np.minimum(b, np.ldexp(a, m)), a)
+    rest = b - cur
+    k = np.where(rest > 0.0, np.maximum(1.0, np.ceil(rest / cap)), 0.0
+                 ).astype(np.int64)
+    step = rest / np.maximum(k, 1)
+    gap_panels = m + k
+    first_gap = starts - np.arange(counts.size)
+    panels = np.add.reduceat(gap_panels, first_gap)
+    over = np.flatnonzero(panels > max_panels)
+    if over.size:
+        i = over[0]
+        raise QuadratureError(
+            f"panel layout of [{edges[starts[i]]:g}, "
+            f"{edges[starts[i] + counts[i] - 1]:g}] needs {panels[i]} "
+            f"panels, above the budget of {max_panels}")
+
+    first_node = (np.cumsum(panels) - panels) * n
+    cuts = [*(np.flatnonzero(np.diff(first_node // _NODE_BLOCK)) + 1)]
+    gap_ends = [*first_gap[1:], a.size]
+    for lo_pt, hi_pt in zip([0, *cuts], [*cuts, counts.size]):
+        g = slice(first_gap[lo_pt], gap_ends[hi_pt - 1])
+        count = gap_panels[g]
+        ga, gb, gcur, gstep, gm, gk = (np.repeat(v[g], count)
+                                       for v in (a, b, cur, step, m, k))
+        # right edge number i of a gap: a 2^(i+1) while doubling, then
+        # cur + j step as np.linspace(cur, b, k + 1) makes them
+        i = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count,
+                                                count)
+        j = i - gm + 1
+        right = np.where(
+            i < gm, np.minimum(gb, np.ldexp(ga, np.minimum(i + 1, gm))),
+            np.where(j == gk, gb, j * gstep + gcur))
+        run = panels[lo_pt:hi_pt]
+        left = np.empty_like(right)
+        left[1:] = right[:-1]
+        left[np.cumsum(run) - run] = edges[starts[lo_pt:hi_pt]]
+        nodes, weights = gauss_panels(left, right, n, exponent)
+        yield nodes.ravel(), weights.ravel(), run * n
+
+
+def radial_layouts(lo: float, his, centers, width: float, breakpoints,
+                   n: int, exponent: float, max_panels: int):
+    """panel_layouts of [lo, his_i] for radial integrals against a kernel
+    that peaks at y = centers_i on the scale `width`.
+
+    The base edges of point i are lo, his_i and, inside (lo, his_i), the
+    breakpoints, centers_i and the ladder centers_i +- width 2^k, k >= 0;
+    the cap of a gap is 0.75 (width + its distance to centers_i).  So a
+    panel [a, b] has b - a <= 0.75 (width + dist([a, b], centers_i)), which
+    resolves the peak, and b - a <= a unless a = 0.
+    """
+    centers = np.atleast_1d(np.asarray(centers, dtype=float))
+    his = np.broadcast_to(np.asarray(his, dtype=float), centers.shape)
+    reach = float(np.max(np.maximum(his - centers, centers - lo)))
+    rungs = np.ldexp(width, np.arange(
+        max(0, math.ceil(math.log2(reach / width))) + 1))
+    bps = np.asarray(breakpoints, dtype=float)
+    # chunks of about _NODE_BLOCK / n candidate edges bound the memory of
+    # the layout arrays when the points are many
+    size = max(1, _NODE_BLOCK // (n * (bps.size + 2 * rungs.size + 3)))
+    for first in range(0, centers.size, size):
+        c = centers[first:first + size, None]
+        top = his[first:first + size, None]
+        inside = np.concatenate(
+            [np.broadcast_to(bps, (c.size, bps.size)), c, c - rungs,
+             c + rungs], axis=1)
+        inside[~((inside > lo) & (inside < top))] = np.inf
+        cand = np.sort(np.concatenate([np.full_like(c, lo), top, inside],
+                                      axis=1), axis=1)
+        keep = np.isfinite(cand)
+        keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+        # a kept edge j > 0 closes the gap (cand[j-1], cand[j]): whatever
+        # sits at j-1 equals the kept edge before it
+        a, b = cand[:, :-1], cand[:, 1:]
+        dist = np.maximum(np.maximum(a - c, c - b), 0.0)
+        caps = (0.75 * (width + dist))[keep[:, 1:]]
+        yield from panel_layouts(cand[keep], keep.sum(axis=1), caps, n,
+                                 exponent, max_panels)
+
+
+def panel_sums(points, runs, integrand) -> np.ndarray:
+    """Per point x_k, the sum over its Gauss nodes y and weights w of
     integrand(x_k, y, w).
 
-    `layouts` yields one nonempty (nodes, weights) pair per point, in order.
-    The integrand is vectorized: it gets the flat nodes y and weights w of a
-    block of points, with each point repeated once per node of its layout,
-    and returns the terms.  A block is closed once it holds _NODE_BLOCK
-    nodes; a point's sum does not depend on how the points are blocked.
+    `runs` yields (nodes, weights, counts) for consecutive points, as
+    panel_layouts does: counts[i] flat nodes and weights for each.  The
+    integrand is vectorized: it gets the nodes and weights of a run with
+    each point repeated once per node, and returns the terms.  A point's
+    sum does not depend on how the points are grouped into runs.
     """
     points = np.asarray(points, dtype=float)
     out = np.zeros(points.size)
-
-    def flush(first, block):
-        stop = first + len(block)
-        counts = [y.size for y, _ in block]
-        terms = integrand(np.repeat(points[first:stop], counts),
-                          np.concatenate([y for y, _ in block]),
-                          np.concatenate([w for _, w in block]))
+    first = 0
+    for nodes, weights, counts in runs:
+        stop = first + counts.size
+        terms = integrand(np.repeat(points[first:stop], counts), nodes,
+                          weights)
         out[first:stop] = np.add.reduceat(terms, np.cumsum(counts) - counts)
-        return stop
-
-    first, block, pending = 0, [], 0
-    for layout in layouts:
-        block.append(layout)
-        pending += layout[0].size
-        if pending >= _NODE_BLOCK:
-            first, block, pending = flush(first, block), [], 0
-    if block:
-        flush(first, block)
+        first = stop
     return out

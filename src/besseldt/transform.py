@@ -30,8 +30,7 @@ from .kernel import apply_at, check_tail, kernel_values
 from .lacunary import LacunarySetup, is_lacunary, is_regular
 from .measure import (LambdaSpace, interval_masses, interval_q_averages,
                       lp_norm)
-from .quadrature import (QuadratureSpec, panel_edges, panel_sums,
-                         weighted_panel_nodes)
+from .quadrature import QuadratureSpec, panel_sums, radial_layouts
 
 
 @dataclass(frozen=True)
@@ -149,12 +148,10 @@ def apply_transform_kernel_route(space, setup, win: IndexWindow,
     if math.isinf(shi):
         raise ValueError("kernel route needs a compactly supported f")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    width = setup.a_at(win.n1)
-    layouts = (weighted_panel_nodes(
-        panel_edges(slo, shi, x, width, breakpoints=f.quad_breakpoints(),
-                    max_panels=quad.panel_count),
-        quad.y_nodes_per_panel, space.weight_exponent) for x in xs)
-    return panel_sums(xs, layouts, lambda x, y, w: (
+    runs = radial_layouts(slo, shi, xs, setup.a_at(win.n1),
+                          f.quad_breakpoints(), quad.y_nodes_per_panel,
+                          space.weight_exponent, quad.panel_count)
+    return panel_sums(xs, runs, lambda x, y, w: (
         w * window_kernel(space, setup, win, x, y) * f(y)))
 
 

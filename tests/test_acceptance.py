@@ -17,7 +17,7 @@ from besseldt.functions import (SampledFunction, bump_mixture, constant_one,
 from besseldt.hankel import (gaussian_fixed_point_defect, involution_defect,
                              plancherel_defect)
 from besseldt.kernel import (apply_at, closed_form_lambda1, kernel_mass,
-                             poisson_apply, poisson_kernel_batch)
+                             kernel_values, poisson_apply)
 from besseldt.lacunary import LacunarySetup, geometric, refine, remap_window
 from besseldt.measure import LambdaSpace
 from besseldt.quadrature import QuadratureSpec
@@ -46,7 +46,7 @@ def test_criterion_01_closed_form_lambda1():
     start = time.perf_counter()
     worst = 0.0
     for i in range(n):
-        got = float(poisson_kernel_batch(SPACE1, t[i], x[i], y[i]))
+        got = float(kernel_values(SPACE1, t[i], x[i], y[i]))
         want = float(closed_form_lambda1(t[i], x[i], y[i]))
         worst = max(worst, abs(got - want) / want)
     elapsed = time.perf_counter() - start

@@ -8,9 +8,9 @@ import pytest
 
 import besseldt
 import besseldt.cli as cli
-from besseldt.errors import ConfigError, ContractError, NumericsError
+from besseldt.errors import (ConfigError, ContractError, NumericsError,
+                             QuadratureError)
 from besseldt.lab import ExperimentResult
-from besseldt.quadrature import QuadratureBudgetError
 
 
 def _ok_result():
@@ -56,7 +56,8 @@ def test_exit_three_on_contract_failure(monkeypatch, tmp_path, capsys):
     (NumericsError("tail bound failed"), 2),
     (ContractError("identity broken"), 3),
     (ValueError("t must be positive"), 1),
-    (QuadratureBudgetError("panel budget 400 exhausted"), 2),
+    (QuadratureError("panel layout of [0, 8] needs 401 panels, above the "
+                     "budget of 400"), 2),
 ])
 def test_exception_to_exit_code(monkeypatch, tmp_path, exc, code):
     def boom(cfg):

@@ -14,9 +14,7 @@ from besseldt.kernel import (KernelPoint, _bound_denominator, apply_at,
                              closed_form_lambda1,
                              kernel_bound_ratios, kernel_difference_l1,
                              kernel_mass, kernel_sweep, kernel_values,
-                             poisson_apply, poisson_kernel,
-                             poisson_kernel_batch, poisson_kernel_dt,
-                             poisson_kernel_dx, poisson_kernel_dy)
+                             poisson_apply)
 from besseldt.measure import LambdaSpace
 from besseldt.quadrature import QuadratureSpec
 
@@ -34,15 +32,15 @@ def test_closed_form_match_lambda1(space1, rng):
     t = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 60))
     x = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 60))
     y = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 60))
-    got = poisson_kernel_batch(space1, t, x, y)
+    got = kernel_values(space1, t, x, y)
     want = closed_form_lambda1(t, x, y)
     assert rel_err(got, want) < 1e-14
 
 
 def test_kernel_symmetry():
     s = LambdaSpace(0.7)
-    a = poisson_kernel(s, KernelPoint(0.8, 1.7, 0.4))
-    b = poisson_kernel(s, KernelPoint(0.8, 0.4, 1.7))
+    a = float(kernel_values(s, 0.8, 1.7, 0.4))
+    b = float(kernel_values(s, 0.8, 0.4, 1.7))
     assert a == pytest.approx(b, rel=1e-12)
     assert a > 0
 
@@ -66,21 +64,18 @@ def test_derivatives_match_closed_form(space1):
                - closed_form_lambda1(t, x - h, y)) / (2 * h)
     want_dy = (closed_form_lambda1(t, x, y + h)
                - closed_form_lambda1(t, x, y - h)) / (2 * h)
-    pt = KernelPoint(t, x, y)
-    assert poisson_kernel_dt(space1, pt) == pytest.approx(want_dt, rel=1e-7)
-    assert poisson_kernel_dx(space1, pt) == pytest.approx(want_dx, rel=1e-7)
-    assert poisson_kernel_dy(space1, pt) == pytest.approx(want_dy, rel=1e-7)
+    for kind, want in (("dt", want_dt), ("dx", want_dx), ("dy", want_dy)):
+        assert float(kernel_values(space1, t, x, y, kind)) == pytest.approx(
+            want, rel=1e-7)
 
 
 def test_batch_kinds_match_scalar_wrappers(space1):
     t = np.array([0.5, 1.5])
     x = np.array([1.0, 2.0])
     y = np.array([0.7, 3.0])
-    for kind, scalar in (("dt", poisson_kernel_dt),
-                         ("dx", poisson_kernel_dx),
-                         ("dy", poisson_kernel_dy)):
-        got = poisson_kernel_batch(space1, t, x, y, kind=kind)
-        want = [scalar(space1, KernelPoint(*p)) for p in zip(t, x, y)]
+    for kind in ("dt", "dx", "dy"):
+        got = kernel_values(space1, t, x, y, kind=kind)
+        want = [float(kernel_values(space1, *p, kind)) for p in zip(t, x, y)]
         assert np.allclose(got, want, rtol=1e-12)
 
 
@@ -191,7 +186,7 @@ def test_kernel_against_mpmath(lam):
     # near-diagonal sweep: kappa from 1 down to 1e-12
     t, x, y = oracle_points(rng, 24, np.geomspace(1.0, 1e-12, 13))
     space = LambdaSpace(lam)
-    got = poisson_kernel_batch(space, t, x, y)
+    got = kernel_values(space, t, x, y)
     want = [mp_kernel(lam, *p) for p in zip(t, x, y)]
     err = max(abs(float((mpmath.mpf(float(g)) - w) / w))
               for g, w in zip(got, want))
@@ -249,8 +244,8 @@ log_pos = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0 ** e)
 @given(lam=lams, t=log_pos, x=log_pos, y=log_pos)
 def test_kernel_symmetric(lam, t, x, y):
     s = LambdaSpace(lam)
-    a = float(poisson_kernel_batch(s, t, x, y))
-    b = float(poisson_kernel_batch(s, t, y, x))
+    a = float(kernel_values(s, t, x, y))
+    b = float(kernel_values(s, t, y, x))
     assert a > 0
     assert a == pytest.approx(b, rel=1e-14)
 
@@ -263,7 +258,7 @@ def test_kernel_dilation_homogeneous(lam, t, x, y, k):
     # the kernel's own rounding
     s = LambdaSpace(lam)
     d = 2.0 ** k
-    scaled = float(poisson_kernel_batch(s, d * t, d * x, d * y))
-    base = float(poisson_kernel_batch(s, t, x, y))
+    scaled = float(kernel_values(s, d * t, d * x, d * y))
+    base = float(kernel_values(s, t, x, y))
     assert scaled == pytest.approx(
         base * math.pow(d, -(2.0 * lam + 1.0)), rel=1e-13)

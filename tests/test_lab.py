@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import scipy.stats
 
 import besseldt
+import besseldt.cli as cli
 from besseldt.errors import ConfigError
 from besseldt.lab import (EXPERIMENTS, _fmt, _parse_floats, _spearman,
                           emit_csv, parse_config, resolve_f, resolve_v,
@@ -35,6 +37,8 @@ def test_parse_config_full():
     # unset keys hold their defaults; keys of other experiments are absent
     assert cfg["y_list"] == tuple(np.geomspace(0.1, 10.0, 5))
     assert "grid_points" not in cfg.values and "out" not in cfg.values
+    # closed form: no quadrature keys, in the config or its meta block
+    assert "y_nodes" not in cfg.values and "abs_tol" not in cfg.values
 
 
 def test_parse_config_key_aliases():
@@ -102,7 +106,22 @@ def test_parse_config_error_carries_line_number():
     # the kernel derivatives are closed form; the angular rule is gone
     ("experiment=kernel-eval\ntheta_nodes = 0\n",
      "key 'theta_nodes' was removed"),
-    ("experiment=transform\ny_nodes = 0\n", "y_nodes must be at least 1"),
+    # the radial Gauss rule needs 4 nodes per panel (QuadratureSpec)
+    ("experiment=transform\ny_nodes = 0\n",
+     "line 2: y_nodes must be at least 4"),
+    ("experiment=transform\ny_nodes = 2\n",
+     "line 2: y_nodes must be at least 4"),
+    ("experiment=transform\ny_nodes = 3\n",
+     "line 2: y_nodes must be at least 4"),
+    # the closed-form experiments build no QuadratureSpec
+    ("experiment=kernel-eval\ny_nodes = 16\n",
+     "line 2: key 'y_nodes' is not used by experiment 'kernel-eval'"),
+    ("experiment=kernel-eval\nabs_tol = 1e-9\n",
+     "line 2: key 'abs_tol' is not used by experiment 'kernel-eval'"),
+    ("experiment=bounds-suite\ny_nodes = 8\n",
+     "line 2: key 'y_nodes' is not used by experiment 'bounds-suite'"),
+    ("experiment=bounds-suite\nabs_tol = 1e-3\n",
+     "line 2: key 'abs_tol' is not used by experiment 'bounds-suite'"),
     ("experiment=bounds-suite\nt_lo = 0\n", "t_lo must be positive"),
     ("experiment=bounds-suite\nt_hi = -1\n", "t_hi must be positive"),
     ("experiment=bounds-suite\nxy_lo = 0\n", "xy_lo must be positive"),
@@ -239,12 +258,12 @@ def test_emit_csv_deterministic(tmp_path):
 def test_quadrature_overrides():
     with pytest.raises(ConfigError, match="line 2: key 'theta_nodes' was "
                                           "removed"):
-        parse_config("experiment = kernel-eval\ntheta_nodes = 48\n"
+        parse_config("experiment = transform\ntheta_nodes = 48\n"
                      "abs_tol = 1e-9\n")
-    cfg = parse_config("experiment = kernel-eval\nabs_tol = 1e-9\n")
+    cfg = parse_config("experiment = transform\nabs_tol = 1e-9\n")
     quad = cfg.quadrature()
     assert quad.abs_tol == 1e-9
-    base = parse_config("experiment = kernel-eval\n").quadrature()
+    base = parse_config("experiment = transform\n").quadrature()
     assert base == QuadratureSpec()
     assert quad.y_nodes_per_panel == base.y_nodes_per_panel
 
@@ -299,6 +318,41 @@ def test_spearman_matches_scipy_with_ties():
         b = rng.normal(size=n).round(1)           # some ties
         want = scipy.stats.spearmanr(a, b).statistic
         assert _spearman(a, b) == pytest.approx(want, rel=1e-15, abs=1e-15)
+
+
+def test_spearman_of_constant_ranks_is_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(_spearman([2, 2, 2], [0.1, 0.5, 0.3]))
+        assert math.isnan(_spearman([1, 2, 3], [0.5, 0.5, 0.5]))
+        assert _spearman([1, 2, 3], [0.1, 0.5, 0.3]) == pytest.approx(0.5)
+
+
+def _uniform_l2_cli(tmp_path, text):
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text("experiment = uniform-l2\nf_count = 1\n" + text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return cli.main(["uniform-l2", "--config", str(cfg),
+                         "--out", str(tmp_path / "u.csv")])
+
+
+def test_uniform_l2_equal_window_lengths_pass(tmp_path, capsys):
+    # span 1: every window has length 2, so the rank correlation is
+    # undefined (nan) and no growth is reported
+    code = _uniform_l2_cli(tmp_path, "j_min = -1\nj_max = 1\nwindows = 3\n"
+                                     "grid_points = 4\n")
+    assert code == 0
+    assert "spearman = nan" in capsys.readouterr().out
+
+
+def test_uniform_l2_growth_still_fails(tmp_path, capsys):
+    # v = 1 telescopes: the ratio ramps up with the window length
+    code = _uniform_l2_cli(tmp_path, "v = constant:1\nwindows = 6\n"
+                                     "j_min = -4\nj_max = 4\n"
+                                     "grid_points = 8\n")
+    assert code == 3
+    assert "spearman 0.600 >= 0.3" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy_stats():

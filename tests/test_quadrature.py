@@ -1,17 +1,20 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad as quad_ref
 from scipy.special import beta as beta_fn
 
 import besseldt.quadrature as quadrature_mod
+from besseldt.errors import QuadratureError
 from besseldt.functions import smooth_bump
 from besseldt.hankel import hankel_transform
 from besseldt.kernel import apply_at
 from besseldt.measure import LambdaSpace
-from besseldt.quadrature import (QuadratureBudgetError, QuadratureSpec,
-                                 jacobi_rule, legendre_rule, panel_edges,
-                                 panel_nodes, panel_sums,
-                                 weighted_panel_nodes)
+from besseldt.quadrature import (QuadratureSpec, gauss_panels, jacobi_rule,
+                                 legendre_rule, panel_sums, radial_layouts)
+
+from conftest import assert_budget_boundary
 
 
 def test_spec_validation():
@@ -48,113 +51,166 @@ def test_legendre_rule_moments():
         assert abs(float(np.sum(w * x ** k)) - want) < 1e-14
 
 
-def test_panel_edges_breakpoints_and_grading():
-    edges = panel_edges(0.0, 10.0, center=3.0, width=0.5,
-                        breakpoints=(1.0, 7.0))
-    assert edges[0] == 0.0 and edges[-1] == 10.0
-    assert np.all(np.diff(edges) > 0)
-    assert 1.0 in edges and 7.0 in edges
-    # ratio rule: interior panels no wider than their left edge
-    widths = np.diff(edges)
-    interior = edges[:-1] > 0
-    assert np.all(widths[interior] <= edges[:-1][interior] * (1 + 1e-12))
+def _radial_case(rng):
+    """A random radial layout case: lo, per-point or shared ends, points
+    (some outside [lo, hi]), the peak scale t and breakpoints (some outside
+    (lo, hi), some on points, some in the doubling range above lo)."""
+    lo = float(rng.choice([0.0, 10.0 ** rng.uniform(-4.0, 0.0)]))
+    size = int(rng.integers(1, 40))
+    xs = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), size))
+    hi = lo + 10.0 ** rng.uniform(-1.0, 3.0)
+    his = hi if rng.random() < 0.5 else hi * 2.0 ** rng.integers(0, 40, size)
+    bps = np.concatenate([rng.uniform(lo - 1.0, hi + 1.0,
+                                      int(rng.integers(0, 12))),
+                          xs[:2], lo * 2.0 ** rng.integers(1, 8, 2)])
+    return lo, his, xs, 2.0 ** rng.uniform(-10.0, 10.0), bps
+
+
+def _radial_panels(monkeypatch, lo, his, xs, t, bps, n=4):
+    """The runs of radial_layouts and, per point, the panel ends
+    (left, right) that it hands gauss_panels."""
+    seen = []
+    real = quadrature_mod.gauss_panels
+
+    def record(left, right, n, exponent):
+        seen.append((left.copy(), right.copy()))
+        return real(left, right, n, exponent)
+
+    monkeypatch.setattr(quadrature_mod, "gauss_panels", record)
+    runs = list(radial_layouts(lo, his, xs, t, bps, n, 1.4, 10 ** 6))
+    monkeypatch.setattr(quadrature_mod, "gauss_panels", real)
+    cuts = np.cumsum(np.concatenate([r[2] for r in runs]) // n)[:-1]
+    return (runs, np.split(np.concatenate([s[0] for s in seen]), cuts),
+            np.split(np.concatenate([s[1] for s in seen]), cuts))
+
+
+def test_panel_edges_breakpoints_and_grading(monkeypatch):
+    # radial layouts of random cases: a point's panels tile [lo, hi]; a
+    # panel [a, b] resolves the peak, b - a <= 0.75 (t + dist([a, b], x)),
+    # and is no wider than a unless a = 0; every breakpoint and x inside
+    # (lo, hi) is an edge; and the layouts do not depend on how the points
+    # are grouped into runs
+    rng = np.random.default_rng(3)
+    for _ in range(150):
+        lo, his, xs, t, bps = _radial_case(rng)
+        runs, lefts, rights = _radial_panels(monkeypatch, lo, his, xs, t, bps)
+        for x, hi, a, b in zip(xs, np.broadcast_to(his, xs.shape), lefts,
+                               rights):
+            assert a[0] == lo and b[-1] == hi
+            assert np.array_equal(a[1:], b[:-1]) and np.all(b > a)
+            # equal pieces are cur + j step: rounding at the scale of b
+            slack = 4.0 * np.spacing(b)
+            dist = np.maximum(np.maximum(a - x, x - b), 0.0)
+            assert np.all(b - a <= 0.75 * (t + dist) + slack)
+            assert np.all((b - a <= a + slack) | (a == 0.0))
+            edges = np.append(bps, x)
+            assert np.all(np.isin(edges[(edges > lo) & (edges < hi)], b))
+        whole = [np.concatenate(arrays) for arrays in zip(*runs)]
+        monkeypatch.setattr(quadrature_mod, "_NODE_BLOCK", 64)
+        small = list(radial_layouts(lo, his, xs, t, bps, 4, 1.4, 10 ** 6))
+        monkeypatch.undo()
+        assert len(small) >= len(runs)
+        for got, want in zip(zip(*small), whole):
+            assert np.array_equal(np.concatenate(got), want)
 
 
 def test_panel_edges_validation_and_budget():
-    with pytest.raises(ValueError):
-        panel_edges(2.0, 1.0, 1.5, 0.1)
-    with pytest.raises(QuadratureBudgetError):
-        panel_edges(0.0, 1e6, center=1e-6, width=1e-9, max_panels=10)
+    # the radial route shares the budget of panel_layouts: a point whose
+    # layout has P panels passes with max_panels = P and raises
+    # QuadratureError (exit 2) below it, naming the interval
+    assert_budget_boundary(lambda cap: radial_layouts(
+        0.0, 8.0, [3.0, 0.5], 1e-3, (1.0, 7.0), 16, 2.0, cap), 8)
+    with pytest.raises(QuadratureError, match="above the budget of 4"):
+        apply_at(LambdaSpace(1.0), smooth_bump(2.0, 1.0), 1e-3, [3.0],
+                 QuadratureSpec(panel_count=4))
 
 
 def test_panel_nodes_zero_left_jacobi():
-    # first panel starts at 0: the Jacobi rule absorbs y^alpha, so
-    # integral_0^1 y^2 dy and integral_0^1 y^2 * y dy come out exactly.
-    edges = np.array([0.0, 0.5, 1.0])
-    nodes, weights, first_w = panel_nodes(edges, 8, zero_left_exponent=2.0)
-    assert first_w
-    n = 8
-    f = np.ones_like(nodes)
-    f[n:] *= nodes[n:] ** 2  # weight carried explicitly off the first panel
-    assert abs(float(np.sum(weights * f)) - 1.0 / 3.0) < 1e-14
-    g = nodes.copy()
-    g[n:] *= nodes[n:] ** 2
-    assert abs(float(np.sum(weights * g)) - 1.0 / 4.0) < 1e-14
+    # a panel at 0 takes the Jacobi rule absorbing y^2 and the other folds
+    # y^2 into its Gauss-Legendre weights, so integral_0^1 y^2 dy and
+    # integral_0^1 y^2 * y dy come out exactly
+    nodes, weights = gauss_panels(np.array([0.0, 0.5]), np.array([0.5, 1.0]),
+                                  8, 2.0)
+    assert abs(float(np.sum(weights)) - 1.0 / 3.0) < 1e-14
+    assert abs(float(np.sum(weights * nodes)) - 1.0 / 4.0) < 1e-14
 
 
 def test_panel_nodes_plain_legendre():
-    edges = np.array([1.0, 2.0, 4.0])
-    nodes, weights, first_w = panel_nodes(edges, 6)
-    assert not first_w
+    nodes, weights = gauss_panels(np.array([1.0, 2.0]), np.array([2.0, 4.0]),
+                                  6, 0.0)
     assert abs(float(np.sum(weights * nodes ** 3)) - (4.0 ** 4 - 1) / 4) < 1e-12
 
 
-def _panel_nodes_loop(edges, n, zero_left_exponent=None):
+def _panel_nodes_loop(left, right, n, exponent):
     """Reference: the panel rule assembled one panel at a time."""
     xs, ws = legendre_rule(n)
     nodes, weights = [], []
-    first = zero_left_exponent is not None and edges[0] == 0.0
-    if first:
-        h = edges[1]
-        xj, wj = jacobi_rule(n, 0.0, zero_left_exponent)
-        nodes.append(h / 2.0 * (1.0 + xj))
-        weights.append(wj * (h / 2.0) ** (zero_left_exponent + 1.0))
-    for a, b in zip(edges[int(first):-1], edges[int(first) + 1:]):
+    for a, b in zip(left, right):
         half = 0.5 * (b - a)
-        nodes.append(a + half * (1.0 + xs))
-        weights.append(ws * half)
-    return np.concatenate(nodes), np.concatenate(weights), first
+        if a == 0.0:
+            xj, wj = jacobi_rule(n, 0.0, exponent)
+            nodes.append(half * (1.0 + xj))
+            # numpy's array power, which can differ from float ** float in
+            # the last bit
+            weights.append(wj * np.power([half], exponent + 1.0))
+        else:
+            y = a + half * (1.0 + xs)
+            nodes.append(y)
+            weights.append(ws * half * y ** exponent)
+    return np.array(nodes), np.array(weights)
 
 
 @pytest.mark.parametrize("lo", [0.0, 0.37])
 @pytest.mark.parametrize("zl", [None, 0.6, 2.0])
 def test_panel_nodes_bit_identical_to_panel_loop(lo, zl):
+    # zl is the power folded into the weights; None folds none
+    exponent = 0.0 if zl is None else zl
     rng = np.random.default_rng(7)
     for _ in range(20):
-        hi = lo + rng.uniform(0.5, 50.0)
-        edges = panel_edges(lo, hi, rng.uniform(lo, hi),
-                            10.0 ** rng.uniform(-3, 0),
-                            breakpoints=rng.uniform(lo, hi, 3),
-                            max_panels=4000)
+        edges = lo + np.concatenate(
+            [[0.0], np.cumsum(10.0 ** rng.uniform(-3, 1, rng.integers(1, 40)))])
         for n in (8, 16):
-            got = panel_nodes(edges, n, zero_left_exponent=zl)
-            want = _panel_nodes_loop(edges, n, zero_left_exponent=zl)
-            assert got[2] == want[2] == (zl is not None and lo == 0.0)
+            got = gauss_panels(edges[:-1], edges[1:], n, exponent)
+            want = _panel_nodes_loop(edges[:-1], edges[1:], n, exponent)
             assert np.array_equal(got[0], want[0])
             assert np.array_equal(got[1], want[1])
     # a single panel from 0: the Jacobi rule alone
-    got = panel_nodes(np.array([0.0, 1.5]), 8, zero_left_exponent=zl)
-    want = _panel_nodes_loop(np.array([0.0, 1.5]), 8, zero_left_exponent=zl)
+    got = gauss_panels(np.array([0.0]), np.array([1.5]), 8, exponent)
+    want = _panel_nodes_loop([0.0], [1.5], 8, exponent)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
 
-def test_weighted_panel_nodes_folds_the_power():
+def test_weighted_panel_nodes_folds_the_power(monkeypatch):
+    # the layout weights carry y^1.4 on every panel: off a panel at 0 they
+    # are the plain Gauss-Legendre weights times y^1.4, and they sum to
+    # integral_lo^6 y^1.4 dy
     for lo in (0.0, 0.5):
-        edges = panel_edges(lo, 6.0, 1.0, 0.1)
-        nodes, weights, first = panel_nodes(edges, 16, zero_left_exponent=1.4)
-        k = 16 if first else 0
-        want = weights.copy()
-        want[k:] = weights[k:] * nodes[k:] ** 1.4
-        got_nodes, got = weighted_panel_nodes(edges, 16, 1.4)
-        assert np.array_equal(got_nodes, nodes)
-        assert np.array_equal(got, want)
-        assert float(np.sum(got)) == pytest.approx(
+        runs, lefts, rights = _radial_panels(monkeypatch, lo, 6.0, [1.0], 0.1,
+                                             (), n=16)
+        nodes, weights = gauss_panels(lefts[0], rights[0], 16, 1.4)
+        plain_nodes, plain = gauss_panels(lefts[0], rights[0], 16, 0.0)
+        k = 1 if lo == 0.0 else 0
+        assert np.array_equal(nodes[k:], plain_nodes[k:])
+        assert np.array_equal(weights[k:], plain[k:] * nodes[k:] ** 1.4)
+        assert np.array_equal(runs[0][1], weights.ravel())
+        assert float(np.sum(weights)) == pytest.approx(
             (6.0 ** 2.4 - lo ** 2.4) / 2.4, rel=1e-13)
 
 
 def test_panel_sums_blocking_is_bit_identical(monkeypatch):
     rng = np.random.default_rng(5)
     points = rng.uniform(0.5, 3.0, 60)
-    layouts = [weighted_panel_nodes(panel_edges(0.0, 8.0, x, 0.1), 16, 1.4)
-               for x in points]
+
+    def runs():
+        return radial_layouts(0.0, 8.0, points, 0.1, (), 16, 1.4, 400)
 
     def integrand(x, y, w):
         return w * np.cos(x * y) * np.exp(-y)
 
     space, f = LambdaSpace(0.7), smooth_bump(2.0, 1.0)
     xs = np.geomspace(0.05, 20.0, 40)
-    whole = panel_sums(points, iter(layouts), integrand)
+    whole = panel_sums(points, runs(), integrand)
     applied = apply_at(space, f, 0.3, xs)[0]
     transformed = hankel_transform(space, f, xs).values
 
@@ -165,10 +221,14 @@ def test_panel_sums_blocking_is_bit_identical(monkeypatch):
         return integrand(x, y, w)
 
     monkeypatch.setattr(quadrature_mod, "_NODE_BLOCK", 1000)
-    assert np.array_equal(panel_sums(points, iter(layouts), counted), whole)
+    assert np.array_equal(panel_sums(points, runs(), counted), whole)
     assert len(calls) > 3 and max(calls) < 2000
     assert np.array_equal(apply_at(space, f, 0.3, xs)[0], applied)
     assert np.array_equal(hankel_transform(space, f, xs).values, transformed)
-    per_point = [np.sum(integrand(x, y, w))
-                 for x, (y, w) in zip(points, layouts)]
+    per_point = []
+    for nodes, weights, counts in runs():
+        cuts = np.cumsum(counts)[:-1]
+        per_point += [np.sum(integrand(x, y, w)) for x, y, w in zip(
+            points[len(per_point):], np.split(nodes, cuts),
+            np.split(weights, cuts))]
     assert np.allclose(whole, per_point, rtol=1e-14, atol=0.0)
