@@ -23,15 +23,14 @@ from .functions import (SampledFunction, bump_mixture, constant_one, gaussian,
 from .hankel import (gaussian_fixed_point_defect, hankel_transform,
                      involution_defect, normalized_bessel, plancherel_defect,
                      spectral_poisson_apply)
-from .kernel import (KernelPoint, closed_form_lambda1, kernel_bound_ratios,
+from .kernel import (closed_form_lambda1, kernel_bound_ratios,
                      kernel_difference_l1, kernel_mass, kernel_sweep,
                      kernel_values, poisson_apply)
 from .lacunary import (LacunarySetup, RefinedSetup, geometric, is_lacunary,
                        is_regular, refine, remap_window)
 from .measure import (Interval, LambdaSpace, PowerWeight, ap_characteristic,
                       bmo_norm, comparability_check, dyadic_family,
-                      interval_integral, lp_norm, measure_interval,
-                      oscillation)
+                      lp_norm, measure_interval)
 from .quadrature import QuadratureSpec
 from .transform import (CotlarReport, IndexWindow, SemigroupTable,
                         TruncationLevel, apply_transform,
@@ -50,14 +49,14 @@ __all__ = [
     "indicator", "log_grid", "smooth_bump", "smoothed_step",
     "gaussian_fixed_point_defect", "hankel_transform", "involution_defect",
     "normalized_bessel", "plancherel_defect", "spectral_poisson_apply",
-    "KernelPoint", "closed_form_lambda1", "kernel_bound_ratios",
+    "closed_form_lambda1", "kernel_bound_ratios",
     "kernel_difference_l1", "kernel_mass", "kernel_sweep", "kernel_values",
     "poisson_apply",
     "LacunarySetup", "RefinedSetup", "geometric", "is_lacunary",
     "is_regular", "refine", "remap_window",
     "Interval", "LambdaSpace", "PowerWeight", "ap_characteristic",
-    "bmo_norm", "comparability_check", "dyadic_family",
-    "interval_integral", "lp_norm", "measure_interval", "oscillation",
+    "bmo_norm", "comparability_check", "dyadic_family", "lp_norm",
+    "measure_interval",
     "QuadratureSpec",
     "CotlarReport", "IndexWindow", "SemigroupTable", "TruncationLevel",
     "apply_transform", "apply_transform_kernel_route", "convergence_probe",

@@ -73,41 +73,6 @@ class SampledFunction:
             return np.asarray(self.breakpoints, dtype=float)
         return self.grid
 
-    # -- arithmetic on matching grids ----------------------------------------
-    def _binary(self, other, op):
-        if isinstance(other, SampledFunction):
-            if self.grid.shape != other.grid.shape or not np.array_equal(self.grid, other.grid):
-                raise ValueError("grids must match")
-            if (self.left, self.right) != (other.left, other.right):
-                raise ValueError("tail policies must match")
-            f, g = self.func, other.func
-            func = None
-            if f is not None and g is not None:
-                func = lambda y: op(f(y), g(y))
-            return SampledFunction(self.grid, op(self.values, other.values),
-                                   self.left, self.right, func,
-                                   tuple(sorted(set(self.breakpoints) | set(other.breakpoints))))
-        c = float(other)
-        f = self.func
-        func = None if f is None else (lambda y: op(f(y), c))
-        return SampledFunction(self.grid, op(self.values, c), self.left,
-                               self.right, func, self.breakpoints)
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
-
-    def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
-
-    def __mul__(self, other):
-        c = float(other)
-        f = self.func
-        func = None if f is None else (lambda y: f(y) * c)
-        return SampledFunction(self.grid, self.values * c, self.left,
-                               self.right, func, self.breakpoints)
-
-    __rmul__ = __mul__
-
     # -- constructors ---------------------------------------------------------
     @staticmethod
     def from_callable(func, grid, left="zero", right="zero", breakpoints=()):

@@ -35,6 +35,9 @@ from .quadrature import QuadratureSpec, panel_layouts, panel_sums
 #: above about 42.5, jv(nu, z) / z^nu underflows to 0 or turns nan
 NU_MAX = 40.5
 
+#: budget of panels per frequency of a Hankel transform
+MAX_HANKEL_PANELS = 20000
+
 
 def normalized_bessel(nu: float, z) -> np.ndarray:
     """phi(z) = z^(-nu) J_nu(z), finite at 0 with value 2^(-nu)/Gamma(nu+1).
@@ -61,11 +64,11 @@ def normalized_bessel(nu: float, z) -> np.ndarray:
 # transform quadrature
 
 def _period_layouts(lo: float, hi: float, freqs, breakpoints, n: int,
-                    exponent: float, max_panels: int):
+                    exponent: float):
     """quadrature.panel_layouts of [lo, hi], one point per frequency in
-    `freqs`: the breakpoints inside (lo, hi) are the base edges of every
-    frequency, and panels are no wider than one oscillation period
-    2 pi/freq (nor than hi - lo)."""
+    `freqs`, with the budget MAX_HANKEL_PANELS: the breakpoints inside
+    (lo, hi) are the base edges of every frequency, and panels are no wider
+    than one oscillation period 2 pi/freq (nor than hi - lo)."""
     freqs = np.asarray(freqs, dtype=float)
     bps = np.asarray(breakpoints, dtype=float)
     base = np.unique(np.concatenate([[lo, hi], bps[(bps > lo) & (bps < hi)]]))
@@ -74,12 +77,11 @@ def _period_layouts(lo: float, hi: float, freqs, breakpoints, n: int,
     return panel_layouts(np.tile(base, freqs.size),
                          np.full(freqs.size, base.size),
                          np.repeat(cap, base.size - 1), n, exponent,
-                         max_panels)
+                         MAX_HANKEL_PANELS)
 
 
 def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
                      quad: QuadratureSpec = QuadratureSpec(),
-                     max_panels: int = 20000,
                      extra_freq: float = 0.0) -> SampledFunction:
     """H f sampled on eval_grid, with a closure for exact re-evaluation.
 
@@ -87,7 +89,7 @@ def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
     nonzero hold tail has no integrable truncation and raises ValueError.
     extra_freq adds to the panelization frequency when f itself oscillates
     (e.g. f is a transform supported up to extra_freq).  A frequency whose
-    layout needs more than max_panels panels raises QuadratureError.
+    layout needs more than MAX_HANKEL_PANELS panels raises QuadratureError.
     """
     slo, shi = f.support()
     if math.isinf(shi):
@@ -100,8 +102,7 @@ def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
         if shi <= slo:
             return np.zeros_like(ys)
         runs = _period_layouts(slo, shi, np.abs(ys) + extra_freq, bps,
-                               quad.y_nodes_per_panel, space.weight_exponent,
-                               max_panels)
+                               quad.y_nodes_per_panel, space.weight_exponent)
         return panel_sums(ys, runs, lambda y, x, w: (
             w * f(x) * normalized_bessel(nu, x * y)))
 

@@ -49,17 +49,6 @@ from .quadrature import QuadratureSpec, panel_sums, radial_layouts
 _KINDS = ("p", "dt", "dx", "dy", "dtdx", "dtdy")
 
 
-@dataclass(frozen=True)
-class KernelPoint:
-    t: float
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (self.t > 0 and self.x > 0 and self.y > 0):
-            raise ValueError("t, x, y must all be positive")
-
-
 def closed_form_lambda1(t, x, y):
     """Exact kernel for lam = 1: (4t/pi) / (((x-y)^2+t^2) ((x+y)^2+t^2))."""
     t = np.asarray(t, dtype=float)
@@ -183,8 +172,7 @@ def apply_at(space: LambdaSpace, f: SampledFunction, t: float,
         his, tails = _radial_end(space.lam, t, abs(float(f.values[-1])),
                                  np.maximum(xs, max(t, f.grid[-1])), quad)
     runs = radial_layouts(slo, his, xs, t, f.quad_breakpoints(),
-                          quad.y_nodes_per_panel, space.weight_exponent,
-                          quad.panel_count)
+                          quad.y_nodes_per_panel, space.weight_exponent)
     vals = panel_sums(xs, runs, lambda x, y, w: (
         w * kernel_values(space, t, x, y) * f(y)))
     return vals, tails
@@ -235,8 +223,7 @@ def kernel_difference_l1(space: LambdaSpace, t1: float, t2: float, x: float,
         raise ValueError("needs 0 < t1 < t2")
     hi, _ = _radial_end(space.lam, t2, 1.0, max(x, t2), quad)
     runs = radial_layouts(0.0, hi, x, t1, (t1, t2, x + t1, x + t2),
-                          quad.y_nodes_per_panel, space.weight_exponent,
-                          quad.panel_count)
+                          quad.y_nodes_per_panel, space.weight_exponent)
     return float(panel_sums([x], runs, lambda x, y, w: w * np.abs(
         kernel_values(space, t2, x, y) - kernel_values(space, t1, x, y)))[0])
 
@@ -275,13 +262,16 @@ def kernel_bound_ratios(space, sweep, item) -> BoundReport:
     """Size/smoothness bound check: sup over the sweep of |kernel quantity|
     divided by the corresponding two-form bound (constants set to 1).
 
-    item 'i': kernel itself, 'ii': d/dx, 'iii': d/dt, 'iv': |d2/dtdx| +
+    The sweep is an (n, 3) array of points (t, x, y), all positive.  item
+    'i': kernel itself, 'ii': d/dx, 'iii': d/dt, 'iv': |d2/dtdx| +
     |d2/dtdy|.  The sweep must cover both regimes |x-y| <= t and |x-y| > t.
     """
-    pts = np.asarray([(p.t, p.x, p.y) for p in sweep], dtype=float)
+    pts = np.asarray(sweep, dtype=float)
     if pts.size == 0:
         raise ValueError("sweep must be nonempty")
-    t, x, y = pts[:, 0], pts[:, 1], pts[:, 2]
+    if not np.all(pts > 0):
+        raise ValueError("t, x, y must all be positive")
+    t, x, y = pts.T
     near = np.abs(x - y) <= t
     if not near.any() or near.all():
         raise ValueError("sweep must cover both |x-y| <= t and |x-y| > t")
@@ -300,12 +290,13 @@ def kernel_bound_ratios(space, sweep, item) -> BoundReport:
 
 def kernel_sweep(rng: np.random.Generator, n: int,
                  t_range=(1e-2, 1e2), xy_range=(1e-2, 1e2)):
-    """Log-uniform (t, x, y) sweep; one third of the points are forced near
-    the diagonal so both bound regimes are populated."""
+    """Log-uniform sweep, an (n, 3) array of points (t, x, y); one third of
+    the points are forced near the diagonal so both bound regimes are
+    populated."""
     t = np.exp(rng.uniform(*np.log(t_range), size=n))
     x = np.exp(rng.uniform(*np.log(xy_range), size=n))
     y = np.exp(rng.uniform(*np.log(xy_range), size=n))
     k = n // 3
     y[:k] = x[:k] * (1.0 + rng.uniform(-0.5, 0.5, size=k) * np.minimum(
         t[:k] / x[:k], 0.5))
-    return [KernelPoint(*p) for p in zip(t, x, y)]
+    return np.column_stack([t, x, y])

@@ -30,12 +30,11 @@ from .functions import (SampledFunction, bump_mixture, indicator,
                         smooth_bump, smoothed_step)
 from .hankel import (NU_MAX, gaussian_fixed_point_defect, involution_defect,
                      plancherel_defect, spectral_poisson_apply)
-from .kernel import (KernelPoint, apply_at, kernel_bound_ratios,
-                     kernel_difference_l1, kernel_sweep, kernel_values)
+from .kernel import (apply_at, kernel_bound_ratios, kernel_difference_l1,
+                     kernel_sweep, kernel_values)
 from .lacunary import LacunarySetup, geometric
-from .measure import (Interval, LambdaSpace, PowerWeight, bmo_norm,
-                      dyadic_family, interval_integral, lp_norm,
-                      measure_interval)
+from .measure import (LambdaSpace, PowerWeight, bmo_norm, dyadic_family,
+                      interval_q_averages, lp_norm)
 from .quadrature import QuadratureSpec
 from .transform import (IndexWindow, SemigroupTable, max_window_sum_abs,
                         window_kernel_bounds)
@@ -516,8 +515,7 @@ def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
         space = LambdaSpace(lam)
         sweep = kernel_sweep(rng, n, t_rng, xy_rng)
         pair_sweep = _regime_sweep(rng, n, *xy_rng)
-        sweep_d = [KernelPoint(p.t * dil, p.x * dil, p.y * dil)
-                   for p in sweep] if dil != 1.0 else sweep
+        sweep_d = sweep * dil if dil != 1.0 else sweep
         win_rep = win_rep_d = None
         if any(it in _WINDOW_ITEMS for it in items):
             setup = geometric(cfg["rho"], j_min, j_max,
@@ -849,13 +847,15 @@ def run_log_growth(cfg: ExperimentConfig) -> ExperimentResult:
     tstar_h = SampledFunction(grid, max_window_sum_abs(S[m - half:
                                                          m + half + 2]),
                               left="hold", right="zero")
+    # averages over (0, r) = I(r/2, r/2); T* >= 0, so its q = 1 averages
+    # are the signed ones
+    rs = sorted(r_list, reverse=True)
+    mid = 0.5 * np.array(rs)
+    avgs, avgs_h = (interval_q_averages(space, g, mid, mid, 1.0)
+                    for g in (tstar, tstar_h))
     rows = []
     fit_x, fit_y = [], []
-    for r in sorted(r_list, reverse=True):
-        iv = Interval(r / 2.0, r / 2.0)
-        mass = measure_interval(space, iv)
-        avg = interval_integral(space, tstar, iv) / mass
-        avg_h = interval_integral(space, tstar_h, iv) / mass
+    for r, avg, avg_h in zip(rs, avgs, avgs_h):
         stable = (abs(avg - avg_h) <= 0.05 * avg) if avg > 0 \
             else avg_h == 0.0
         rows.append((r, math.log(2.0 / r), avg, avg_h, stable))

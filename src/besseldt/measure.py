@@ -7,12 +7,21 @@ with exact antiderivatives; only genuinely non-polynomial integrands
 (|f|^q for fractional q, callable-backed functions) fall back to per-cell
 Gauss rules aligned with the sample grid.
 
-Interval integrals run batched: the cells of many intervals are laid out in
-one numpy pass (searchsorted into f's grid and breakpoints), f is evaluated
-once on all their nodes and per-interval sums are taken over the cells.
-Intervals are grouped into blocks of about _CELL_CHUNK cells, which bounds
-the memory.  A single interval is a batch of one, so the maximal function's
-thousands of averages and a single norm go through the same code.
+Every integral of f over intervals takes one batched path: the cells of
+all the intervals are laid out in one numpy pass (searchsorted into f's
+grid and breakpoints), f is evaluated once on all their nodes and
+per-interval sums are taken over the cells (_q_integrals, _signed_integrals).
+_batched clips the intervals to f's support and groups them into blocks of
+about _CELL_CHUNK cells, which bounds the memory.  The maximal function's
+thousands of averages, a BMO family, the log-growth averages and a single
+norm go through the same code; masses, A_p averages and comparability
+ratios are exact power integrals over arrays of interval ends.
+
+bmo_norm makes two such passes over its family: the signed means c_k, then
+|f - c_k| with a shift of one c_k per interval (subtracted from the linear
+pieces of a sampled f, from the values of a callable f in the Gauss cells).
+Outside f's support |f - c_k| = |c_k|, and that part is added as
+|c_k| m(I_k minus supp f) from exact power integrals.
 """
 
 from __future__ import annotations
@@ -127,19 +136,19 @@ def comparability_check(space: LambdaSpace, sweep) -> ComparabilityReport:
     The sweep is an iterable of pairs.  Whether it spans three decades in both
     coordinates is recorded as a flag (degenerate sweeps are allowed).
     """
-    pts = [(float(x), float(r)) for x, r in sweep]
-    if not pts:
+    pts = np.array(list(sweep), dtype=float)
+    if pts.size == 0:
         raise ValueError("sweep must be nonempty")
-    ratios = []
-    for x, r in pts:
-        if not (x > 0 and r > 0):
-            raise ValueError("sweep points must be positive")
-        m = measure_interval(space, Interval(x, r))
-        ratios.append(m / (x ** space.weight_exponent * r + r ** space.dimension))
-    xs = [x for x, _ in pts]
-    rs = [r for _, r in pts]
-    spans = (max(xs) / min(xs) >= 1e3) and (max(rs) / min(rs) >= 1e3)
-    return ComparabilityReport(min(ratios), max(ratios), len(pts), spans)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("sweep must be a sequence of (x, r) pairs")
+    x, r = pts.T
+    if not (np.all(x > 0) and np.all(r > 0)):
+        raise ValueError("sweep points must be positive")
+    ratios = interval_masses(space, x, r) / (
+        x ** space.weight_exponent * r + r ** space.dimension)
+    spans = (x.max() / x.min() >= 1e3) and (r.max() / r.min() >= 1e3)
+    return ComparabilityReport(float(ratios.min()), float(ratios.max()),
+                               x.size, bool(spans))
 
 
 # --------------------------------------------------------------------------
@@ -170,6 +179,14 @@ def _power_integrals(a, b, p):
         if q > 0.0:
             return b ** q * -np.expm1(-q * L) / q
         return a ** q * np.expm1(q * L) / q
+
+
+def _power_integrals_or_zero(a, b, p):
+    """_power_integrals where b > a, else 0 (it is nan at a = b = 0)."""
+    out = np.zeros(a.shape)
+    on = b > a
+    out[on] = _power_integrals(a[on], b[on], p)
+    return out
 
 
 def _alignment_points(f):
@@ -206,12 +223,13 @@ def _gauss_cells(a, b, p, values, n):
 
 
 def _gl_cells(f, A, B, p, transform):
-    """integral_{A_k}^{B_k} transform(f(y)) y^p dy for arrays of interval
-    ends, by 24-node Gauss-Legendre cells aligned with f's grid and
-    breakpoints (callable-backed f)."""
+    """integral_{A_k}^{B_k} transform(f(y), owner) y^p dy for arrays of
+    interval ends, by 24-node Gauss-Legendre cells aligned with f's grid
+    and breakpoints (callable-backed f); transform gets f's values one row
+    per cell and the interval of each cell."""
     owner, a, b = _cells(_alignment_points(f), A, B)
-    cell = _gauss_cells(
-        a, b, p, lambda y: transform(f(y.ravel())).reshape(y.shape), 24)
+    cell = _gauss_cells(a, b, p, lambda y: transform(
+        f(y.ravel()).reshape(y.shape), owner), 24)
     return np.bincount(owner, cell, minlength=A.size)
 
 
@@ -277,14 +295,30 @@ def _zero_end_q_integrals(a, b, fa, fb, q, p, n):
     return out
 
 
-def _q_integrals(f, A, B, q, p):
-    """integral_{A_k}^{B_k} |f(y)|^q y^p dy for arrays of interval ends with
-    B > A; exact for q in {1, 2} on sample-backed f.  For other q a piece of
-    a sample-backed f that ends at a zero of f gets a Gauss-Jacobi rule
-    absorbing the zero (_zero_end_q_integrals), the others 16-node Gauss."""
+def _signed_integrals(f, A, B, p):
+    """integral_{A_k}^{B_k} f(y) y^p dy for arrays of interval ends with
+    B > A; exact on sample-backed f."""
     if f.func is not None:
-        return _gl_cells(f, A, B, p, lambda t: np.abs(t) ** q)
+        return _gl_cells(f, A, B, p, lambda t, owner: t)
     owner, a, b, al, be = _linear_pieces(f, A, B)
+    return np.bincount(owner, _linear_integrals(a, b, al, be, p),
+                       minlength=A.size)
+
+
+def _q_integrals(f, A, B, q, p, shift=None):
+    """integral_{A_k}^{B_k} |f(y) - shift_k|^q y^p dy (shift 0 when None)
+    for arrays of interval ends with B > A; exact for q in {1, 2} on
+    sample-backed f.  For other q a piece of a sample-backed f that ends at
+    a zero of f - shift_k gets a Gauss-Jacobi rule absorbing the zero
+    (_zero_end_q_integrals), the others 16-node Gauss."""
+    if f.func is not None:
+        if shift is None:
+            return _gl_cells(f, A, B, p, lambda t, owner: np.abs(t) ** q)
+        return _gl_cells(f, A, B, p, lambda t, owner: (
+            np.abs(t - shift[owner, None]) ** q))
+    owner, a, b, al, be = _linear_pieces(f, A, B)
+    if shift is not None:
+        be = be - shift[owner]
     if q == 2.0:
         piece = (al * al * _power_integrals(a, b, p + 2.0)
                  + 2.0 * al * be * _power_integrals(a, b, p + 1.0)
@@ -310,27 +344,11 @@ def _q_integrals(f, A, B, q, p):
     return np.bincount(owner, piece, minlength=A.size)
 
 
-def interval_integral(space: LambdaSpace, f: SampledFunction, iv: Interval,
-                      delta: float = 0.0) -> float:
-    """integral_I f(y) y^delta dm_lam(y)."""
-    p = space.weight_exponent + delta
-    slo, shi = f.support()
-    A = np.array([max(iv.left, slo)])
-    B = np.array([min(iv.right, shi)])
-    if B[0] <= A[0]:
-        return 0.0
-    if f.func is not None:
-        return float(_gl_cells(f, A, B, p, lambda t: t)[0])
-    owner, a, b, al, be = _linear_pieces(f, A, B)
-    return float(np.bincount(owner, _linear_integrals(a, b, al, be, p))[0])
-
-
-def interval_q_integrals(space: LambdaSpace, f: SampledFunction, left, right,
-                         q: float) -> np.ndarray:
-    """integral over (left_k, right_k) of |f|^q dm_lam for arrays of interval
-    ends; exact for q in {1, 2} on sampled f."""
-    if q < 1.0:
-        raise ValueError("q must be at least 1")
+def _batched(f, left, right, integrals):
+    """Integrals over the intervals (left_k, right_k) clipped to f's
+    support, [A_k, B_k]: integrals(idx, A, B) gives them for the intervals
+    idx, one call per block of whole intervals with about _CELL_CHUNK cells;
+    an interval that misses the support gets 0."""
     slo, shi = f.support()
     A = np.maximum(np.asarray(left, dtype=float), slo)
     B = np.minimum(np.asarray(right, dtype=float), shi)
@@ -341,14 +359,19 @@ def interval_q_integrals(space: LambdaSpace, f: SampledFunction, left, right,
              - np.searchsorted(pts, A[live], side="right") + 1)
     block = (np.cumsum(cells) - cells) // _CELL_CHUNK
     for idx in np.split(live, np.flatnonzero(np.diff(block)) + 1):
-        out[idx] = _q_integrals(f, A[idx], B[idx], q, space.weight_exponent)
+        out[idx] = integrals(idx, A[idx], B[idx])
     return out
 
 
-def interval_q_integral(space: LambdaSpace, f: SampledFunction, iv: Interval,
-                        q: float) -> float:
-    """integral_I |f|^q dm_lam; exact for q in {1, 2} on sampled f."""
-    return float(interval_q_integrals(space, f, [iv.left], [iv.right], q)[0])
+def interval_q_integrals(space: LambdaSpace, f: SampledFunction, left, right,
+                         q: float) -> np.ndarray:
+    """integral over (left_k, right_k) of |f|^q dm_lam for arrays of interval
+    ends; exact for q in {1, 2} on sampled f."""
+    if q < 1.0:
+        raise ValueError("q must be at least 1")
+    p = space.weight_exponent
+    return _batched(f, left, right,
+                    lambda idx, A, B: _q_integrals(f, A, B, q, p))
 
 
 def _interval_ends(x, r):
@@ -380,39 +403,30 @@ def interval_q_averages(space: LambdaSpace, f: SampledFunction, x, r,
             .reshape(left.shape) / mass)
 
 
-def oscillation(space: LambdaSpace, f: SampledFunction, iv: Interval) -> float:
-    """integral_I |f - f_I| dm_lam with f_I the dm-average over I."""
-    m = measure_interval(space, iv)
-    c = interval_integral(space, f, iv) / m
-    p = space.weight_exponent
-    A, B = iv.left, iv.right
-    if f.func is not None:
-        return float(_gl_cells(f, np.array([A]), np.array([B]), p,
-                               lambda t: np.abs(t - c))[0])
-    slo, shi = f.support()
-    a0, b0 = max(A, slo), min(B, shi)
-    total = 0.0
-    if b0 > a0:
-        owner, a, b, al, be = _linear_pieces(f, np.array([a0]),
-                                             np.array([b0]))
-        owner, a, b, al, be = _split_at_zeros(owner, a, b, al, be - c)
-        total = float(np.bincount(
-            owner, _abs_linear_integrals(a, b, al, be, p))[0])
-    # outside the support f == 0, deviation is |c|
-    if c != 0.0:
-        total += abs(c) * (power_integral(A, min(a0, B), p)
-                           + power_integral(max(b0, A), B, p))
-    return total
+def _family_ends(family):
+    """Ends (left, right) of the intervals of a nonempty family, as arrays."""
+    ends = np.array([(iv.left, iv.right) for iv in family], dtype=float)
+    if ends.size == 0:
+        raise ValueError("interval family must be nonempty")
+    return ends[:, 0], ends[:, 1]
 
 
 def bmo_norm(space: LambdaSpace, f: SampledFunction,
              family: Iterable[Interval]) -> float:
-    """Max mean oscillation over the interval family (a BMO surrogate)."""
-    fam = list(family)
-    if not fam:
-        raise ValueError("interval family must be nonempty")
-    return max(oscillation(space, f, iv) / measure_interval(space, iv)
-               for iv in fam)
+    """Max mean oscillation (1/m(I)) integral_I |f - f_I| dm_lam over the
+    interval family (a BMO surrogate), f_I the dm-average over I."""
+    left, right = _family_ends(family)
+    p = space.weight_exponent
+    mass = _power_integrals(left, right, p)
+    c = _batched(f, left, right,
+                 lambda idx, A, B: _signed_integrals(f, A, B, p)) / mass
+    osc = _batched(f, left, right,
+                   lambda idx, A, B: _q_integrals(f, A, B, 1.0, p, c[idx]))
+    # outside the support f = 0, so |f - c| = |c| there
+    slo, shi = f.support()
+    below = _power_integrals_or_zero(left, np.clip(slo, left, right), p)
+    above = _power_integrals_or_zero(np.clip(shi, left, right), right, p)
+    return float(np.max((osc + np.abs(c) * (below + above)) / mass))
 
 
 def dyadic_family(k_range=(-4, 4), m_range=(-4, 2)) -> tuple[Interval, ...]:
@@ -453,18 +467,15 @@ def ap_characteristic(space: LambdaSpace, weight: PowerWeight, p: float,
     if not (1.0 < p < math.inf):
         raise ValueError("p must be in (1, inf)")
     fam = list(family)
-    if not fam:
-        raise ValueError("interval family must be nonempty")
+    left, right = _family_ends(fam)
     d = space.weight_exponent
     e1 = d + weight.delta
     e2 = d - weight.delta / (p - 1.0)
-    best = 0.0
-    for iv in fam:
-        if iv.left == 0.0 and (e1 <= -1.0 or e2 <= -1.0):
-            raise ValueError(
-                f"weight y^{weight.delta} not integrable on {iv} for p={p}")
-        m = measure_interval(space, iv)
-        a1 = power_integral(iv.left, iv.right, e1) / m
-        a2 = power_integral(iv.left, iv.right, e2) / m
-        best = max(best, a1 * a2 ** (p - 1.0))
-    return best
+    at_zero = np.flatnonzero(left == 0.0)
+    if at_zero.size and (e1 <= -1.0 or e2 <= -1.0):
+        raise ValueError(f"weight y^{weight.delta} not integrable on "
+                         f"{fam[at_zero[0]]} for p={p}")
+    m = _power_integrals(left, right, d)
+    a1 = _power_integrals(left, right, e1) / m
+    a2 = _power_integrals(left, right, e2) / m
+    return float(np.max(a1 * a2 ** (p - 1.0), initial=0.0))

@@ -33,19 +33,15 @@ class QuadratureSpec:
     its derivatives are closed form and take no knob.
 
     y_nodes_per_panel Gauss-Legendre nodes per radial panel
-    panel_count       budget cap on radial panels for one integral
     abs_tol           truncation-tail tolerance of the infinite integrals
     """
 
     y_nodes_per_panel: int = 16
-    panel_count: int = 400
     abs_tol: float = 1e-10
 
     def __post_init__(self):
         if self.y_nodes_per_panel < 4:
             raise ValueError("y_nodes_per_panel must be >= 4")
-        if self.panel_count < 4:
-            raise ValueError("panel_count must be >= 4")
         if not self.abs_tol > 0:
             raise ValueError("abs_tol must be positive")
 
@@ -87,6 +83,9 @@ def gauss_panels(left, right, n: int, exponent: float):
 
 #: nodes per run of panel_layouts; bounds the memory of one integrand call
 _NODE_BLOCK = 1 << 21
+
+#: budget of panels per point of radial_layouts
+MAX_RADIAL_PANELS = 400
 
 
 def panel_layouts(edges, counts, caps, n: int, exponent: float,
@@ -165,9 +164,10 @@ def panel_layouts(edges, counts, caps, n: int, exponent: float,
 
 
 def radial_layouts(lo: float, his, centers, width: float, breakpoints,
-                   n: int, exponent: float, max_panels: int):
+                   n: int, exponent: float):
     """panel_layouts of [lo, his_i] for radial integrals against a kernel
-    that peaks at y = centers_i on the scale `width`.
+    that peaks at y = centers_i on the scale `width`, with the budget
+    MAX_RADIAL_PANELS.
 
     The base edges of point i are lo, his_i and, inside (lo, his_i), the
     breakpoints, centers_i and the ladder centers_i +- width 2^k, k >= 0;
@@ -201,7 +201,7 @@ def radial_layouts(lo: float, his, centers, width: float, breakpoints,
         dist = np.maximum(np.maximum(a - c, c - b), 0.0)
         caps = (0.75 * (width + dist))[keep[:, 1:]]
         yield from panel_layouts(cand[keep], keep.sum(axis=1), caps, n,
-                                 exponent, max_panels)
+                                 exponent, MAX_RADIAL_PANELS)
 
 
 def panel_sums(points, runs, integrand) -> np.ndarray:

@@ -150,7 +150,7 @@ def apply_transform_kernel_route(space, setup, win: IndexWindow,
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     runs = radial_layouts(slo, shi, xs, setup.a_at(win.n1),
                           f.quad_breakpoints(), quad.y_nodes_per_panel,
-                          space.weight_exponent, quad.panel_count)
+                          space.weight_exponent)
     return panel_sums(xs, runs, lambda x, y, w: (
         w * window_kernel(space, setup, win, x, y) * f(y)))
 

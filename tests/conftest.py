@@ -29,16 +29,20 @@ def rel_err(got, want):
     return float(np.max(np.abs(got - want) / scale))
 
 
-def assert_budget_boundary(layouts, hi):
-    """layouts(max_panels) lays out points on [0, hi] with more than four
-    panels at the worst one: it passes at that count and, one below it,
-    raises QuadratureError naming the interval and both counts."""
-    panels = np.concatenate([r[2] for r in layouts(10 ** 6)]) // 16
+def assert_budget_boundary(monkeypatch, module, budget, layouts, hi):
+    """layouts() lays out points on [0, hi] with more than four panels at
+    the worst one, under the panel budget held by module.<budget>: it
+    passes at that count and, one below it, raises QuadratureError naming
+    the interval and both counts."""
+    monkeypatch.setattr(module, budget, 10 ** 6)
+    panels = np.concatenate([r[2] for r in layouts()]) // 16
     worst = int(panels.max())
     assert worst > 4
-    assert sum(r[2].size for r in layouts(worst)) == panels.size
+    monkeypatch.setattr(module, budget, worst)
+    assert sum(r[2].size for r in layouts()) == panels.size
+    monkeypatch.setattr(module, budget, worst - 1)
     with pytest.raises(QuadratureError,
                        match=f"panel layout of \\[0, {hi}\\] needs "
                              f"{worst} panels, above the budget of "
                              f"{worst - 1}"):
-        list(layouts(worst - 1))
+        list(layouts())

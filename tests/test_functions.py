@@ -45,17 +45,6 @@ def test_support():
     assert c.support() == (0.0, np.inf)
 
 
-def test_arithmetic_grid_guard():
-    f = indicator(1.0)
-    g = indicator(1.0)
-    h = f - g
-    assert np.all(h.values == 0.0)
-    assert np.max(np.abs((2.0 * f).values)) == 2.0 * np.max(np.abs(f.values))
-    other = SampledFunction(np.array([1.0, 2.0]), np.zeros(2))
-    with pytest.raises(ValueError):
-        f + other
-
-
 def test_indicator_shape():
     f = indicator(2.0, height=3.0)
     assert np.max(f.values) == 3.0

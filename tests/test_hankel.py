@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+import besseldt.hankel as hankel_mod
 import besseldt.quadrature as quadrature_mod
 from besseldt.errors import NumericsError, QuadratureError, TailEstimateError
 from besseldt.functions import (SampledFunction, constant_one, gaussian,
@@ -230,7 +231,7 @@ def test_osc_layouts_match_per_frequency_loop(monkeypatch, lo_zero, block):
         n = int(rng.choice([4, 8, 16]))
         expo = float(rng.choice([0.2, 1.2, 2.0, 3.7, 7.0]))
         got = list(_per_frequency(
-            _period_layouts(lo, hi, freqs, bps, n, expo, 10 ** 6)))
+            _period_layouts(lo, hi, freqs, bps, n, expo)))
         assert len(got) == freqs.size
         for freq, (nodes, weights) in zip(freqs, got):
             want_nodes, want_weights = _loop_nodes(
@@ -260,7 +261,7 @@ def test_osc_layouts_one_period_panels_on_breakpoints(lo_zero):
     for _ in range(40):
         lo, hi, bps, freqs = _random_layout_case(rng, lo_zero)
         for freq, (nodes, _) in zip(freqs, _per_frequency(_period_layouts(
-                lo, hi, freqs, bps, 8, 2.0, 10 ** 6))):
+                lo, hi, freqs, bps, 8, 2.0))):
             edges, width = _panel_edges_of(nodes, 8, lo, 2.0)
             tol = 1e-9 * hi
             assert abs(edges[0] - lo) <= tol and abs(edges[-1] - hi) <= tol
@@ -269,15 +270,18 @@ def test_osc_layouts_one_period_panels_on_breakpoints(lo_zero):
                 assert np.min(np.abs(edges - b)) <= tol, (freq, b)
 
 
-def test_osc_layouts_panel_budget():
+def test_osc_layouts_panel_budget(monkeypatch):
     # the Hankel route shares the budget of panel_layouts: a frequency whose
-    # layout has P panels passes with max_panels = P and raises
+    # layout has P panels passes with MAX_HANKEL_PANELS = P and raises
     # QuadratureError (exit 2) below it, naming the interval
-    assert_budget_boundary(lambda cap: _period_layouts(
-        0.0, 3.0, [2.0, 40.0, 80.0], (1.0, 2.0), 16, 2.0, cap), 3)
+    assert_budget_boundary(
+        monkeypatch, hankel_mod, "MAX_HANKEL_PANELS",
+        lambda: _period_layouts(0.0, 3.0, [2.0, 40.0, 80.0], (1.0, 2.0), 16,
+                                2.0), 3)
+    monkeypatch.setattr(hankel_mod, "MAX_HANKEL_PANELS", 4)
     with pytest.raises(QuadratureError, match="above the budget of 4"):
         hankel_transform(LambdaSpace(1.0), smooth_bump(2.0, 1.0),
-                         np.array([0.5, 50.0]), max_panels=4)
+                         np.array([0.5, 50.0]))
 
 
 @pytest.mark.parametrize("lam", [0.6, 1.0, 3.5])

@@ -10,7 +10,7 @@ from scipy.integrate import quad as quad_ref
 import besseldt.kernel as kernel_mod
 from besseldt.errors import TailEstimateError
 from besseldt.functions import SampledFunction, indicator
-from besseldt.kernel import (KernelPoint, _bound_denominator, apply_at,
+from besseldt.kernel import (_bound_denominator, apply_at,
                              closed_form_lambda1,
                              kernel_bound_ratios, kernel_difference_l1,
                              kernel_mass, kernel_sweep, kernel_values,
@@ -21,11 +21,15 @@ from besseldt.quadrature import QuadratureSpec
 from conftest import rel_err
 
 
-def test_kernel_point_validation():
-    with pytest.raises(ValueError):
-        KernelPoint(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        KernelPoint(1.0, -1.0, 1.0)
+def test_kernel_point_validation(space1):
+    # a sweep is an (n, 3) array of points (t, x, y), all positive
+    good = np.array([[1.0, 1.0, 1.5], [0.1, 1.0, 3.0]])
+    assert kernel_bound_ratios(space1, good, "i").n_points == 2
+    for row, col, value in ((0, 0, 0.0), (1, 1, -1.0), (0, 2, np.nan)):
+        sweep = good.copy()
+        sweep[row, col] = value
+        with pytest.raises(ValueError, match="must all be positive"):
+            kernel_bound_ratios(space1, sweep, "i")
 
 
 def test_closed_form_match_lambda1(space1, rng):

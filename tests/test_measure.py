@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad as quad_ref
+from scipy.optimize import brentq
 
 from besseldt.functions import SampledFunction, constant_one, indicator, \
     smooth_bump, smoothed_step
 from besseldt.measure import (Interval, LambdaSpace, PowerWeight,
                               ap_characteristic, bmo_norm,
                               comparability_check, dyadic_family,
-                              interval_integral, interval_q_averages,
-                              interval_q_integral, interval_q_integrals,
-                              lp_norm, measure_interval, oscillation,
-                              power_integral)
+                              interval_q_averages, interval_q_integrals,
+                              lp_norm, measure_interval, power_integral)
 
 
 def test_space_validation():
@@ -54,32 +53,21 @@ def test_power_integral():
 
 def test_interval_integral_exact_piecewise(space1):
     # piecewise-linear f times y^2 integrates in closed form per segment
+    # (f > 0 there, so its q = 1 integral is the signed one)
     f = SampledFunction(np.array([1.0, 2.0]), np.array([1.0, 3.0]))
-    iv = Interval(1.5, 0.5)
+    got = interval_q_integrals(space1, f, [1.0], [2.0], 1.0)
     want = quad_ref(lambda y: (2.0 * y - 1.0) * y ** 2, 1.0, 2.0,
                     epsabs=1e-14)[0]
-    assert interval_integral(space1, f, iv) == pytest.approx(want, rel=1e-13)
-
-
-def test_interval_integral_delta_shift(space1):
-    f = indicator(1.0)
-    iv = Interval(0.5, 0.5)
-    plain = interval_integral(space1, f, iv)
-    shifted = interval_integral(space1, f, iv, delta=1.0)
-    want = quad_ref(lambda y: y ** 3, 0.0, 1.0)[0]
-    assert plain == pytest.approx(1.0 / 3.0, rel=1e-10)
-    assert shifted == pytest.approx(want, rel=1e-8)
+    assert got[0] == pytest.approx(want, rel=1e-13)
 
 
 def test_interval_average_and_q(space1):
-    c = constant_one()
-    iv = Interval(2.0, 1.0)
-    assert (interval_integral(space1, c, iv) / measure_interval(space1, iv)
+    assert (interval_q_averages(space1, constant_one(), 2.0, 1.0, 1.0)
             == pytest.approx(1.0, rel=1e-12))
     f = smoothed_step(1.0, 0.2)
-    q2 = interval_q_integral(space1, f, Interval(0.5, 0.3), 2.0)
+    q2 = interval_q_integrals(space1, f, [0.2], [0.8], 2.0)
     want = quad_ref(lambda y: f(y) ** 2 * y ** 2, 0.2, 0.8)[0]
-    assert q2 == pytest.approx(want, rel=1e-8)
+    assert q2[0] == pytest.approx(want, rel=1e-8)
 
 
 def test_interval_q_integrals_batch():
@@ -202,14 +190,118 @@ def test_ap_characteristic_growth(space1):
     assert vals[0] >= 1.0
 
 
+def test_ap_and_comparability_against_per_interval_loop():
+    # the array forms against one power_integral per interval, and the
+    # ValueErrors of bad input
+    space = LambdaSpace(0.7)
+    d = space.weight_exponent
+    fam = dyadic_family((-3, 3), (-3, 1))
+    w, p = PowerWeight(-1.2), 2.5
+    want = max(power_integral(iv.left, iv.right, d + w.delta)
+               * (power_integral(iv.left, iv.right, d - w.delta / (p - 1.0))
+                  / measure_interval(space, iv)) ** (p - 1.0)
+               / measure_interval(space, iv) for iv in fam)
+    assert ap_characteristic(space, w, p, fam) == pytest.approx(want,
+                                                               rel=1e-14)
+    sweep = [(0.01, 3.0), (2.0, 0.5), (40.0, 1e-3)]
+    rep = comparability_check(space, iter(sweep))
+    ratios = [measure_interval(space, Interval(x, r))
+              / (x ** d * r + r ** space.dimension) for x, r in sweep]
+    assert rep.ratio_min == pytest.approx(min(ratios), rel=1e-14)
+    assert rep.ratio_max == pytest.approx(max(ratios), rel=1e-14)
+    assert (rep.n_points, rep.spans_three_decades) == (3, True)
+    for bad, match in (([], "nonempty"), ([(1.0, 0.0)], "positive"),
+                       ([(1.0, 2.0, 3.0)], "pairs")):
+        with pytest.raises(ValueError, match=match):
+            comparability_check(space, bad)
+    with pytest.raises(ValueError, match="nonempty"):
+        ap_characteristic(space, w, p, [])
+    with pytest.raises(ValueError, match="p must be"):
+        ap_characteristic(space, w, 1.0, fam)
+    with pytest.raises(ValueError, match=r"not integrable on Interval\("
+                                         r"center=0.5, radius=0.5\)"):
+        ap_characteristic(space, PowerWeight(-3.0), p,
+                          [Interval(4.0, 1.0), Interval(0.5, 0.5)])
+
+
 def test_oscillation_and_bmo(space1):
     c = constant_one()
     iv = Interval(2.0, 1.0)
-    assert oscillation(space1, c, iv) == pytest.approx(0.0, abs=1e-13)
+    assert bmo_norm(space1, c, [iv]) == pytest.approx(0.0, abs=1e-13)
     fam = dyadic_family()
     assert bmo_norm(space1, c, fam) == pytest.approx(0.0, abs=1e-13)
     f = smoothed_step(1.0, 0.2)
     assert bmo_norm(space1, f, fam) > 0.1
+
+
+def _mean_oscillation_oracle(f, iv, p):
+    """scipy quad of (1/m(I)) integral_I |f - f_I| y^p dy, split at f's grid
+    and breakpoints and at the zeros of f - f_I; pieces starting at 0 take
+    the algebraic weight y^p."""
+    a, b = iv.left, iv.right
+    kinks = np.union1d(f.grid, np.asarray(f.breakpoints, dtype=float))
+
+    m = (b ** (p + 1.0) - a ** (p + 1.0)) / (p + 1.0)
+
+    def integral(g, pts):
+        edges = [a, *sorted(t for t in set(pts) if a < t < b), b]
+        total = 0.0
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            if lo == 0.0:
+                total += quad_ref(g, lo, hi, weight="alg", wvar=(p, 0.0),
+                                  epsabs=1e-17 * m, epsrel=1e-13, limit=200)[0]
+            else:
+                total += quad_ref(lambda y: g(y) * y ** p, lo, hi,
+                                  epsabs=1e-17 * m, epsrel=1e-13, limit=200)[0]
+        return total
+
+    c = integral(lambda y: float(f(y)), kinks) / m
+    # zeros of f - c: sign changes on a fine sampling, refined by brentq
+    ys = np.union1d(np.linspace(a, b, 4001), kinks[(kinks > a) & (kinks < b)])
+    d = f(ys) - c
+    zeros = [brentq(lambda y: float(f(y)) - c, ys[i], ys[i + 1], xtol=1e-300,
+                    rtol=1e-15)
+             for i in np.flatnonzero(d[:-1] * d[1:] < 0.0)]
+    return integral(lambda y: abs(float(f(y)) - c),
+                    np.concatenate([kinks, zeros])) / m
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_mean_oscillation_against_quad(lam):
+    # (1/m(I)) integral_I |f - f_I| dm through bmo_norm on one-interval
+    # families: intervals inside, across and wholly outside the support,
+    # some starting at 0.  Sampled f and the indicator are exact to
+    # rounding; on smooth_bump the kink of |f - f_I| falls inside a Gauss
+    # cell
+    space = LambdaSpace(lam)
+    p = space.weight_exponent
+    grid = np.geomspace(0.05, 3.0, 12)
+    cases = (
+        (SampledFunction(grid, np.cos(2.0 * grid), left="hold",
+                         right="zero"),
+         ((0.2, 0.9), (2.0, 4.5), (3.5, 6.0), (0.0, 1.3), (0.0, 5.0)), 1e-14),
+        (SampledFunction(grid, np.cos(2.0 * grid), left="zero",
+                         right="hold"),
+         ((0.0, 0.04), (0.01, 0.5), (0.0, 2.0), (2.5, 5.0)), 1e-14),
+        (smoothed_step(1.0, 0.2),
+         ((0.0, 0.5), (0.5, 1.1), (0.9, 2.0), (1.5, 3.0), (0.0, 2.0)), 1e-14),
+        (indicator(1.0, 1.3),
+         ((0.0, 0.5), (0.5, 1.5), (1.5, 2.5), (0.0, 3.0), (0.2, 0.9)), 1e-14),
+        (smooth_bump(1.5, 0.6),
+         ((1.0, 2.0), (0.5, 1.5), (0.0, 0.4), (2.5, 4.0), (0.0, 3.0),
+          (1.4, 1.6)), 2e-6),
+    )
+    for f, ends, tol in cases:
+        fam = [Interval(0.5 * (a + b), 0.5 * (b - a)) for a, b in ends]
+        singles = []
+        for iv in fam:
+            got = bmo_norm(space, f, [iv])
+            want = _mean_oscillation_oracle(f, iv, p)
+            assert abs(got - want) <= tol, (f, iv, got, want)
+            singles.append(got)
+        # one batch over the family is the max of the single intervals
+        assert bmo_norm(space, f, fam) == max(singles)
 
 
 def test_dyadic_family_size():

@@ -23,8 +23,9 @@ def test_spec_validation():
         QuadratureSpec(theta_nodes=64)
     with pytest.raises(ValueError):
         QuadratureSpec(y_nodes_per_panel=2)
-    with pytest.raises(ValueError):
-        QuadratureSpec(panel_count=1)
+    # the radial panel budget is the module constant MAX_RADIAL_PANELS
+    with pytest.raises(TypeError):
+        QuadratureSpec(panel_count=400)
     with pytest.raises(ValueError):
         QuadratureSpec(abs_tol=0.0)
 
@@ -77,7 +78,7 @@ def _radial_panels(monkeypatch, lo, his, xs, t, bps, n=4):
         return real(left, right, n, exponent)
 
     monkeypatch.setattr(quadrature_mod, "gauss_panels", record)
-    runs = list(radial_layouts(lo, his, xs, t, bps, n, 1.4, 10 ** 6))
+    runs = list(radial_layouts(lo, his, xs, t, bps, n, 1.4))
     monkeypatch.setattr(quadrature_mod, "gauss_panels", real)
     cuts = np.cumsum(np.concatenate([r[2] for r in runs]) // n)[:-1]
     return (runs, np.split(np.concatenate([s[0] for s in seen]), cuts),
@@ -107,22 +108,24 @@ def test_panel_edges_breakpoints_and_grading(monkeypatch):
             assert np.all(np.isin(edges[(edges > lo) & (edges < hi)], b))
         whole = [np.concatenate(arrays) for arrays in zip(*runs)]
         monkeypatch.setattr(quadrature_mod, "_NODE_BLOCK", 64)
-        small = list(radial_layouts(lo, his, xs, t, bps, 4, 1.4, 10 ** 6))
+        small = list(radial_layouts(lo, his, xs, t, bps, 4, 1.4))
         monkeypatch.undo()
         assert len(small) >= len(runs)
         for got, want in zip(zip(*small), whole):
             assert np.array_equal(np.concatenate(got), want)
 
 
-def test_panel_edges_validation_and_budget():
+def test_panel_edges_validation_and_budget(monkeypatch):
     # the radial route shares the budget of panel_layouts: a point whose
-    # layout has P panels passes with max_panels = P and raises
+    # layout has P panels passes with MAX_RADIAL_PANELS = P and raises
     # QuadratureError (exit 2) below it, naming the interval
-    assert_budget_boundary(lambda cap: radial_layouts(
-        0.0, 8.0, [3.0, 0.5], 1e-3, (1.0, 7.0), 16, 2.0, cap), 8)
+    assert_budget_boundary(
+        monkeypatch, quadrature_mod, "MAX_RADIAL_PANELS",
+        lambda: radial_layouts(0.0, 8.0, [3.0, 0.5], 1e-3, (1.0, 7.0), 16,
+                               2.0), 8)
+    monkeypatch.setattr(quadrature_mod, "MAX_RADIAL_PANELS", 4)
     with pytest.raises(QuadratureError, match="above the budget of 4"):
-        apply_at(LambdaSpace(1.0), smooth_bump(2.0, 1.0), 1e-3, [3.0],
-                 QuadratureSpec(panel_count=4))
+        apply_at(LambdaSpace(1.0), smooth_bump(2.0, 1.0), 1e-3, [3.0])
 
 
 def test_panel_nodes_zero_left_jacobi():
@@ -203,7 +206,7 @@ def test_panel_sums_blocking_is_bit_identical(monkeypatch):
     points = rng.uniform(0.5, 3.0, 60)
 
     def runs():
-        return radial_layouts(0.0, 8.0, points, 0.1, (), 16, 1.4, 400)
+        return radial_layouts(0.0, 8.0, points, 0.1, (), 16, 1.4)
 
     def integrand(x, y, w):
         return w * np.cos(x * y) * np.exp(-y)

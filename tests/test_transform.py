@@ -9,7 +9,7 @@ from besseldt.functions import (SampledFunction, constant_one, indicator,
                                 smooth_bump)
 from besseldt.kernel import apply_at, closed_form_lambda1
 from besseldt.lacunary import LacunarySetup, geometric, refine, remap_window
-from besseldt.measure import (Interval, LambdaSpace, interval_q_integral,
+from besseldt.measure import (Interval, LambdaSpace, interval_q_integrals,
                               measure_interval)
 from besseldt.quadrature import QuadratureSpec
 from besseldt.transform import (CotlarReport, IndexWindow, SemigroupTable,
@@ -100,7 +100,7 @@ def test_transform_linearity(space1):
     f = smooth_bump(1.0, 0.5)
     win = IndexWindow(-2, 2)
     a = apply_transform(space1, setup, win, f, GRID)
-    b = apply_transform(space1, setup, win, 3.0 * f, GRID)
+    b = apply_transform(space1, setup, win, smooth_bump(1.0, 0.5, 3.0), GRID)
     assert np.allclose(3.0 * a.values, b.values, rtol=1e-12, atol=1e-15)
 
 
@@ -201,8 +201,9 @@ def _maximal_hl_loop(space, f, q, radii, pts):
         best = 0.0
         for r in radii:
             iv = Interval(x, r)
-            best = max(best, interval_q_integral(space, f, iv, q)
-                       / measure_interval(space, iv))
+            best = max(best, interval_q_integrals(
+                space, f, [iv.left], [iv.right], q)[0]
+                / measure_interval(space, iv))
         out.append(best ** (1.0 / q))
     return np.array(out)
 
