@@ -15,7 +15,12 @@ quadrature.panel_layouts, the one layout builder of the Gauss-panel
 integrals, lays out all frequencies with array operations and yields them
 in runs of about two million nodes, which panel_sums evaluates one at a
 time.  The Bessel order nu = lam - 1/2 must lie in
-[0, NU_MAX] = [0, 40.5], where scipy's jv is validated.
+[0, NU_MAX] = [0, 40.5].
+
+Bessel values are almost all of a transform's cost, so normalized_bessel
+takes scipy's fastest accurate route per argument: the confluent limit
+function 0F1 (DLMF 10.16.9) up to z = 512, spherical_jn at half-integer
+orders (DLMF 10.47.3) above z = 1, and jv elsewhere.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import jv
+from scipy.special import hyp0f1, jv, spherical_jn
 
 from .errors import NumericsError, TailEstimateError
 from .functions import SampledFunction
@@ -31,8 +36,8 @@ from .measure import LambdaSpace, lp_norm
 from .quadrature import QuadratureSpec, panel_layouts, panel_sums
 
 
-#: largest order nu (lambda = 41) at which normalized_bessel is validated;
-#: above about 42.5, jv(nu, z) / z^nu underflows to 0 or turns nan
+#: largest order nu (lambda = 41) at which normalized_bessel is checked
+#: against mpmath; larger orders are unchecked and raise
 NU_MAX = 40.5
 
 #: budget of panels per frequency of a Hankel transform
@@ -42,21 +47,42 @@ MAX_HANKEL_PANELS = 20000
 def normalized_bessel(nu: float, z) -> np.ndarray:
     """phi(z) = z^(-nu) J_nu(z), finite at 0 with value 2^(-nu)/Gamma(nu+1).
 
-    scipy's jv over z^nu; below z = 1e-6 the two-term series
-    (1 - z^2 / (4 (nu+1))) / (2^nu Gamma(nu+1)), exact to rounding there.
-    Orders outside [0, NU_MAX] raise ValueError."""
+    Three scipy routes, chosen per argument (ns per point on 6e5 points,
+    scipy 1.17.1 on a 2-CPU Xeon host, against scipy's jv / z^nu):
+
+    - z <= 512: 0F1(; nu+1; -z^2/4) / (2^nu Gamma(nu+1)) (DLMF 10.16.9),
+      which also covers z = 0 and tiny z.  2-3.5x faster than jv for
+      z >= 1 and 12x below 1e-3 (only [1e-3, 1] is slower, about 360
+      against 240 ns).  Within 2.6e-14 of the envelope
+      min(phi(0), sqrt(2/pi) z^(-nu-1/2)) for every nu in [0, 40.5],
+      where jv reaches 3.2e-13 at nu = 40.5.
+    - z > 512, nu not a half-integer: jv(nu, z) / z^nu.  0F1 takes
+      -z^2/4 and a square root back, which moves z by up to an ulp; the
+      phase error then grows with z, from 5e-14 of the envelope at
+      z = 525 to 2.1e-13 at z = 2000.
+    - z > 1, half-integer nu = n + 1/2: sqrt(2/pi) j_n(z) / z^n
+      (DLMF 10.47.3) through spherical_jn, 68-80 ns against 526-711 ns
+      for jv, within 4.8e-14 of the envelope for n up to 40.  Below
+      z = 1 the 0F1 route serves, as z^n underflows at tiny z.
+
+    Orders outside [0, NU_MAX] and negative arguments raise ValueError."""
     if not 0.0 <= nu <= NU_MAX:
         raise ValueError(f"nu must lie in [0, {NU_MAX:g}], got {nu:g}")
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z < 0):
         raise ValueError("argument must be nonnegative")
+    n = nu - 0.5
+    half_integer = n.is_integer()
+    far = z > (1.0 if half_integer else 512.0)
+    zn, zf = z[~far], z[far]
     out = np.empty_like(z)
-    small = z < 1e-6
-    zs = z[small]
-    out[small] = ((1.0 - zs * zs / (4.0 * (nu + 1.0)))
-                  / (2.0 ** nu * math.gamma(nu + 1.0)))
-    zb = z[~small]
-    out[~small] = jv(nu, zb) / zb ** nu
+    out[~far] = (hyp0f1(nu + 1.0, -0.25 * zn * zn)
+                 / (2.0 ** nu * math.gamma(nu + 1.0)))
+    if half_integer:
+        out[far] = (math.sqrt(2.0 / math.pi) * spherical_jn(int(n), zf)
+                    / zf ** n)
+    else:
+        out[far] = jv(nu, zf) / zf ** nu
     return out
 
 
@@ -141,11 +167,15 @@ def spectral_poisson_apply(space: LambdaSpace, f: SampledFunction, t: float,
 def gaussian_fixed_point_defect(space: LambdaSpace, eval_pts,
                                 quad: QuadratureSpec = QuadratureSpec()
                                 ) -> float:
-    """max over eval_pts of |H(exp(-x^2/2))(y) - exp(-y^2/2)|."""
+    """max over eval_pts of |H(exp(-x^2/2))(y) - exp(-y^2/2)|.
+
+    The Gaussian's left tail is "hold" on its callable, so its support
+    starts at 0 and the Gauss-Jacobi first panel takes the piece below the
+    grid."""
     grid = np.geomspace(1e-6, 14.0, 256)
     g = SampledFunction.from_callable(
         lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2), grid,
-        breakpoints=(0.5, 1.0, 2.0, 4.0, 8.0))
+        left="hold", breakpoints=(0.5, 1.0, 2.0, 4.0, 8.0))
     eval_pts = np.asarray(eval_pts, dtype=float)
     hg = hankel_transform(space, g, eval_pts, quad)
     return float(np.max(np.abs(hg.values - np.exp(-0.5 * eval_pts ** 2))))

@@ -30,25 +30,38 @@ def test_normalized_bessel_against_scipy():
         assert rel_err(got, want) < 5e-12
 
 
-def test_normalized_bessel_against_mpmath():
-    # error relative to the envelope min(phi(0), sqrt(2/pi) z^(-nu-1/2)) of
-    # phi, against 40-digit mpmath, from z = 0 through the tiny-z series
-    # into the oscillatory range
+def _envelope_errors(nu, z):
+    """|normalized_bessel(nu, z) - phi(z)| over the envelope
+    min(phi(0), sqrt(2/pi) z^(-nu-1/2)) of phi, against 40-digit mpmath,
+    one per z."""
     mp = pytest.importorskip("mpmath")
-    z = np.concatenate([[0.0], np.geomspace(1e-300, 1e-3, 40),
-                        np.geomspace(1e-3, 4000.0, 200)])
+    got = normalized_bessel(nu, z)
+    at0 = 2.0 ** -nu / math.gamma(nu + 1.0)
+    errs = []
     with mp.workdps(40):
-        for nu in (0.0, 0.25, 0.75, 1.2, 3.0, 6.5):
-            got = normalized_bessel(nu, z)
-            at0 = 2.0 ** -nu / math.gamma(nu + 1.0)
-            for zi, g in zip(z, got):
-                if zi == 0.0:
-                    want, env = mp.mpf(at0), at0
-                else:
-                    want = mp.besselj(nu, zi) / mp.mpf(zi) ** nu
-                    env = min(at0, float(mp.sqrt(2 / mp.pi)
-                                         * mp.mpf(zi) ** (-nu - 0.5)))
-                assert float(abs(g - want)) <= 1e-13 * env, (nu, zi)
+        for zi, g in zip(z, got):
+            if zi == 0.0:
+                want, env = mp.mpf(at0), at0
+            else:
+                want = mp.besselj(nu, zi) / mp.mpf(zi) ** nu
+                env = min(at0, float(mp.sqrt(2 / mp.pi)
+                                     * mp.mpf(zi) ** (-nu - 0.5)))
+            errs.append(float(abs(g - want)) / env)
+    return np.array(errs)
+
+
+def test_normalized_bessel_against_mpmath():
+    # from z = 0 into the oscillatory range, with arguments on both sides
+    # of the route crossovers: z = 1 for the spherical_jn route of
+    # half-integer orders, z = 512 for the others
+    crossings = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
+                 np.nextafter(512.0, 0.0), 512.0, np.nextafter(512.0, 1e3),
+                 1.0 - 1e-6, 1.0 + 1e-6, 512.0 - 1e-3, 512.0 + 1e-3]
+    z = np.concatenate([[0.0], np.geomspace(1e-300, 1e-3, 40),
+                        np.geomspace(1e-3, 4000.0, 200), crossings])
+    for nu in (0.0, 0.25, 0.5, 0.75, 1.2, 1.5, 3.0, 3.5, 6.5, 20.5):
+        errs = _envelope_errors(nu, z)
+        assert np.all(errs <= 1e-13), (nu, z[np.argmax(errs)])
 
 
 def test_normalized_bessel_at_zero_limit():
@@ -68,6 +81,13 @@ def test_gaussian_fixed_point_other_lambda():
     s = LambdaSpace(0.6)
     pts = np.geomspace(0.1, 4.0, 8)
     assert gaussian_fixed_point_defect(s, pts) < 1e-10
+
+
+def test_gaussian_fixed_point_at_lambda_one_half():
+    # the Gaussian's support starts at 0, so the piece below its grid is
+    # integrated too (dropping [0, 1e-6] cost 5e-13 here)
+    pts = np.geomspace(0.05, 6.0, 12)
+    assert gaussian_fixed_point_defect(LambdaSpace(0.5), pts) < 1e-14
 
 
 def test_hankel_rejects_hold_tail(space1):
@@ -131,27 +151,18 @@ def test_spectral_route_matches_direct(space1):
 
 
 def test_normalized_bessel_at_the_largest_order():
-    # nu = 40.5 (lambda = 41) is the largest order accepted; scipy's jv is
-    # within 3e-13 of the envelope there (at z of several hundred), above
-    # the 1e-13 it keeps up to nu = 6.5
-    mp = pytest.importorskip("mpmath")
-    nu = 40.5
+    # nu = 40.5 (lambda = 41) is the largest order accepted, and 40.25 is a
+    # neighbour off the half-integers.  jv still serves z > 512 there, and
+    # it is within only 3e-13 of the envelope at these orders (at z of
+    # several hundred), above the 1e-13 it keeps up to nu = 6.5
     z = np.concatenate([[0.0, 1e-300, 1e-7], np.geomspace(1e-3, 4000.0, 120)])
-    got = normalized_bessel(nu, z)
-    at0 = 2.0 ** -nu / math.gamma(nu + 1.0)
-    with mp.workdps(40):
-        for zi, g in zip(z, got):
-            if zi == 0.0:
-                want, env = mp.mpf(at0), at0
-            else:
-                want = mp.besselj(nu, zi) / mp.mpf(zi) ** nu
-                env = min(at0, float(mp.sqrt(2 / mp.pi)
-                                     * mp.mpf(zi) ** (-nu - 0.5)))
-            assert float(abs(g - want)) <= 5e-13 * env, zi
+    for nu in (40.5, 40.25):
+        errs = _envelope_errors(nu, z)
+        assert np.all(errs <= 5e-13), (nu, z[np.argmax(errs)])
 
 
 def test_normalized_bessel_rejects_orders_outside_the_validated_range():
-    # above nu ~ 42.5 jv(nu, z) / z^nu underflows to 0 or turns nan
+    # orders above NU_MAX are not checked against mpmath
     assert np.all(np.isfinite(normalized_bessel(40.5, [0.0, 1.0, 73.0])))
     for nu in (40.6, 42.5, 60.0, -0.1):
         with pytest.raises(ValueError, match="nu must lie in"):
