@@ -2,7 +2,8 @@
 
 The measure is dm(x) = x^(2*lambda) dx.  Modules:
 
-- ``measure``: the weighted half-line, intervals, Lp norms, Ap weights, BMO
+- ``measure``: the weighted half-line, intervals, Lp norms, the A_p range of
+  power weights, BMO
 - ``quadrature``: Gauss rules and the one panel-layout builder of the
   integrators
 - ``functions``: piecewise-linear sampled functions and stock builders
@@ -19,7 +20,7 @@ The measure is dm(x) = x^(2*lambda) dx.  Modules:
 from .errors import (ConfigError, ContractError, NumericsError,
                      QuadratureError, TailEstimateError)
 from .functions import (SampledFunction, bump_mixture, constant_one, gaussian,
-                        indicator, log_grid, smooth_bump, smoothed_step)
+                        indicator, smooth_bump, smoothed_step)
 from .hankel import (gaussian_fixed_point_defect, hankel_transform,
                      involution_defect, normalized_bessel, plancherel_defect,
                      spectral_poisson_apply)
@@ -28,17 +29,15 @@ from .kernel import (closed_form_lambda1, kernel_bound_ratios,
                      kernel_values, poisson_apply)
 from .lacunary import (LacunarySetup, RefinedSetup, geometric, is_lacunary,
                        is_regular, refine, remap_window)
-from .measure import (Interval, LambdaSpace, PowerWeight, ap_characteristic,
-                      bmo_norm, comparability_check, dyadic_family,
-                      lp_norm, measure_interval)
+from .measure import (Interval, LambdaSpace, PowerWeight, bmo_norm,
+                      dyadic_family, lp_norm)
 from .quadrature import QuadratureSpec
 from .transform import (CotlarReport, IndexWindow, SemigroupTable,
                         TruncationLevel, apply_transform,
                         apply_transform_kernel_route, convergence_probe,
-                        cotlar_check, head_sum_bound_ratio, maximal_hl,
-                        maximal_transform, maximal_transform_brute,
-                        tail_sum_bound_ratio, window_kernel,
-                        window_kernel_bounds)
+                        cotlar_check, maximal_hl, maximal_transform,
+                        maximal_transform_brute, tail_sum_bound_ratio,
+                        window_kernel, window_kernel_bounds)
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,7 @@ __all__ = [
     "ConfigError", "ContractError", "NumericsError", "QuadratureError",
     "TailEstimateError",
     "SampledFunction", "bump_mixture", "constant_one", "gaussian",
-    "indicator", "log_grid", "smooth_bump", "smoothed_step",
+    "indicator", "smooth_bump", "smoothed_step",
     "gaussian_fixed_point_defect", "hankel_transform", "involution_defect",
     "normalized_bessel", "plancherel_defect", "spectral_poisson_apply",
     "closed_form_lambda1", "kernel_bound_ratios",
@@ -54,13 +53,12 @@ __all__ = [
     "poisson_apply",
     "LacunarySetup", "RefinedSetup", "geometric", "is_lacunary",
     "is_regular", "refine", "remap_window",
-    "Interval", "LambdaSpace", "PowerWeight", "ap_characteristic",
-    "bmo_norm", "comparability_check", "dyadic_family", "lp_norm",
-    "measure_interval",
+    "Interval", "LambdaSpace", "PowerWeight", "bmo_norm", "dyadic_family",
+    "lp_norm",
     "QuadratureSpec",
     "CotlarReport", "IndexWindow", "SemigroupTable", "TruncationLevel",
     "apply_transform", "apply_transform_kernel_route", "convergence_probe",
-    "cotlar_check", "head_sum_bound_ratio", "maximal_hl",
-    "maximal_transform", "maximal_transform_brute", "tail_sum_bound_ratio",
+    "cotlar_check", "maximal_hl", "maximal_transform",
+    "maximal_transform_brute", "tail_sum_bound_ratio",
     "window_kernel", "window_kernel_bounds",
 ]

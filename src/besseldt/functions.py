@@ -81,13 +81,6 @@ class SampledFunction:
                                left, right, func, tuple(breakpoints))
 
 
-def log_grid(lo: float = 1e-3, hi: float = 1e3, n: int = 512) -> np.ndarray:
-    """Default evaluation grid: log-spaced over [lo, hi]."""
-    if not (0 < lo < hi) or n < 2:
-        raise ValueError("need 0 < lo < hi and n >= 2")
-    return np.geomspace(lo, hi, n)
-
-
 def indicator(b: float = 1.0, height: float = 1.0, n: int = 64) -> SampledFunction:
     """chi_(0,b) scaled by `height`, represented exactly for quadrature."""
     if b <= 0:

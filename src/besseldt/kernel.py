@@ -132,7 +132,8 @@ def _radial_end(lam: float, t: float, hold: float, base, quad):
     base = np.asarray(base, dtype=float)
     need = c_tail * t * max(hold, 1e-300) / (target * base)
     K = np.maximum(1.0, np.ceil(np.log2(np.maximum(need, 2.0))))
-    if np.any(K > 200):
+    # base * 2^K must stay a finite float
+    if np.any(K > 200) or np.any(np.log2(base) + K >= 1024):
         raise TailEstimateError(
             f"tail truncation needs 2^{K.max():g} * {base.max():g}; "
             "not attainable")

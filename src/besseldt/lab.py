@@ -344,12 +344,19 @@ def _check_together(exp: str, c: dict, bad) -> None:
             bad(f"window (-{reach - 1},{reach - 1}) does not fit in "
                 f"[{c['j_min']},{c['j_max']}]", "j_min", "j_max", "windows")
     if "v" in c:
-        lo, hi = ((-c["m"], c["m"] + 1) if exp in ("weighted", "loggrowth")
-                  else (c["j_min"], c["j_max"]))
+        lo, hi = _pair_range(exp, c)
         try:
             resolve_v(c["v"], lo, hi)
         except ConfigError as exc:
             bad(str(exc), "v", "m", "j_min", "j_max")
+
+
+def _pair_range(exp: str, c) -> tuple:
+    """Pair indices [lo, hi) of the weights v: [-m, m] for the T*_M runners
+    weighted and loggrowth, [j_min, j_max) for the others."""
+    if exp in ("weighted", "loggrowth"):
+        return -c["m"], c["m"] + 1
+    return c["j_min"], c["j_max"]
 
 
 def resolve_v(spec: str, j_min: int, j_max: int) -> np.ndarray:
@@ -448,6 +455,27 @@ def _grid(cfg: ExperimentConfig) -> np.ndarray:
     return np.geomspace(cfg["grid_lo"], cfg["grid_hi"], cfg["grid_points"])
 
 
+def _setup(cfg: ExperimentConfig) -> LacunarySetup:
+    """Geometric times with ratio rho and the weights v over the pair range
+    of the experiment."""
+    lo, hi = _pair_range(cfg.experiment, cfg)
+    return geometric(cfg["rho"], lo, hi, v=resolve_v(cfg["v"], lo, hi))
+
+
+def _on_grid(grid: np.ndarray, vals: np.ndarray) -> SampledFunction:
+    """An operator output sampled on a grid: held on the left, zero on the
+    right."""
+    return SampledFunction(grid, vals, left="hold", right="zero")
+
+
+def _maximal_pair(table: SemigroupTable, m: int):
+    """T*_M and T*_(M/2) on the table's grid from one prefix pass."""
+    S = table.weighted_prefixes(m)
+    half = m // 2
+    return (max_window_sum_abs(S),
+            max_window_sum_abs(S[m - half:m + half + 2]))
+
+
 def _spearman(a, b) -> float:
     """Spearman's rank correlation: the Pearson correlation of the average
     ranks, tied values sharing the mean of their ranks; nan when either
@@ -506,8 +534,27 @@ def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
     dil = cfg["dilation"]
     t_rng = (cfg["t_lo"], cfg["t_hi"])
     xy_rng = (cfg["xy_lo"], cfg["xy_hi"])
-    j_min, j_max = cfg["j_min"], cfg["j_max"]
+    setup = _setup(cfg)
     win = IndexWindow(cfg["n1"], cfg["n2"])
+
+    def constants(space, sweep, pair_sweep, s):
+        """item -> [(regime, constant)] on the sweeps and times scaled by s."""
+        out = {}
+        if any(it in _WINDOW_ITEMS for it in items):
+            setup_s = LacunarySetup(setup.a * s, setup.v, setup.rho,
+                                    setup.j_min)
+            rep = window_kernel_bounds(space, setup_s, win, pair_sweep * s,
+                                       gradient="window_gradient" in items)
+            out["window_size"] = [("all", rep.sup_size),
+                                  ("near", rep.sup_size_near),
+                                  ("far", rep.sup_size_far)]
+            out["window_gradient"] = [("all", rep.sup_gradient)]
+        for item in items:
+            if item not in _WINDOW_ITEMS:
+                rep = kernel_bound_ratios(space, sweep * s, item)
+                out[item] = [("all", rep.sup_ratio), ("near", rep.sup_near),
+                             ("far", rep.sup_far)]
+        return out
 
     rows = []
     failures = []
@@ -515,44 +562,11 @@ def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
         space = LambdaSpace(lam)
         sweep = kernel_sweep(rng, n, t_rng, xy_rng)
         pair_sweep = _regime_sweep(rng, n, *xy_rng)
-        sweep_d = sweep * dil if dil != 1.0 else sweep
-        win_rep = win_rep_d = None
-        if any(it in _WINDOW_ITEMS for it in items):
-            setup = geometric(cfg["rho"], j_min, j_max,
-                              v=resolve_v(cfg["v"], j_min, j_max))
-            grad = "window_gradient" in items
-            win_rep = window_kernel_bounds(space, setup, win, pair_sweep,
-                                           gradient=grad)
-            if dil != 1.0:
-                setup_d = LacunarySetup(setup.a * dil, setup.v, setup.rho,
-                                        setup.j_min)
-                win_rep_d = window_kernel_bounds(space, setup_d, win,
-                                                 pair_sweep * dil,
-                                                 gradient=grad)
+        plain = constants(space, sweep, pair_sweep, 1.0)
+        dilated = (constants(space, sweep, pair_sweep, dil) if dil != 1.0
+                   else plain)
         for item in items:
-            if item in _WINDOW_ITEMS:
-                rep, rep_d = win_rep, win_rep_d
-                if item == "window_size":
-                    triples = [("all", rep.sup_size,
-                                rep_d.sup_size if rep_d else rep.sup_size),
-                               ("near", rep.sup_size_near,
-                                rep_d.sup_size_near if rep_d
-                                else rep.sup_size_near),
-                               ("far", rep.sup_size_far,
-                                rep_d.sup_size_far if rep_d
-                                else rep.sup_size_far)]
-                else:
-                    triples = [("all", rep.sup_gradient,
-                                rep_d.sup_gradient if rep_d
-                                else rep.sup_gradient)]
-            else:
-                rep = kernel_bound_ratios(space, sweep, item)
-                rep_d = (kernel_bound_ratios(space, sweep_d, item)
-                         if dil != 1.0 else rep)
-                triples = [("all", rep.sup_ratio, rep_d.sup_ratio),
-                           ("near", rep.sup_near, rep_d.sup_near),
-                           ("far", rep.sup_far, rep_d.sup_far)]
-            for regime, val, val_d in triples:
+            for (regime, val), (_, val_d) in zip(plain[item], dilated[item]):
                 rows.append((lam, item, regime, val, val_d))
                 if not math.isfinite(val):
                     failures.append(f"non-finite constant: lambda={lam:g} "
@@ -573,12 +587,9 @@ def run_transform(cfg: ExperimentConfig) -> ExperimentResult:
     """T_N f (and, when m is set, T*_M f) sampled on a log grid."""
     space = LambdaSpace(cfg["lambda"])
     rng = np.random.default_rng(cfg["seed"])
-    j_min, j_max = cfg["j_min"], cfg["j_max"]
-    setup = geometric(cfg["rho"], j_min, j_max,
-                      v=resolve_v(cfg["v"], j_min, j_max))
     f = resolve_f(cfg["f"], rng)
     grid = _grid(cfg)
-    table = SemigroupTable(space, setup, f, grid, cfg.quadrature())
+    table = SemigroupTable(space, _setup(cfg), f, grid, cfg.quadrature())
     vals = table.window(cfg["n1"], cfg["n2"])
     header = ["x", "t_n"]
     columns = [grid, vals]
@@ -672,10 +683,8 @@ def run_uniform_l2(cfg: ExperimentConfig) -> ExperimentResult:
     space = LambdaSpace(cfg["lambda"])
     quad = cfg.quadrature()
     rng = np.random.default_rng(cfg["seed"])
-    j_min, j_max = cfg["j_min"], cfg["j_max"]
-    setup = geometric(cfg["rho"], j_min, j_max,
-                      v=resolve_v(cfg["v"], j_min, j_max))
-    wins = _sample_windows(rng, cfg["windows"], j_min, j_max)
+    setup = _setup(cfg)
+    wins = _sample_windows(rng, cfg["windows"], cfg["j_min"], cfg["j_max"])
     grid = _grid(cfg)
     rows = []
     ratios, lengths = [], []
@@ -684,8 +693,7 @@ def run_uniform_l2(cfg: ExperimentConfig) -> ExperimentResult:
         norm_f = lp_norm(space, f, 2.0)
         table = SemigroupTable(space, setup, f, grid, quad)
         for win in wins:
-            tn = SampledFunction(grid, table.window(win.n1, win.n2),
-                                 left="hold", right="zero")
+            tn = _on_grid(grid, table.window(win.n1, win.n2))
             ratio = lp_norm(space, tn, 2.0) / norm_f
             rows.append((i, win.n1, win.n2, win.length, ratio))
             ratios.append(ratio)
@@ -714,23 +722,15 @@ def run_weighted_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg["p"]
     weight = PowerWeight(cfg["delta"])
     lo, hi = weight.ap_bounds(space, p)
-    m = cfg["m"]
-    setup = geometric(cfg["rho"], -m, m + 1, v=resolve_v(cfg["v"], -m, m + 1))
+    setup = _setup(cfg)
     grid = _grid(cfg)
     rows = []
     for i in range(cfg["f_count"]):
         f = bump_mixture(rng, span=(1e-1, 1e1))
         table = SemigroupTable(space, setup, f, grid, quad)
-        S = table.weighted_prefixes(m)
-        tstar = max_window_sum_abs(S)
-        half = m // 2
-        tstar_half = max_window_sum_abs(S[m - half:m + half + 2])
         den = lp_norm(space, f, p, weight)
-        num = lp_norm(space, SampledFunction(grid, tstar, left="hold",
-                                             right="zero"), p, weight)
-        num_h = lp_norm(space, SampledFunction(grid, tstar_half, left="hold",
-                                               right="zero"), p, weight)
-        ratio, ratio_h = num / den, num_h / den
+        ratio, ratio_h = (lp_norm(space, _on_grid(grid, tstar), p, weight)
+                          / den for tstar in _maximal_pair(table, cfg["m"]))
         stab = abs(ratio - ratio_h) / ratio if ratio > 0 else 0.0
         rows.append((i, ratio, ratio_h, stab))
     max_ratio = float(np.max([r[1] for r in rows]))
@@ -750,13 +750,10 @@ def run_bmo_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     sup must stabilize once the window covers the active scales."""
     space = LambdaSpace(cfg["lambda"])
     rng = np.random.default_rng(cfg["seed"])
-    j_min, j_max = cfg["j_min"], cfg["j_max"]
-    setup = geometric(cfg["rho"], j_min, j_max,
-                      v=resolve_v(cfg["v"], j_min, j_max))
     f = resolve_f(cfg["f"], rng)
     fam = dyadic_family((cfg["k_lo"], cfg["k_hi"]), (cfg["m_lo"], cfg["m_hi"]))
     grid = _grid(cfg)
-    table = SemigroupTable(space, setup, f, grid, cfg.quadrature())
+    table = SemigroupTable(space, _setup(cfg), f, grid, cfg.quadrature())
     sup_f = float(np.max(np.abs(f.values)))
     bmo_f = bmo_norm(space, f, fam)
     rows = []
@@ -766,9 +763,7 @@ def run_bmo_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # nothing, and windows still inside the ramp-up would test the
     # wrong thing.
     for L in range(4, 4 + cfg["windows"]):
-        tn = SampledFunction(grid, table.window(-L, L), left="hold",
-                             right="zero")
-        b = bmo_norm(space, tn, fam)
+        b = bmo_norm(space, _on_grid(grid, table.window(-L, L)), fam)
         r_inf = b / sup_f if sup_f > 0 else math.nan
         r_bmo = b / bmo_f if bmo_f > 0 else math.nan
         rows.append((-L, L, b, r_inf, r_bmo))
@@ -837,22 +832,15 @@ def run_log_growth(cfg: ExperimentConfig) -> ExperimentResult:
     m = cfg["m"]
     r_list = cfg["r_list"]
     f = indicator(1.0, cfg["f_height"])
-    setup = geometric(cfg["rho"], -m, m + 1, v=resolve_v(cfg["v"], -m, m + 1))
     grid = np.geomspace(min(r_list) / 64.0, max(r_list), cfg["grid_points"])
-    table = SemigroupTable(space, setup, f, grid, cfg.quadrature())
-    S = table.weighted_prefixes(m)
-    half = m // 2
-    tstar = SampledFunction(grid, max_window_sum_abs(S),
-                            left="hold", right="zero")
-    tstar_h = SampledFunction(grid, max_window_sum_abs(S[m - half:
-                                                         m + half + 2]),
-                              left="hold", right="zero")
+    table = SemigroupTable(space, _setup(cfg), f, grid, cfg.quadrature())
     # averages over (0, r) = I(r/2, r/2); T* >= 0, so its q = 1 averages
     # are the signed ones
     rs = sorted(r_list, reverse=True)
     mid = 0.5 * np.array(rs)
-    avgs, avgs_h = (interval_q_averages(space, g, mid, mid, 1.0)
-                    for g in (tstar, tstar_h))
+    avgs, avgs_h = (interval_q_averages(space, _on_grid(grid, tstar), mid,
+                                        mid, 1.0)
+                    for tstar in _maximal_pair(table, m))
     rows = []
     fit_x, fit_y = [], []
     for r, avg, avg_h in zip(rs, avgs, avgs_h):

@@ -1,11 +1,10 @@
 """The measure space ((0,inf), |.|, dm_lam) with dm_lam = y^(2*lam) dy.
 
-Interval masses, comparability diagnostics, weighted Lebesgue norms, BMO over
-a dyadic interval family and Muckenhoupt A_p characteristics for power
-weights.  Integrals of piecewise-linear data against power weights are done
-with exact antiderivatives; only genuinely non-polynomial integrands
-(|f|^q for fractional q, callable-backed functions) fall back to per-cell
-Gauss rules aligned with the sample grid.
+Interval masses, weighted Lebesgue norms, BMO over a dyadic interval family
+and the A_p range of power weights.  Integrals of piecewise-linear data
+against power weights are done with exact antiderivatives; only genuinely
+non-polynomial integrands (|f|^q for fractional q, callable-backed
+functions) fall back to per-cell Gauss rules aligned with the sample grid.
 
 Every integral of f over intervals takes one batched path: the cells of
 all the intervals are laid out in one numpy pass (searchsorted into f's
@@ -14,8 +13,8 @@ per-interval sums are taken over the cells (_q_integrals, _signed_integrals).
 _batched clips the intervals to f's support and groups them into blocks of
 about _CELL_CHUNK cells, which bounds the memory.  The maximal function's
 thousands of averages, a BMO family, the log-growth averages and a single
-norm go through the same code; masses, A_p averages and comparability
-ratios are exact power integrals over arrays of interval ends.
+norm go through the same code; masses are exact power integrals over arrays
+of interval ends.
 
 bmo_norm makes two such passes over its family: the signed means c_k, then
 |f - c_k| with a shift of one c_k per interval (subtracted from the linear
@@ -105,50 +104,6 @@ class PowerWeight:
     def in_ap(self, space: LambdaSpace, p: float) -> bool:
         lo, hi = self.ap_bounds(space, p)
         return lo < self.delta < hi
-
-
-# --------------------------------------------------------------------------
-# exact power-integral primitives
-
-def power_integral(a: float, b: float, p: float) -> float:
-    """integral_a^b y^p dy, exact antiderivative; a >= 0, b >= a."""
-    if b <= a:
-        return 0.0
-    return float(_power_integrals(np.float64(a), np.float64(b), p))
-
-
-def measure_interval(space: LambdaSpace, iv: Interval) -> float:
-    """m_lam(I) via the exact antiderivative."""
-    return power_integral(iv.left, iv.right, space.weight_exponent)
-
-
-@dataclass(frozen=True)
-class ComparabilityReport:
-    ratio_min: float
-    ratio_max: float
-    n_points: int
-    spans_three_decades: bool
-
-
-def comparability_check(space: LambdaSpace, sweep) -> ComparabilityReport:
-    """Ratios m(I(x,r)) / (x^(2 lam) r + r^(2 lam + 1)) over a sweep of (x, r).
-
-    The sweep is an iterable of pairs.  Whether it spans three decades in both
-    coordinates is recorded as a flag (degenerate sweeps are allowed).
-    """
-    pts = np.array(list(sweep), dtype=float)
-    if pts.size == 0:
-        raise ValueError("sweep must be nonempty")
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("sweep must be a sequence of (x, r) pairs")
-    x, r = pts.T
-    if not (np.all(x > 0) and np.all(r > 0)):
-        raise ValueError("sweep points must be positive")
-    ratios = interval_masses(space, x, r) / (
-        x ** space.weight_exponent * r + r ** space.dimension)
-    spans = (x.max() / x.min() >= 1e3) and (r.max() / r.min() >= 1e3)
-    return ComparabilityReport(float(ratios.min()), float(ratios.max()),
-                               x.size, bool(spans))
 
 
 # --------------------------------------------------------------------------
@@ -459,23 +414,3 @@ def lp_norm(space: LambdaSpace, f: SampledFunction, p: float,
     total = _q_integrals(f, np.array([slo]), np.array([shi]), p, pw)[0]
     return float(total) ** (1.0 / p)
 
-
-def ap_characteristic(space: LambdaSpace, weight: PowerWeight, p: float,
-                      family: Iterable[Interval]) -> float:
-    """sup over the family of (avg_I omega) (avg_I omega^(-1/(p-1)))^(p-1),
-    averages taken against dm_lam; exact power antiderivatives throughout."""
-    if not (1.0 < p < math.inf):
-        raise ValueError("p must be in (1, inf)")
-    fam = list(family)
-    left, right = _family_ends(fam)
-    d = space.weight_exponent
-    e1 = d + weight.delta
-    e2 = d - weight.delta / (p - 1.0)
-    at_zero = np.flatnonzero(left == 0.0)
-    if at_zero.size and (e1 <= -1.0 or e2 <= -1.0):
-        raise ValueError(f"weight y^{weight.delta} not integrable on "
-                         f"{fam[at_zero[0]]} for p={p}")
-    m = _power_integrals(left, right, d)
-    a1 = _power_integrals(left, right, e1) / m
-    a2 = _power_integrals(left, right, e2) / m
-    return float(np.max(a1 * a2 ** (p - 1.0), initial=0.0))

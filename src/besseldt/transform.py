@@ -12,7 +12,7 @@ truncated maximal operator
     T*_M f(x) = max over -M <= N1 < N2 <= M of |T_N f(x)|
 
 is computed from prefix sums in one linear pass.  Verification ops check the
-Calderon-Zygmund-type bounds of K_N, the head/tail partial-sum estimates on
+Calderon-Zygmund-type bounds of K_N, the tail partial-sum estimate on
 lacunary sequences, a Cotlar-type domination of T*_M, and the Cauchy
 behaviour of T_N f along growing windows.
 """
@@ -318,30 +318,6 @@ class TailBoundReport:
     sup_ratio: float
     n_used: int
     n_rejected: int
-
-
-def head_sum_bound_ratio(space, setup, m: int, m_top: int,
-                         sweep) -> TailBoundReport:
-    """Partial sum over j in [m, m_top] against 1/m(I(x, a_m)) for points
-    with |x - y| <= a_m; constraint violations are rejected and counted."""
-    ok, _ = is_regular(setup)
-    if not ok:
-        raise ValueError("needs a regular setup (ratios within [rho, rho^2])")
-    if m_top < m:
-        raise ValueError("needs m_top >= m")
-    setup.a_at(m_top + 1)
-    pts = np.asarray(sweep, dtype=float)
-    a_m = setup.a_at(m)
-    keep = np.abs(pts[:, 0] - pts[:, 1]) <= a_m
-    used = pts[keep]
-    if used.size == 0:
-        raise ValueError("no sweep points satisfy |x - y| <= a_m")
-    x, y = used[:, 0], used[:, 1]
-    total = _window_sum(space, setup, m, m_top, x, y)
-    meas = interval_masses(space, x, a_m)
-    ratios = np.abs(total) * meas
-    return TailBoundReport(float(ratios.max()), len(used),
-                           int(np.count_nonzero(~keep)))
 
 
 def tail_sum_bound_ratio(space, setup, m: int, k: int, m_bot: int,

@@ -218,3 +218,16 @@ def test_window_gradient_at_small_lambda(tmp_path, capsys):
     for row in rows:
         assert all(math.isfinite(float(v)) and float(v) > 0
                    for v in row[3:]), row
+
+
+def test_unattainable_tail_exits_two_without_traceback(tmp_path):
+    # at dilation 1e300 the radial end of the dilated l1diff integrals
+    # would overflow to inf; it is a numerical failure with one line
+    cfg = tmp_path / "d.cfg"
+    cfg.write_text("experiment = l1diff\ndilation = 1e300\n")
+    proc = run_sub(["l1diff", "--config", str(cfg),
+                    "--out", str(tmp_path / "d.csv")], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("numerical failure: tail truncation needs")
+    assert proc.stderr.count("\n") == 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from besseldt.functions import (SampledFunction, bump_mixture, constant_one,
-                                gaussian, indicator, log_grid, smooth_bump,
+                                gaussian, indicator, smooth_bump,
                                 smoothed_step)
 
 
@@ -86,9 +86,3 @@ def test_bump_mixture_seeded():
     lo, hi = a.support()
     assert hi < np.inf and lo >= 0.0
 
-
-def test_log_grid():
-    g = log_grid(1e-2, 1e2, 33)
-    assert g.size == 33
-    assert g[0] == pytest.approx(1e-2) and g[-1] == pytest.approx(1e2)
-    assert np.allclose(np.diff(np.log(g)), np.diff(np.log(g))[0])

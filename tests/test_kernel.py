@@ -9,7 +9,7 @@ from scipy.integrate import quad as quad_ref
 
 import besseldt.kernel as kernel_mod
 from besseldt.errors import TailEstimateError
-from besseldt.functions import SampledFunction, indicator
+from besseldt.functions import SampledFunction, indicator, smooth_bump
 from besseldt.kernel import (_bound_denominator, apply_at,
                              closed_form_lambda1,
                              kernel_bound_ratios, kernel_difference_l1,
@@ -266,3 +266,22 @@ def test_kernel_dilation_homogeneous(lam, t, x, y, k):
     base = float(kernel_values(s, t, x, y))
     assert scaled == pytest.approx(
         base * math.pow(d, -(2.0 * lam + 1.0)), rel=1e-13)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(lam=st.floats(min_value=0.3, max_value=3.0),
+       center=st.floats(min_value=0.5, max_value=3.0),
+       frac=st.floats(min_value=0.1, max_value=0.9),
+       s=st.floats(min_value=0.2, max_value=2.0),
+       t=st.floats(min_value=0.2, max_value=2.0))
+def test_semigroup_law_on_random_bumps(lam, center, frac, s, t):
+    # P_s (P_t f) = P_(s+t) f; P_t f is evaluated through its quadrature
+    # closure, so the only truncation is its grid end, whose tail is
+    # about s t / 1e3^(2 lam + 3)
+    space = LambdaSpace(lam)
+    f = smooth_bump(center, frac * center)
+    pts = np.geomspace(0.05, 10.0, 8)
+    g = poisson_apply(space, f, t, np.geomspace(1e-3, 1e3, 64))
+    composed = apply_at(space, g, s, pts)[0]
+    direct = apply_at(space, f, s + t, pts)[0]
+    assert np.max(np.abs(composed - direct)) <= 1e-6 * np.max(f.values)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad as quad_ref
@@ -7,11 +8,10 @@ from scipy.optimize import brentq
 
 from besseldt.functions import SampledFunction, constant_one, indicator, \
     smooth_bump, smoothed_step
-from besseldt.measure import (Interval, LambdaSpace, PowerWeight,
-                              ap_characteristic, bmo_norm,
-                              comparability_check, dyadic_family,
+from besseldt.measure import (Interval, LambdaSpace, PowerWeight, bmo_norm,
+                              dyadic_family, interval_masses,
                               interval_q_averages, interval_q_integrals,
-                              lp_norm, measure_interval, power_integral)
+                              lp_norm)
 
 
 def test_space_validation():
@@ -36,19 +36,21 @@ def test_interval_canonical_form():
 
 
 def test_measure_interval_closed_form(space1):
-    # m(I) = integral of y^2 over the interval for lambda = 1
-    iv = Interval(3.0, 1.0)
-    assert measure_interval(space1, iv) == pytest.approx(
-        (4.0 ** 3 - 2.0 ** 3) / 3.0, rel=1e-14)
-    # interval reaching past 0 clips there
-    iv0 = Interval(0.5, 2.0)
-    assert measure_interval(space1, iv0) == pytest.approx(
+    # m(I) = integral of y^2 over the interval for lambda = 1, for arrays
+    # of centers and radii broadcast against each other
+    got = interval_masses(space1, [3.0, 0.5], 1.0)
+    assert got[0] == pytest.approx((4.0 ** 3 - 2.0 ** 3) / 3.0, rel=1e-14)
+    # an interval reaching past 0 clips there
+    assert got[1] == pytest.approx(1.5 ** 3 / 3.0, rel=1e-14)
+    assert interval_masses(space1, 0.5, 2.0) == pytest.approx(
         2.5 ** 3 / 3.0, rel=1e-14)
-
-
-def test_power_integral():
-    assert power_integral(1.0, 2.0, 3.0) == pytest.approx(15.0 / 4.0)
-    assert power_integral(0.0, 2.0, 0.0) == pytest.approx(2.0)
+    grid = interval_masses(space1, np.array([[1.0], [2.0]]),
+                           np.array([0.5, 1.0, 4.0]))
+    assert grid.shape == (2, 3)
+    # I(x, r) with x <= r is (0, x + r): mass (x + r)^3 / 3
+    assert grid[1, 2] == pytest.approx(6.0 ** 3 / 3.0, rel=1e-14)
+    with pytest.raises(ValueError, match="radius"):
+        interval_masses(space1, 1.0, 0.0)
 
 
 def test_interval_integral_exact_piecewise(space1):
@@ -70,6 +72,16 @@ def test_interval_average_and_q(space1):
     assert q2[0] == pytest.approx(want, rel=1e-8)
 
 
+def _power_integral_mp(a, b, p):
+    """integral_a^b y^p dy at 40 digits, 0 when b <= a (a float
+    b^(p+1) - a^(p+1) would lose about 1e-13 to cancellation)."""
+    if b <= a:
+        return 0.0
+    with mpmath.workdps(40):
+        q = mpmath.mpf(p) + 1
+        return float((mpmath.mpf(b) ** q - mpmath.mpf(a) ** q) / q)
+
+
 def test_interval_q_integrals_batch():
     # many intervals in one call: some outside the support, some cut by it,
     # some reaching into the hold tails
@@ -80,11 +92,11 @@ def test_interval_q_integrals_batch():
     ind = indicator(1.0, 1.3)
     for q in (1.0, 1.5, 2.0):
         got = interval_q_integrals(space, ind, left, right, q)
-        want = [1.3 ** q * power_integral(a, min(b, 1.0), p)
+        want = [1.3 ** q * _power_integral_mp(a, min(b, 1.0), p)
                 for a, b in zip(left, right)]
         assert got == pytest.approx(want, rel=1e-13, abs=0.0)
         got = interval_q_integrals(space, constant_one(), left, right, q)
-        want = [power_integral(a, b, p) for a, b in zip(left, right)]
+        want = [_power_integral_mp(a, b, p) for a, b in zip(left, right)]
         assert got == pytest.approx(want, rel=1e-13)
     grid = np.geomspace(0.05, 3.0, 12)
     sampled = SampledFunction(grid, np.cos(2.0 * grid), left="hold",
@@ -180,50 +192,6 @@ def test_power_weight_ap_bounds(space1):
         w.ap_bounds(space1, 1.0)
 
 
-def test_ap_characteristic_growth(space1):
-    # characteristic grows monotonically toward the admissible boundary
-    fam = dyadic_family()
-    vals = [ap_characteristic(space1, PowerWeight(d), 2.0, fam)
-            for d in (0.0, 1.5, 2.5, 2.9)]
-    assert all(np.isfinite(vals))
-    assert vals == sorted(vals)
-    assert vals[0] >= 1.0
-
-
-def test_ap_and_comparability_against_per_interval_loop():
-    # the array forms against one power_integral per interval, and the
-    # ValueErrors of bad input
-    space = LambdaSpace(0.7)
-    d = space.weight_exponent
-    fam = dyadic_family((-3, 3), (-3, 1))
-    w, p = PowerWeight(-1.2), 2.5
-    want = max(power_integral(iv.left, iv.right, d + w.delta)
-               * (power_integral(iv.left, iv.right, d - w.delta / (p - 1.0))
-                  / measure_interval(space, iv)) ** (p - 1.0)
-               / measure_interval(space, iv) for iv in fam)
-    assert ap_characteristic(space, w, p, fam) == pytest.approx(want,
-                                                               rel=1e-14)
-    sweep = [(0.01, 3.0), (2.0, 0.5), (40.0, 1e-3)]
-    rep = comparability_check(space, iter(sweep))
-    ratios = [measure_interval(space, Interval(x, r))
-              / (x ** d * r + r ** space.dimension) for x, r in sweep]
-    assert rep.ratio_min == pytest.approx(min(ratios), rel=1e-14)
-    assert rep.ratio_max == pytest.approx(max(ratios), rel=1e-14)
-    assert (rep.n_points, rep.spans_three_decades) == (3, True)
-    for bad, match in (([], "nonempty"), ([(1.0, 0.0)], "positive"),
-                       ([(1.0, 2.0, 3.0)], "pairs")):
-        with pytest.raises(ValueError, match=match):
-            comparability_check(space, bad)
-    with pytest.raises(ValueError, match="nonempty"):
-        ap_characteristic(space, w, p, [])
-    with pytest.raises(ValueError, match="p must be"):
-        ap_characteristic(space, w, 1.0, fam)
-    with pytest.raises(ValueError, match=r"not integrable on Interval\("
-                                         r"center=0.5, radius=0.5\)"):
-        ap_characteristic(space, PowerWeight(-3.0), p,
-                          [Interval(4.0, 1.0), Interval(0.5, 0.5)])
-
-
 def test_oscillation_and_bmo(space1):
     c = constant_one()
     iv = Interval(2.0, 1.0)
@@ -313,11 +281,12 @@ def test_dyadic_family_size():
 
 def test_comparability_two_sided(space1, rng):
     # m(I(x, r)) is comparable to x^(2 lam) r + r^(2 lam + 1), both ways,
-    # uniformly over three decades of (x, r)
-    sweep = np.column_stack([
-        np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 80)),
-        np.exp(rng.uniform(np.log(1e-3), np.log(1e1), 80))])
-    rep = comparability_check(space1, sweep)
-    assert rep.spans_three_decades
-    assert 0.0 < rep.ratio_min <= rep.ratio_max < math.inf
-    assert rep.ratio_max / rep.ratio_min < 10.0
+    # uniformly over three decades of (x, r).  For lambda = 1 and u = x/r
+    # the ratio is (1 + u)^3 / (3 (1 + u^2)) in [1/3, 4/3] for u <= 1 and
+    # (2 u^2 + 2/3) / (u^2 + 1) in (4/3, 2) for u > 1
+    x = np.exp(rng.uniform(np.log(1e-2), np.log(1e2), 400))
+    r = np.exp(rng.uniform(np.log(1e-3), np.log(1e1), 400))
+    ratios = interval_masses(space1, x, r) / (x ** 2 * r + r ** 3)
+    assert 1.0 / 3.0 - 1e-14 <= ratios.min() <= ratios.max() <= 2.0
+    # both ends of the range are approached
+    assert ratios.min() < 0.4 and ratios.max() > 1.9

@@ -9,18 +9,17 @@ from besseldt.functions import (SampledFunction, constant_one, indicator,
                                 smooth_bump)
 from besseldt.kernel import apply_at, closed_form_lambda1
 from besseldt.lacunary import LacunarySetup, geometric, refine, remap_window
-from besseldt.measure import (Interval, LambdaSpace, interval_q_integrals,
-                              measure_interval)
+from besseldt.measure import (Interval, LambdaSpace, interval_masses,
+                              interval_q_integrals)
 from besseldt.quadrature import QuadratureSpec
 from besseldt.transform import (CotlarReport, IndexWindow, SemigroupTable,
                                 TruncationLevel, apply_transform,
                                 apply_transform_kernel_route,
                                 convergence_probe, cotlar_check,
-                                default_radius_grid, head_sum_bound_ratio,
-                                max_window_sum_abs, maximal_hl,
-                                maximal_transform, maximal_transform_brute,
-                                tail_sum_bound_ratio, window_kernel,
-                                window_kernel_bounds)
+                                default_radius_grid, max_window_sum_abs,
+                                maximal_hl, maximal_transform,
+                                maximal_transform_brute, tail_sum_bound_ratio,
+                                window_kernel, window_kernel_bounds)
 
 GRID = np.geomspace(0.05, 20.0, 24)
 
@@ -203,7 +202,7 @@ def _maximal_hl_loop(space, f, q, radii, pts):
             iv = Interval(x, r)
             best = max(best, interval_q_integrals(
                 space, f, [iv.left], [iv.right], q)[0]
-                / measure_interval(space, iv))
+                / interval_masses(space, x, r))
         out.append(best ** (1.0 / q))
     return np.array(out)
 
@@ -319,17 +318,6 @@ def test_window_bounds_zero_weights(space1):
     with pytest.raises(ValueError):
         window_kernel_bounds(space1, setup, IndexWindow(-2, 2),
                              np.array([[1.0, 1.0], [5.0, 4.5]]))
-
-
-def test_head_bound_constraint_filter(space1):
-    setup = geometric(2.0, -4, 4, v=alternating(-4, 4))
-    # points at distance above a_m get rejected, close ones kept
-    sweep = np.array([[1.0, 1.2], [1.0, 30.0]])
-    rep = head_sum_bound_ratio(space1, setup, 0, 3, sweep)
-    assert rep.n_used == 1 and rep.n_rejected == 1
-    assert np.isfinite(rep.sup_ratio)
-    with pytest.raises(ValueError):
-        head_sum_bound_ratio(space1, setup, 2, 1, sweep)
 
 
 def test_tail_bound_constraint_filter(space1):
