@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .functions import (SampledFunction, bump_mixture, indicator,
                         smooth_bump, smoothed_step)
 from .hankel import (NU_MAX, gaussian_fixed_point_defect, involution_defect,
@@ -503,8 +503,17 @@ def run_kernel_eval(cfg: ExperimentConfig) -> ExperimentResult:
     for t in cfg["t_list"]:
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         gx, gy = gx.ravel(), gy.ravel()
-        cols = {kind: kernel_values(space, t, gx, gy, kind)
-                for kind in ("p", "dt", "dx", "dy")}
+        # an overflow shows as a non-finite value, checked below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            cols = {kind: kernel_values(space, t, gx, gy, kind)
+                    for kind in ("p", "dt", "dx", "dy")}
+        for kind, vals in cols.items():
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                i = bad[0]
+                raise NumericsError(
+                    f"kernel value {kind} at t = {t:g}, x = {gx[i]:g}, "
+                    f"y = {gy[i]:g} is {vals[i]}")
         for i in range(gx.size):
             rows.append((t, gx[i], gy[i], cols["p"][i], cols["dt"][i],
                          cols["dx"][i], cols["dy"][i]))

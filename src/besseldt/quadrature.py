@@ -9,10 +9,13 @@ panel_layouts lays out the panels and Gauss nodes of many points with array
 operations: per point, base edges and a cap on the panel width of each gap
 between them.  radial_layouts gives it the base edges and caps of the
 radial integrals against the kernel (apply_at, kernel_difference_l1 and the
-kernel route of T_N); the Hankel transform gives it f's breakpoints and one
-oscillation period per frequency.  Its node step, gauss_panels, also makes
-the Gauss cells of measure's interval integrals.  panel_sums evaluates the
-runs of points that panel_layouts yields, about _NODE_BLOCK nodes at a time.
+kernel route of T_N), which panel_sums evaluates in the runs of points that
+panel_layouts yields, about _NODE_BLOCK nodes at a time.  The Hankel
+transform gives it f's breakpoints and one oscillation period 2 pi/F of the
+top frequency F of a band of frequencies within a factor 2 of F, and sums
+the band on that one layout in blocks of at most _NODE_BLOCK (frequency,
+node) pairs.  Its node step, gauss_panels, also makes the Gauss cells of
+measure's interval integrals.
 """
 
 from __future__ import annotations

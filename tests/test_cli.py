@@ -231,3 +231,19 @@ def test_unattainable_tail_exits_two_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("numerical failure: tail truncation needs")
     assert proc.stderr.count("\n") == 1
+
+
+def test_non_finite_kernel_value_exits_two_without_traceback(tmp_path):
+    # at x = y = 1e200 the closed forms of the derivatives overflow to
+    # nan; the run stops with one line instead of writing nan rows
+    cfg = tmp_path / "k.cfg"
+    cfg.write_text("experiment = kernel-eval\nx_list = 1e200\n"
+                   "y_list = 1e200\n")
+    out = tmp_path / "k.csv"
+    proc = run_sub(["kernel-eval", "--config", str(cfg), "--out", str(out)],
+                   tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("numerical failure: kernel value dt at ")
+    assert proc.stderr.count("\n") == 1
+    assert not out.exists()

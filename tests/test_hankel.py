@@ -295,6 +295,75 @@ def test_osc_layouts_panel_budget(monkeypatch):
                          np.array([0.5, 50.0]))
 
 
+def _x2_gaussian():
+    return SampledFunction.from_callable(
+        lambda x: np.asarray(x, dtype=float) ** 2
+        * np.exp(-0.5 * np.asarray(x, dtype=float) ** 2),
+        np.geomspace(1e-4, 12.0, 256), breakpoints=(0.5, 1.0, 2.0, 4.0, 8.0))
+
+
+@pytest.mark.parametrize("lam", [0.6, 1.25, 3.5])
+def test_hankel_transform_band_independence(lam):
+    # a frequency's value alone (its own band), beside 1.99 y (a band laid
+    # out at 1.99 y) and in a 40-point batch (laid out at whatever tops its
+    # band there) differs only by the Gauss rule's error on those layouts:
+    # roundoff for x^2 exp(-x^2/2), which 16 nodes resolve; for
+    # smooth_bump(2, 1), whose edges they do not (up to 1.6e-9 of sup |Hf|
+    # at lambda = 0.6), at most twice the error of the one-frequency layout
+    # against 32 nodes on quarter-period panels
+    space = LambdaSpace(lam)
+    nu = lam - 0.5
+    batch = np.geomspace(0.05, 300.0, 40)
+    for f, resolved in ((_x2_gaussian(), True),
+                        (smooth_bump(2.0, 1.0), False)):
+        lo, hi = f.support()
+        h = hankel_transform(space, f, batch)
+        alone = np.array([h(np.array([y]))[0] for y in batch])
+        beside = np.array([h(np.array([y, 1.99 * y]))[0] for y in batch])
+        moved = np.max(np.abs(np.concatenate([alone, beside]) - np.tile(
+            h.values, 2))) / np.max(np.abs(h.values))
+        if resolved:
+            assert moved <= 1e-13, lam
+            continue
+        ref = np.empty_like(batch)
+        for k, y in enumerate(batch):
+            x, w = _loop_nodes(_osc_edges_loop(lo, hi, y,
+                                               f.quad_breakpoints(), 0.25),
+                               32, space.weight_exponent)
+            ref[k] = np.sum(w * f(x) * normalized_bessel(nu, x * y))
+        rule = np.max(np.abs(alone - ref)) / np.max(np.abs(h.values))
+        assert moved <= 2.0 * rule, (lam, moved, rule)
+
+
+def test_hankel_transform_evaluates_f_once_per_band():
+    # bands: every frequency at or below f0 = 2 pi/(hi - lo) in one, then
+    # each band holds the frequencies above half of its highest, so there
+    # are at most ceil(log2(max freq / f0)) + 1 of them.  Their tops at
+    # least halve from band to band, so f's points add up to about twice
+    # those of the top frequency alone, plus a low-band layout per band
+    # (one evaluation per frequency would be 10x that here)
+    base = smooth_bump(2.0, 1.0)
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return base.func(x)
+
+    f = SampledFunction(base.grid, base.values, base.left, base.right,
+                        counted, base.breakpoints)
+    lo, hi = f.support()
+    f0 = 2.0 * math.pi / (hi - lo)
+    ys = np.geomspace(0.01, 1000.0, 200)
+    h = hankel_transform(LambdaSpace(1.0), f, ys[:2])
+    sizes = {}
+    for name, y in (("top", ys[-1:]), ("low", ys[:1]), ("all", ys)):
+        calls.clear()
+        h(y)
+        sizes[name] = sum(calls)
+    assert 0 < len(calls) <= math.ceil(math.log2(ys[-1] / f0)) + 1
+    assert sizes["all"] <= 2 * sizes["top"] + len(calls) * sizes["low"]
+
+
 @pytest.mark.parametrize("lam", [0.6, 1.0, 3.5])
 def test_hankel_transform_against_refined_rule(lam):
     # against 32 nodes on quarter-period panels, the one-period rule is
