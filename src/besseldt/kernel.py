@@ -149,34 +149,56 @@ def check_tail(bound: float, quad: QuadratureSpec) -> None:
             f"truncation tail {bound:.3e} above tolerance")
 
 
-def apply_at(space: LambdaSpace, f: SampledFunction, t: float,
-             xs, quad: QuadratureSpec = QuadratureSpec()):
-    """(P_t f)(x) for an array of x, with a truncation-tail estimate.
+def apply_at(space: LambdaSpace,
+             f: SampledFunction | tuple[SampledFunction, ...], t: float, xs,
+             quad: QuadratureSpec = QuadratureSpec()):
+    """(P_t f)(x) for an array of x, with a truncation-tail estimate; f is a
+    SampledFunction or a tuple of them.
 
-    Returns (values, tail_bounds).  The radial integral runs over the panels
-    of quadrature.radial_layouts: aligned with f's breakpoints and graded
-    around y = x at scale t.  An unbounded support (nonzero hold tail) is
-    truncated where the analytic kernel-decay bound drops below the
-    tolerance.  One radial_layouts call lays out all x, and one
-    quadrature.panel_sums call sums their nodes.
+    Returns (values, tail_bounds): values of shape (x,) for one function
+    and (n_f, x) for a tuple, and one tail bound per x that holds for every
+    function.  The radial integral runs over the panels of
+    quadrature.radial_layouts: aligned with the breakpoints and graded
+    around y = x at scale t.  A tuple has one layout, from its least support
+    start to its greatest support end, on the union of its functions'
+    breakpoints and support ends, and one kernel evaluation: each function's
+    sums are those of the same weight * kernel terms times its values.  An
+    unbounded support (nonzero hold tail) is truncated where the analytic
+    kernel-decay bound for the largest hold drops below the tolerance.  One
+    radial_layouts call lays out all x, and one quadrature.panel_sums call
+    sums their nodes.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("evaluation points must be positive")
-    slo, shi = f.support()
-    if shi <= slo:
-        return np.zeros_like(xs), np.zeros_like(xs)
+    fs = f if isinstance(f, tuple) else (f,)
+    starts, ends = zip(*(g.support() for g in fs))
+    slo, shi = min(starts), max(ends)
     his, tails = np.full_like(xs, shi), np.zeros_like(xs)
     if math.isinf(shi):
-        his, tails = _radial_end(space.lam, t, abs(float(f.values[-1])),
-                                 np.maximum(xs, max(t, f.grid[-1])), quad)
-    runs = radial_layouts(slo, his, xs, t, f.quad_breakpoints(),
-                          quad.y_nodes_per_panel, space.weight_exponent)
-    vals = panel_sums(xs, runs, lambda x, y, w: (
-        w * kernel_values(space, t, x, y) * f(y)))
-    return vals, tails
+        # beyond the last grid end every function is bounded by the
+        # largest hold
+        hold = max(abs(float(g.values[-1]))
+                   for g, hi in zip(fs, ends) if math.isinf(hi))
+        his, tails = _radial_end(space.lam, t, hold, np.maximum(
+            xs, max(t, *(g.grid[-1] for g in fs))), quad)
+    # one function's support ends are the ends of its layout
+    bps = fs[0].quad_breakpoints() if len(fs) == 1 else np.unique(
+        np.concatenate([*(g.quad_breakpoints() for g in fs), starts, ends]))
+    runs = radial_layouts(slo, his, xs, t, bps, quad.y_nodes_per_panel,
+                          space.weight_exponent)
+
+    def integrand(x, y, w):
+        wk = w * kernel_values(space, t, x, y)
+        terms = np.empty((len(fs), y.size))
+        for row, g in zip(terms, fs):
+            np.multiply(wk, g(y), out=row)
+        return terms
+
+    vals = panel_sums(xs, runs, integrand)
+    return (vals if isinstance(f, tuple) else vals[0]), tails
 
 
 def poisson_apply(space: LambdaSpace, f: SampledFunction, t: float,

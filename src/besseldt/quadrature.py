@@ -214,16 +214,19 @@ def panel_sums(points, runs, integrand) -> np.ndarray:
     `runs` yields (nodes, weights, counts) for consecutive points, as
     panel_layouts does: counts[i] flat nodes and weights for each.  The
     integrand is vectorized: it gets the nodes and weights of a run with
-    each point repeated once per node, and returns the terms.  A point's
-    sum does not depend on how the points are grouped into runs.
+    each point repeated once per node, and returns the terms, one per node
+    along its last axis; the sums have the terms' leading shape followed by
+    the points'.  A point's sum does not depend on how the points are
+    grouped into runs.
     """
     points = np.asarray(points, dtype=float)
-    out = np.zeros(points.size)
+    sums = []
     first = 0
     for nodes, weights, counts in runs:
         stop = first + counts.size
         terms = integrand(np.repeat(points[first:stop], counts), nodes,
                           weights)
-        out[first:stop] = np.add.reduceat(terms, np.cumsum(counts) - counts)
+        sums.append(np.add.reduceat(terms, np.cumsum(counts) - counts,
+                                    axis=-1))
         first = stop
-    return out
+    return np.concatenate(sums, axis=-1)

@@ -6,8 +6,10 @@ For a time sequence {a_j} and bounded weights {v_j},
 
 with windowed kernel K_N(x,y) built from the same differences.  On a grid,
 T_N f is SemigroupTable.window, which adds the terms in j order; the kernel
-sums of K_N and of the partial-sum bounds go through _window_sum.  The
-truncated maximal operator
+sums of K_N and of the partial-sum bounds go through _window_sum.  A table
+of a batch of functions computes each level P_{a_j} f with one radial
+layout on the union of their breakpoints and one kernel evaluation, shared
+by the batch.  The truncated maximal operator
 
     T*_M f(x) = max over -M <= N1 < N2 <= M of |T_N f(x)|
 
@@ -64,10 +66,16 @@ def _check_window(setup: LacunarySetup, n1: int, n2: int):
 
 
 class SemigroupTable:
-    """Cache of P_{a_j} f on a fixed grid, one quadrature pass per level."""
+    """Cache of P_{a_j} f on a fixed grid, one quadrature pass per level.
+
+    f is one SampledFunction or a tuple of them.  The levels of a tuple
+    come from one apply_at call each, on one radial layout over the union
+    of the functions' breakpoints, and have one row per function: shape
+    (grid,) for one function, (n_f, grid) for a tuple.
+    """
 
     def __init__(self, space: LambdaSpace, setup: LacunarySetup,
-                 f: SampledFunction, grid,
+                 f: SampledFunction | tuple[SampledFunction, ...], grid,
                  quad: QuadratureSpec = QuadratureSpec()):
         self.space = space
         self.setup = setup
@@ -99,16 +107,17 @@ class SemigroupTable:
         added one by one in j order (prefix differences would round
         differently)."""
         _check_window(self.setup, n1, n2)
-        vals = np.zeros(self.grid.size)
+        vals = np.zeros_like(self.level(n1))
         for j in range(n1, n2 + 1):
             vals += self.setup.v_at(j) * self.diff(j)
         return vals
 
     def weighted_prefixes(self, m_cap: int) -> np.ndarray:
-        """S[i] = sum_{j=-M}^{-M+i-1} v_j (p_{j+1} - p_j), i = 0..2M+1."""
+        """S[i] = sum_{j=-M}^{-M+i-1} v_j (p_{j+1} - p_j), i = 0..2M+1, each
+        of a level's shape."""
         M = m_cap
         _check_window(self.setup, -M, M)
-        S = np.zeros((2 * M + 2, self.grid.size))
+        S = np.zeros((2 * M + 2, *self.level(-M).shape))
         for i, j in enumerate(range(-M, M + 1)):
             S[i + 1] = S[i] + self.setup.v_at(j) * self.diff(j)
         return S
@@ -177,34 +186,43 @@ def max_window_sum_abs(S: np.ndarray) -> np.ndarray:
     return best
 
 
-def maximal_transform(space, setup, cap: TruncationLevel, f: SampledFunction,
-                      eval_grid, quad=QuadratureSpec(),
-                      table: SemigroupTable | None = None) -> SampledFunction:
-    """T*_M f on eval_grid via the prefix-sum pass."""
+def _on_grid(grid, vals):
+    """An operator output sampled on a grid, held on the left and zero on
+    the right: one SampledFunction, or a tuple of them for the rows of a
+    table of several functions."""
+    if vals.ndim > 1:
+        return tuple(_on_grid(grid, row) for row in vals)
+    return SampledFunction(grid, vals, left="hold", right="zero")
+
+
+def maximal_transform(space, setup, cap: TruncationLevel, f, eval_grid,
+                      quad=QuadratureSpec(),
+                      table: SemigroupTable | None = None):
+    """T*_M f on eval_grid via the prefix-sum pass; for a tuple f (or a
+    table of several functions), a tuple with one T*_M per function."""
     eval_grid = np.asarray(eval_grid, dtype=float)
     if table is None:
         table = SemigroupTable(space, setup, f, eval_grid, quad)
     S = table.weighted_prefixes(cap.m_cap)
-    return SampledFunction(eval_grid, max_window_sum_abs(S),
-                           left="hold", right="zero")
+    return _on_grid(eval_grid, max_window_sum_abs(S))
 
 
 def maximal_transform_brute(space, setup, cap: TruncationLevel, f,
                             eval_grid, quad=QuadratureSpec(),
-                            table: SemigroupTable | None = None
-                            ) -> SampledFunction:
-    """Reference implementation: enumerate every admissible window."""
+                            table: SemigroupTable | None = None):
+    """Reference implementation: enumerate every admissible window.  Same
+    shapes as maximal_transform."""
     eval_grid = np.asarray(eval_grid, dtype=float)
     if table is None:
         table = SemigroupTable(space, setup, f, eval_grid, quad)
     M = cap.m_cap
     S = table.weighted_prefixes(M)
-    best = np.zeros(eval_grid.size)
+    best = np.zeros(S.shape[1:])
     for n1 in range(-M, M):
         for n2 in range(n1 + 1, M + 1):
             win_val = S[n2 + M + 1] - S[n1 + M]
             np.maximum(best, np.abs(win_val), out=best)
-    return SampledFunction(eval_grid, best, left="hold", right="zero")
+    return _on_grid(eval_grid, best)
 
 
 def default_radius_grid(lo: float = 1e-3, hi: float = 1e3,
@@ -254,8 +272,7 @@ def cotlar_check(space, setup, cap: TruncationLevel, f: SampledFunction,
     M = cap.m_cap
     table = SemigroupTable(space, setup, f, eval_grid, quad)
     tstar = maximal_transform(space, setup, cap, f, eval_grid, quad, table)
-    full = SampledFunction(eval_grid, table.window(-M, M), left="hold",
-                           right="zero")
+    full = _on_grid(eval_grid, table.window(-M, M))
     m_of_t = maximal_hl(space, full, 1.0, radius_grid, eval_grid)
     m_q = maximal_hl(space, f, q, radius_grid, eval_grid)
     denom = m_of_t + m_q
