@@ -2,8 +2,8 @@
 
 The measure is dm(x) = x^(2*lambda) dx.  Modules:
 
-- ``measure``: the weighted half-line, intervals, Lp norms, the A_p range of
-  power weights, BMO
+- ``measure``: the weighted half-line, intervals as arrays of ends, Lp
+  norms, the A_p range of power weights, BMO
 - ``quadrature``: Gauss rules and the one panel-layout builder of the
   integrators
 - ``functions``: piecewise-linear sampled functions and stock builders
@@ -29,8 +29,8 @@ from .kernel import (closed_form_lambda1, kernel_bound_ratios,
                      kernel_values, poisson_apply)
 from .lacunary import (LacunarySetup, RefinedSetup, geometric, is_lacunary,
                        is_regular, refine, remap_window)
-from .measure import (Interval, LambdaSpace, PowerWeight, bmo_norm,
-                      dyadic_family, lp_norm)
+from .measure import (LambdaSpace, PowerWeight, bmo_norm, dyadic_family,
+                      lp_norm)
 from .quadrature import QuadratureSpec
 from .transform import (CotlarReport, IndexWindow, SemigroupTable,
                         TruncationLevel, apply_transform,
@@ -53,8 +53,7 @@ __all__ = [
     "poisson_apply",
     "LacunarySetup", "RefinedSetup", "geometric", "is_lacunary",
     "is_regular", "refine", "remap_window",
-    "Interval", "LambdaSpace", "PowerWeight", "bmo_norm", "dyadic_family",
-    "lp_norm",
+    "LambdaSpace", "PowerWeight", "bmo_norm", "dyadic_family", "lp_norm",
     "QuadratureSpec",
     "CotlarReport", "IndexWindow", "SemigroupTable", "TruncationLevel",
     "apply_transform", "apply_transform_kernel_route", "convergence_probe",

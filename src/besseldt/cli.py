@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-One subcommand per experiment; common flags --config/--out/--seed.  Exit
-codes: 0 success, 1 config error (any ``ValueError``), 2 numerical-tolerance
-failure, 3 contract failure.
+One subcommand per experiment, its help the first paragraph of the runner's
+docstring; common flags --config/--out/--seed.  Exit codes: 0 success, 1
+config error (any ``ValueError``, or a config or output file that cannot be
+read or written), 2 numerical-tolerance failure, 3 contract failure.
 """
 
 from __future__ import annotations
@@ -14,18 +15,6 @@ from dataclasses import replace
 from .errors import ConfigError, ContractError, NumericsError
 from .lab import EXPERIMENTS, emit_csv, parse_config
 
-_HELP = {
-    "kernel-eval": "tabulate P_t(x,y) and first derivatives",
-    "bounds-suite": "fitted constants of kernel and window-kernel bounds",
-    "transform": "sample T_N f (and T*_M f) on a grid",
-    "loggrowth": "local averages of T* chi against log(2/r)",
-    "uniform-l2": "L2 ratios of T_N over random functions and windows",
-    "weighted": "weighted-L^p ratios of T*_M under a power weight",
-    "bmo": "BMO norms of T_N f across nested windows",
-    "l1diff": "L1 norms of consecutive kernel differences",
-    "hankel-check": "transform inversion/isometry/multiplier checks",
-}
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -33,8 +22,9 @@ def _build_parser() -> argparse.ArgumentParser:
         description="experiment drivers for the Bessel-Poisson "
                     "differential-transform suite")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in EXPERIMENTS:
-        sp = sub.add_parser(name, help=_HELP[name])
+    for name, run in EXPERIMENTS.items():
+        # the first paragraph of the runner's docstring (None under -OO)
+        sp = sub.add_parser(name, help=(run.__doc__ or "").split("\n\n")[0])
         sp.add_argument("--config", help="path to key=value config file")
         sp.add_argument("--out", help="output CSV path")
         sp.add_argument("--seed", type=int, help="override the config seed")
@@ -65,7 +55,10 @@ def main(argv=None) -> int:
         result = EXPERIMENTS[cfg.experiment](cfg)
 
         out = args.out or cfg.out or f"{cfg.experiment}.csv"
-        emit_csv(out, result.meta, result.header, result.rows)
+        try:
+            emit_csv(out, result.meta, result.header, result.rows)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from None
         for key, val in result.summary.items():
             print(f"{key} = {val}")
         print(f"wrote {out} ({len(result.rows)} rows)")

@@ -62,7 +62,7 @@ class SampledFunction:
 
     # -- support for quadrature --------------------------------------------
     def support(self) -> tuple[float, float]:
-        """Interval outside which the function vanishes (may be (0, inf))."""
+        """The interval outside which f vanishes (may be (0, inf))."""
         lo = 0.0 if (self.left == "hold" and self.values[0] != 0.0) else self.grid[0]
         hi = math.inf if (self.right == "hold" and self.values[-1] != 0.0) else self.grid[-1]
         return lo, hi
@@ -81,37 +81,37 @@ class SampledFunction:
                                left, right, func, tuple(breakpoints))
 
 
-def indicator(b: float = 1.0, height: float = 1.0, n: int = 64) -> SampledFunction:
-    """chi_(0,b) scaled by `height`, represented exactly for quadrature."""
+def indicator(b: float = 1.0, height: float = 1.0) -> SampledFunction:
+    """chi_(0,b) scaled by `height`, represented exactly for quadrature
+    (sampled at 64 points)."""
     if b <= 0:
         raise ValueError("b must be positive")
-    grid = np.geomspace(b * 1e-4, b, n)
+    grid = np.geomspace(b * 1e-4, b, 64)
     return SampledFunction.from_callable(
         lambda y: np.where(y <= b, height, 0.0), grid,
         left="hold", right="zero")
 
 
-def constant_one(n: int = 32) -> SampledFunction:
-    """f = 1 on all of (0, inf)."""
-    grid = np.geomspace(1e-3, 1e3, n)
+def constant_one() -> SampledFunction:
+    """f = 1 on all of (0, inf), sampled at 32 points."""
+    grid = np.geomspace(1e-3, 1e3, 32)
     return SampledFunction.from_callable(lambda y: np.ones_like(y), grid,
                                          left="hold", right="hold")
 
 
-def gaussian(center: float = 0.0, width: float = 1.0, height: float = 1.0,
-             grid=None) -> SampledFunction:
+def gaussian(center: float = 0.0, width: float = 1.0,
+             height: float = 1.0) -> SampledFunction:
     """height * exp(-((y-center)/width)^2 / 2), truncated where negligible."""
     if width <= 0:
         raise ValueError("width must be positive")
-    if grid is None:
-        hi = abs(center) + 14.0 * width
-        grid = np.geomspace(max(1e-6 * width, 1e-8), hi, 400)
-    g = np.asarray(grid, dtype=float)
+    grid = np.geomspace(max(1e-6 * width, 1e-8), abs(center) + 14.0 * width,
+                        400)
 
     def f(y):
         return height * np.exp(-0.5 * ((y - center) / width) ** 2)
 
-    return SampledFunction.from_callable(f, g, breakpoints=_bump_scales(center, width))
+    return SampledFunction.from_callable(
+        f, grid, breakpoints=_bump_scales(center, width))
 
 
 def _bump_scales(center: float, width: float):
@@ -157,11 +157,11 @@ def smoothed_step(edge: float = 1.0, ramp: float = 0.2,
                            lipschitz=abs(height) / (2.0 * ramp))
 
 
-def bump_mixture(rng: np.random.Generator, span=(1e-2, 1e2),
-                 max_bumps: int = 5) -> SampledFunction:
+def bump_mixture(rng: np.random.Generator,
+                 span=(1e-2, 1e2)) -> SampledFunction:
     """Random test function: sum of <= 5 Gaussian bumps with log-uniform
     centers in `span`, widths a random fraction of the center, random signs."""
-    k = int(rng.integers(1, max_bumps + 1))
+    k = int(rng.integers(1, 6))
     lo, hi = span
     centers = np.exp(rng.uniform(np.log(lo), np.log(hi), size=k))
     widths = centers * rng.uniform(0.1, 0.6, size=k)

@@ -143,8 +143,6 @@ def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
     def closure(ys):
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         out = np.zeros_like(ys)
-        if shi <= slo:
-            return out
         freqs = np.abs(ys) + extra_freq
         order = np.argsort(freqs)
         sorted_freqs = freqs[order]
@@ -168,10 +166,7 @@ def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
             stop = start
         return out
 
-    eval_grid = np.asarray(eval_grid, dtype=float)
-    vals = closure(eval_grid)
-    return SampledFunction(eval_grid, vals, left="hold", right="zero",
-                           func=closure)
+    return SampledFunction.from_callable(closure, eval_grid, left="hold")
 
 
 def spectral_poisson_apply(space: LambdaSpace, f: SampledFunction, t: float,
@@ -193,11 +188,10 @@ def spectral_poisson_apply(space: LambdaSpace, f: SampledFunction, t: float,
         ys = np.asarray(ys, dtype=float)
         return np.exp(-t * np.clip(ys, None, y_max)) * hf(ys)
 
-    damped = SampledFunction(y_grid, damped_func(y_grid), left="hold",
-                             right="zero", func=damped_func)
+    damped = SampledFunction.from_callable(damped_func, y_grid, left="hold")
     # the damped transform itself oscillates at the scale of f's support
-    return hankel_transform(space, damped, np.asarray(eval_grid, dtype=float),
-                            quad, extra_freq=f.support()[1] + 0.5 * t)
+    return hankel_transform(space, damped, eval_grid, quad,
+                            extra_freq=f.support()[1] + 0.5 * t)
 
 
 def gaussian_fixed_point_defect(space: LambdaSpace, eval_pts,

@@ -214,9 +214,7 @@ def poisson_apply(space: LambdaSpace, f: SampledFunction, t: float,
         check_tail(float(np.max(tails, initial=0.0)), quad)
         return vals
 
-    eval_grid = np.asarray(eval_grid, dtype=float)
-    return SampledFunction(eval_grid, closure(eval_grid), left="hold",
-                           right="zero", func=closure)
+    return SampledFunction.from_callable(closure, eval_grid, left="hold")
 
 
 def kernel_mass(space: LambdaSpace, t: float, x: float,

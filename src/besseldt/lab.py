@@ -640,7 +640,7 @@ def run_hankel_check(cfg: ExperimentConfig) -> ExperimentResult:
     def record(name, value, tol):
         rows.append((name, value, tol))
         if not value <= tol:
-            failures.append(f"{name}: {value:.3e} > {tol:.0e}")
+            failures.append(f"{name}: {value:.3e} > {tol:g}")
 
     npts = cfg["grid_points"]
     eval_pts = np.geomspace(1e-2, 10.0, npts)
@@ -776,11 +776,12 @@ def run_bmo_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     space = LambdaSpace(cfg["lambda"])
     rng = np.random.default_rng(cfg["seed"])
     f = resolve_f(cfg["f"], rng)
-    fam = dyadic_family((cfg["k_lo"], cfg["k_hi"]), (cfg["m_lo"], cfg["m_hi"]))
+    left, right = dyadic_family((cfg["k_lo"], cfg["k_hi"]),
+                                (cfg["m_lo"], cfg["m_hi"]))
     grid = _grid(cfg)
     table = SemigroupTable(space, _setup(cfg), f, grid, cfg.quadrature())
     sup_f = float(np.max(np.abs(f.values)))
-    bmo_f = bmo_norm(space, f, fam)
+    bmo_f = bmo_norm(space, f, left, right)
     rows = []
     ratios = []
     # Start at L=4 so every window already covers the scales where f
@@ -788,7 +789,8 @@ def run_bmo_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # nothing, and windows still inside the ramp-up would test the
     # wrong thing.
     for L in range(4, 4 + cfg["windows"]):
-        b = bmo_norm(space, _on_grid(grid, table.window(-L, L)), fam)
+        t_n = _on_grid(grid, table.window(-L, L))
+        b = bmo_norm(space, t_n, left, right)
         r_inf = b / sup_f if sup_f > 0 else math.nan
         r_bmo = b / bmo_f if bmo_f > 0 else math.nan
         rows.append((-L, L, b, r_inf, r_bmo))
@@ -802,7 +804,7 @@ def run_bmo_experiment(cfg: ExperimentConfig) -> ExperimentResult:
                             "(limit 25%)")
     else:
         spread = math.nan
-    meta = _meta(cfg, family_size=len(fam), sup_f=sup_f, bmo_f=bmo_f)
+    meta = _meta(cfg, family_size=left.size, sup_f=sup_f, bmo_f=bmo_f)
     header = ["n1", "n2", "bmo_t_n", "ratio_sup", "ratio_bmo"]
     summary = {"max_ratio_sup": max(ratios), "spread": spread}
     return ExperimentResult(meta, header, rows, summary,

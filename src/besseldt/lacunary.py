@@ -84,14 +84,11 @@ class RefinedSetup:
     omega: np.ndarray
     rho: float
     j_min: int
+    # original pair j -> range of the refined pair indices carrying it
     index_map: dict = field(compare=False)
 
     def as_setup(self) -> LacunarySetup:
         return LacunarySetup(self.eta, self.omega, self.rho, self.j_min)
-
-    def block(self, j: int) -> range:
-        """Refined pair indices carrying the original pair j."""
-        return self.index_map[j]
 
 
 def refine(setup: LacunarySetup) -> RefinedSetup:

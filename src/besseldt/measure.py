@@ -1,10 +1,15 @@
 """The measure space ((0,inf), |.|, dm_lam) with dm_lam = y^(2*lam) dy.
 
-Interval masses, weighted Lebesgue norms, BMO over a dyadic interval family
+Masses of intervals, weighted Lebesgue norms, BMO over a dyadic interval family
 and the A_p range of power weights.  Integrals of piecewise-linear data
 against power weights are done with exact antiderivatives; only genuinely
 non-polynomial integrands (|f|^q for fractional q, callable-backed
 functions) fall back to per-cell Gauss rules aligned with the sample grid.
+
+An interval is a pair of ends (left, right), and a family of them two
+arrays.  The interval I(x, r) = (x - r, x + r) intersected with (0, inf) is
+canonicalized in one place, _interval_ends: for x < r it is (0, x + r),
+with center = radius = (x + r)/2.
 
 Every integral of f over intervals takes one batched path: the cells of
 all the intervals are laid out in one numpy pass (searchsorted into f's
@@ -27,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -56,43 +61,10 @@ class LambdaSpace:
 
 
 @dataclass(frozen=True)
-class Interval:
-    """I(x, r) = (x - r, x + r) intersected with (0, inf), in canonical form.
-
-    If x < r the interval equals (0, x + r) and is stored with center =
-    radius = (x + r)/2, so center >= radius always holds after init.
-    """
-
-    center: float
-    radius: float
-
-    def __post_init__(self):
-        x, r = float(self.center), float(self.radius)
-        if not (r > 0 and math.isfinite(r) and math.isfinite(x)):
-            raise ValueError("radius must be positive and finite")
-        if x < r:
-            half = 0.5 * (x + r)
-            x, r = half, half
-        object.__setattr__(self, "center", x)
-        object.__setattr__(self, "radius", r)
-
-    @property
-    def left(self) -> float:
-        return self.center - self.radius
-
-    @property
-    def right(self) -> float:
-        return self.center + self.radius
-
-
-@dataclass(frozen=True)
 class PowerWeight:
     """omega(y) = y^delta."""
 
     delta: float
-
-    def __call__(self, y):
-        return np.asarray(y, dtype=float) ** self.delta
 
     def ap_bounds(self, space: LambdaSpace, p: float) -> tuple[float, float]:
         """Admissible delta range for membership in A_p(dm_lam)."""
@@ -330,8 +302,9 @@ def interval_q_integrals(space: LambdaSpace, f: SampledFunction, left, right,
 
 
 def _interval_ends(x, r):
-    """Ends of I(x, r) for broadcast arrays of centers and radii,
-    canonicalized with the float operations of Interval."""
+    """Ends (left, right) of I(x, r) for broadcast arrays of centers and
+    radii: (x - r, x + r), or (0, x + r) from center = radius = (x + r)/2
+    where x < r.  The one canonicalization of intervals."""
     x, r = np.broadcast_arrays(np.asarray(x, dtype=float),
                                np.asarray(r, dtype=float))
     if not (np.all(r > 0) and np.all(np.isfinite(r))
@@ -351,26 +324,21 @@ def interval_masses(space: LambdaSpace, x, r) -> np.ndarray:
 def interval_q_averages(space: LambdaSpace, f: SampledFunction, x, r,
                         q: float) -> np.ndarray:
     """q-averages (1/m(I)) integral_I |f|^q dm_lam over I = I(x, r), for
-    broadcast arrays of centers and radii (canonicalized as by Interval)."""
+    broadcast arrays of centers and radii (canonicalized by _interval_ends)."""
     left, right = _interval_ends(x, r)
     mass = _power_integrals(left, right, space.weight_exponent)
     return (interval_q_integrals(space, f, left.ravel(), right.ravel(), q)
             .reshape(left.shape) / mass)
 
 
-def _family_ends(family):
-    """Ends (left, right) of the intervals of a nonempty family, as arrays."""
-    ends = np.array([(iv.left, iv.right) for iv in family], dtype=float)
-    if ends.size == 0:
-        raise ValueError("interval family must be nonempty")
-    return ends[:, 0], ends[:, 1]
-
-
-def bmo_norm(space: LambdaSpace, f: SampledFunction,
-             family: Iterable[Interval]) -> float:
+def bmo_norm(space: LambdaSpace, f: SampledFunction, left, right) -> float:
     """Max mean oscillation (1/m(I)) integral_I |f - f_I| dm_lam over the
-    interval family (a BMO surrogate), f_I the dm-average over I."""
-    left, right = _family_ends(family)
+    intervals I = (left_k, right_k) of a nonempty family given by arrays of
+    ends (a BMO surrogate), f_I the dm-average over I."""
+    left = np.asarray(left, dtype=float)
+    right = np.asarray(right, dtype=float)
+    if left.size == 0:
+        raise ValueError("interval family must be nonempty")
     p = space.weight_exponent
     mass = _power_integrals(left, right, p)
     c = _batched(f, left, right,
@@ -384,14 +352,17 @@ def bmo_norm(space: LambdaSpace, f: SampledFunction,
     return float(np.max((osc + np.abs(c) * (below + above)) / mass))
 
 
-def dyadic_family(k_range=(-4, 4), m_range=(-4, 2)) -> tuple[Interval, ...]:
-    """Intervals I(2^k, 2^m) over the given index ranges, canonicalized."""
-    out = {}
-    for k in range(k_range[0], k_range[1] + 1):
-        for m in range(m_range[0], m_range[1] + 1):
-            iv = Interval(2.0 ** k, 2.0 ** m)
-            out[(iv.center, iv.radius)] = iv
-    return tuple(out[key] for key in sorted(out))
+def dyadic_family(k_range=(-4, 4), m_range=(-4, 2)):
+    """Ends (left, right) of the distinct intervals I(2^k, 2^m) over the
+    inclusive index ranges, as arrays in (center, radius) order."""
+    x, r = np.meshgrid(2.0 ** np.arange(k_range[0], k_range[1] + 1),
+                       2.0 ** np.arange(m_range[0], m_range[1] + 1),
+                       indexing="ij")
+    left, right = _interval_ends(x.ravel(), r.ravel())
+    # keyed by twice (center, radius), which is exact on dyadic ends
+    _, first = np.unique(np.column_stack([right + left, right - left]),
+                         axis=0, return_index=True)
+    return left[first], right[first]
 
 
 def lp_norm(space: LambdaSpace, f: SampledFunction, p: float,

@@ -140,9 +140,7 @@ def apply_transform(space, setup, win: IndexWindow, f: SampledFunction,
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         return SemigroupTable(space, setup, f, ys, quad).window(win.n1, win.n2)
 
-    eval_grid = np.asarray(eval_grid, dtype=float)
-    return SampledFunction(eval_grid, closure(eval_grid), left="hold",
-                           right="zero", func=closure)
+    return SampledFunction.from_callable(closure, eval_grid, left="hold")
 
 
 def apply_transform_kernel_route(space, setup, win: IndexWindow,
@@ -195,26 +193,17 @@ def _on_grid(grid, vals):
     return SampledFunction(grid, vals, left="hold", right="zero")
 
 
-def maximal_transform(space, setup, cap: TruncationLevel, f, eval_grid,
-                      quad=QuadratureSpec(),
-                      table: SemigroupTable | None = None):
-    """T*_M f on eval_grid via the prefix-sum pass; for a tuple f (or a
-    table of several functions), a tuple with one T*_M per function."""
-    eval_grid = np.asarray(eval_grid, dtype=float)
-    if table is None:
-        table = SemigroupTable(space, setup, f, eval_grid, quad)
+def maximal_transform(table: SemigroupTable, cap: TruncationLevel):
+    """T*_M f on the table's grid via the prefix-sum pass, for the table's
+    f; for a table of several functions, a tuple with one T*_M per
+    function."""
     S = table.weighted_prefixes(cap.m_cap)
-    return _on_grid(eval_grid, max_window_sum_abs(S))
+    return _on_grid(table.grid, max_window_sum_abs(S))
 
 
-def maximal_transform_brute(space, setup, cap: TruncationLevel, f,
-                            eval_grid, quad=QuadratureSpec(),
-                            table: SemigroupTable | None = None):
+def maximal_transform_brute(table: SemigroupTable, cap: TruncationLevel):
     """Reference implementation: enumerate every admissible window.  Same
     shapes as maximal_transform."""
-    eval_grid = np.asarray(eval_grid, dtype=float)
-    if table is None:
-        table = SemigroupTable(space, setup, f, eval_grid, quad)
     M = cap.m_cap
     S = table.weighted_prefixes(M)
     best = np.zeros(S.shape[1:])
@@ -222,14 +211,13 @@ def maximal_transform_brute(space, setup, cap: TruncationLevel, f,
         for n2 in range(n1 + 1, M + 1):
             win_val = S[n2 + M + 1] - S[n1 + M]
             np.maximum(best, np.abs(win_val), out=best)
-    return _on_grid(eval_grid, best)
+    return _on_grid(table.grid, best)
 
 
-def default_radius_grid(lo: float = 1e-3, hi: float = 1e3,
-                        n: int = 64) -> np.ndarray:
-    """Log-spaced radii; the sup over r is reported over this finite grid,
-    a lower bound for the true maximal function."""
-    return np.geomspace(lo, hi, n)
+def default_radius_grid() -> np.ndarray:
+    """64 log-spaced radii from 1e-3 to 1e3; the sup over r is reported
+    over this finite grid, a lower bound for the true maximal function."""
+    return np.geomspace(1e-3, 1e3, 64)
 
 
 def maximal_hl(space, f: SampledFunction, q: float, radius_grid,
@@ -257,24 +245,23 @@ class CotlarReport:
 
 
 def cotlar_check(space, setup, cap: TruncationLevel, f: SampledFunction,
-                 q: float, eval_grid, quad=QuadratureSpec(),
-                 radius_grid=None) -> CotlarReport:
-    """Pointwise ratio T*_M f / (M(T_(-M,M) f) + M_q f) over eval_grid.
+                 q: float, eval_grid, quad=QuadratureSpec()) -> CotlarReport:
+    """Pointwise ratio T*_M f / (M(T_(-M,M) f) + M_q f) over eval_grid, the
+    maximal functions over default_radius_grid().  T*_M f and T_(-M,M) f
+    come from one SemigroupTable of f on eval_grid.
 
     Where the denominator vanishes the numerator must too (asserted); such
     points count as degenerate with ratio 0.
     """
     if q <= 1.0:
         raise ValueError("q must exceed 1")
-    eval_grid = np.asarray(eval_grid, dtype=float)
-    if radius_grid is None:
-        radius_grid = default_radius_grid()
+    radius_grid = default_radius_grid()
     M = cap.m_cap
     table = SemigroupTable(space, setup, f, eval_grid, quad)
-    tstar = maximal_transform(space, setup, cap, f, eval_grid, quad, table)
-    full = _on_grid(eval_grid, table.window(-M, M))
-    m_of_t = maximal_hl(space, full, 1.0, radius_grid, eval_grid)
-    m_q = maximal_hl(space, f, q, radius_grid, eval_grid)
+    tstar = maximal_transform(table, cap)
+    full = _on_grid(table.grid, table.window(-M, M))
+    m_of_t = maximal_hl(space, full, 1.0, radius_grid, table.grid)
+    m_q = maximal_hl(space, f, q, radius_grid, table.grid)
     denom = m_of_t + m_q
     ratios = np.zeros_like(denom)
     degenerate = denom <= 0.0

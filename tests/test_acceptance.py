@@ -193,9 +193,8 @@ def test_criterion_07_maximal_prefix_pass():
         f = bump_mixture(rng, span=(0.2, 5.0))
         cap = TruncationLevel(M)
         table = SemigroupTable(SPACE1, setup, f, grid, QUAD)
-        fast = maximal_transform(SPACE1, setup, cap, f, grid, QUAD, table)
-        brute = maximal_transform_brute(SPACE1, setup, cap, f, grid, QUAD,
-                                        table)
+        fast = maximal_transform(table, cap)
+        brute = maximal_transform_brute(table, cap)
         assert np.array_equal(fast.values, brute.values), \
             f"trial {trial}: M={M}"
     print("criterion 7: prefix pass == brute enumeration exactly, "

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import subprocess
@@ -131,6 +132,20 @@ def test_malformed_config_line(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_subcommand_help_is_the_runner_docstring():
+    parser = cli._build_parser()
+    [sub] = [a for a in parser._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert list(helps) == list(cli.EXPERIMENTS)
+    for name, run in cli.EXPERIMENTS.items():
+        first = run.__doc__.split("\n\n")[0]
+        assert first and helps[name] == first
+    # argparse formats help text with %, so a stray one would raise here
+    text = parser.format_help()
+    assert all(name in text for name in cli.EXPERIMENTS)
+
+
 # -- end-to-end through a real interpreter ----------------------------------
 
 # The directory that holds the imported package. A relative PYTHONPATH
@@ -231,6 +246,25 @@ def test_unattainable_tail_exits_two_without_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("numerical failure: tail truncation needs")
     assert proc.stderr.count("\n") == 1
+
+
+def test_unwritable_output_exits_one_without_traceback(tmp_path):
+    out = tmp_path / "no" / "such" / "k.csv"
+    proc = run_sub(["kernel-eval", "--out", str(out)], tmp_path)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: cannot write output: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_help_builds_without_docstrings(tmp_path):
+    # python -OO strips the docstrings the subcommand help comes from
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    proc = subprocess.run([sys.executable, "-OO", "-m", "besseldt.cli",
+                           "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert all(name in proc.stdout for name in cli.EXPERIMENTS)
 
 
 def test_non_finite_kernel_value_exits_two_without_traceback(tmp_path):

@@ -355,6 +355,21 @@ def test_uniform_l2_growth_still_fails(tmp_path, capsys):
     assert "spearman 0.600 >= 0.3" in capsys.readouterr().err
 
 
+def test_tolerance_failure_prints_the_tolerance_unrounded(tmp_path, capsys):
+    # the gaussian fixed point (about 1e-16) fails a tolerance of 1.5e-20,
+    # and the message names that tolerance as the CSV records it (the
+    # small sizes fail other checks too)
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text("experiment = hankel-check\n" + ROUND_TRIP["hankel-check"]
+                   + "tol_fixed = 1.5e-20\n")
+    code = cli.main(["hankel-check", "--config", str(cfg),
+                     "--out", str(tmp_path / "h.csv")])
+    assert code == 2
+    first = capsys.readouterr().err.splitlines()[0]
+    assert first.startswith("tolerance failure: gaussian_fixed_point: ")
+    assert first.endswith(" > 1.5e-20")
+
+
 def test_cli_import_leaves_out_scipy_stats():
     code = ("import sys, besseldt.cli; "
             "print('scipy.stats' in sys.modules)")

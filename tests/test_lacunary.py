@@ -57,7 +57,7 @@ def test_refine_inserts_geometric_intermediates():
     r = refine(s)
     assert np.allclose(r.eta, [1.0, 2.0, 4.0, 10.0])
     assert np.array_equal(r.omega, [1.0, 1.0, 1.0])
-    assert r.block(0) == range(0, 3)
+    assert r.index_map[0] == range(0, 3)
     ok, (lo, hi) = is_regular(r.as_setup())
     assert ok and lo >= 2.0 - 1e-12 and hi <= 4.0 + 1e-12
 

@@ -8,8 +8,8 @@ from scipy.optimize import brentq
 
 from besseldt.functions import SampledFunction, constant_one, indicator, \
     smooth_bump, smoothed_step
-from besseldt.measure import (Interval, LambdaSpace, PowerWeight, bmo_norm,
-                              dyadic_family, interval_masses,
+from besseldt.measure import (LambdaSpace, PowerWeight, _interval_ends,
+                              bmo_norm, dyadic_family, interval_masses,
                               interval_q_averages, interval_q_integrals,
                               lp_norm)
 
@@ -25,14 +25,13 @@ def test_space_validation():
 
 
 def test_interval_canonical_form():
-    iv = Interval(1.0, 3.0)          # x < r: becomes (0, 4)
-    assert iv.center == iv.radius == 2.0
-    assert iv.left == 0.0 and iv.right == 4.0
-    iv2 = Interval(5.0, 1.0)
-    assert (iv2.left, iv2.right) == (4.0, 6.0)
-    assert Interval(iv2.center, 2.0 * iv2.radius).left == 3.0
+    assert _interval_ends(1.0, 3.0) == (0.0, 4.0)   # x < r: (0, x + r)
+    assert _interval_ends(5.0, 1.0) == (4.0, 6.0)
+    # arrays broadcast, and each entry takes its own branch
+    left, right = _interval_ends(np.array([1.0, 5.0]), np.array([3.0, 1.0]))
+    assert left.tolist() == [0.0, 4.0] and right.tolist() == [4.0, 6.0]
     with pytest.raises(ValueError):
-        Interval(1.0, 0.0)
+        _interval_ends(1.0, 0.0)
 
 
 def test_measure_interval_closed_form(space1):
@@ -194,19 +193,19 @@ def test_power_weight_ap_bounds(space1):
 
 def test_oscillation_and_bmo(space1):
     c = constant_one()
-    iv = Interval(2.0, 1.0)
-    assert bmo_norm(space1, c, [iv]) == pytest.approx(0.0, abs=1e-13)
+    assert bmo_norm(space1, c, [1.0], [3.0]) == pytest.approx(0.0, abs=1e-13)
     fam = dyadic_family()
-    assert bmo_norm(space1, c, fam) == pytest.approx(0.0, abs=1e-13)
+    assert bmo_norm(space1, c, *fam) == pytest.approx(0.0, abs=1e-13)
     f = smoothed_step(1.0, 0.2)
-    assert bmo_norm(space1, f, fam) > 0.1
+    assert bmo_norm(space1, f, *fam) > 0.1
+    with pytest.raises(ValueError):
+        bmo_norm(space1, f, [], [])
 
 
-def _mean_oscillation_oracle(f, iv, p):
-    """scipy quad of (1/m(I)) integral_I |f - f_I| y^p dy, split at f's grid
-    and breakpoints and at the zeros of f - f_I; pieces starting at 0 take
-    the algebraic weight y^p."""
-    a, b = iv.left, iv.right
+def _mean_oscillation_oracle(f, a, b, p):
+    """scipy quad of (1/m(I)) integral_I |f - f_I| y^p dy over I = (a, b),
+    split at f's grid and breakpoints and at the zeros of f - f_I; pieces
+    starting at 0 take the algebraic weight y^p."""
     kinks = np.union1d(f.grid, np.asarray(f.breakpoints, dtype=float))
 
     m = (b ** (p + 1.0) - a ** (p + 1.0)) / (p + 1.0)
@@ -261,22 +260,22 @@ def test_mean_oscillation_against_quad(lam):
           (1.4, 1.6)), 2e-6),
     )
     for f, ends, tol in cases:
-        fam = [Interval(0.5 * (a + b), 0.5 * (b - a)) for a, b in ends]
         singles = []
-        for iv in fam:
-            got = bmo_norm(space, f, [iv])
-            want = _mean_oscillation_oracle(f, iv, p)
-            assert abs(got - want) <= tol, (f, iv, got, want)
+        for a, b in ends:
+            got = bmo_norm(space, f, [a], [b])
+            want = _mean_oscillation_oracle(f, a, b, p)
+            assert abs(got - want) <= tol, (f, (a, b), got, want)
             singles.append(got)
         # one batch over the family is the max of the single intervals
-        assert bmo_norm(space, f, fam) == max(singles)
+        left, right = np.array(ends).T
+        assert bmo_norm(space, f, left, right) == max(singles)
 
 
 def test_dyadic_family_size():
-    fam = dyadic_family((-2, 2), (-1, 1))
+    left, right = dyadic_family((-2, 2), (-1, 1))
     # (k over 5 positions) x (m over 3 sizes) minus none: 15 intervals
-    assert len(fam) == 15
-    assert all(iv.radius > 0 for iv in fam)
+    assert left.size == right.size == 15
+    assert np.all(left >= 0.0) and np.all(right > left)
 
 
 def test_comparability_two_sided(space1, rng):

@@ -11,7 +11,7 @@ from besseldt.functions import (SampledFunction, bump_mixture, constant_one,
                                 indicator, smooth_bump)
 from besseldt.kernel import apply_at, closed_form_lambda1
 from besseldt.lacunary import LacunarySetup, geometric, refine, remap_window
-from besseldt.measure import (Interval, LambdaSpace, interval_masses,
+from besseldt.measure import (LambdaSpace, _interval_ends, interval_masses,
                               interval_q_integrals)
 from besseldt.quadrature import QuadratureSpec
 from besseldt.transform import (CotlarReport, IndexWindow, SemigroupTable,
@@ -149,8 +149,9 @@ def test_maximal_prefix_equals_brute(space1):
     setup = geometric(2.0, -4, 4, v=alternating(-4, 4))
     f = smooth_bump(1.0, 0.5)
     cap = TruncationLevel(3)
-    fast = maximal_transform(space1, setup, cap, f, GRID)
-    brute = maximal_transform_brute(space1, setup, cap, f, GRID)
+    table = SemigroupTable(space1, setup, f, GRID)
+    fast = maximal_transform(table, cap)
+    brute = maximal_transform_brute(table, cap)
     assert np.array_equal(fast.values, brute.values)
 
 
@@ -158,7 +159,7 @@ def test_maximal_dominates_each_window(space1):
     setup = geometric(2.0, -4, 4, v=alternating(-4, 4))
     f = smooth_bump(1.0, 0.5)
     cap = TruncationLevel(2)
-    tstar = maximal_transform(space1, setup, cap, f, GRID)
+    tstar = maximal_transform(SemigroupTable(space1, setup, f, GRID), cap)
     for n1 in range(-2, 2):
         for n2 in range(n1 + 1, 3):
             tn = apply_transform(space1, setup, IndexWindow(n1, n2), f, GRID)
@@ -201,9 +202,9 @@ def _maximal_hl_loop(space, f, q, radii, pts):
     for x in pts:
         best = 0.0
         for r in radii:
-            iv = Interval(x, r)
+            left, right = _interval_ends(x, r)
             best = max(best, interval_q_integrals(
-                space, f, [iv.left], [iv.right], q)[0]
+                space, f, [left], [right], q)[0]
                 / interval_masses(space, x, r))
         out.append(best ** (1.0 / q))
     return np.array(out)
@@ -330,9 +331,8 @@ def test_criterion_07_on_a_batch_table(space1):
     table = SemigroupTable(space1, setup, fs, grid)
     for M in (1, 3, 6):
         cap = TruncationLevel(M)
-        fast = maximal_transform(space1, setup, cap, fs, grid, table=table)
-        brute = maximal_transform_brute(space1, setup, cap, fs, grid,
-                                        table=table)
+        fast = maximal_transform(table, cap)
+        brute = maximal_transform_brute(table, cap)
         assert len(fast) == len(brute) == len(fs)
         for a, b in zip(fast, brute):
             assert np.array_equal(a.values, b.values)
