@@ -27,8 +27,8 @@ from .hankel import (gaussian_fixed_point_defect, hankel_transform,
 from .kernel import (closed_form_lambda1, kernel_bound_ratios,
                      kernel_difference_l1, kernel_mass, kernel_sweep,
                      kernel_values, poisson_apply)
-from .lacunary import (LacunarySetup, RefinedSetup, geometric, is_lacunary,
-                       is_regular, refine, remap_window)
+from .lacunary import (LacunarySetup, geometric, is_lacunary, is_regular,
+                       refine, remap_window)
 from .measure import (LambdaSpace, PowerWeight, bmo_norm, dyadic_family,
                       lp_norm)
 from .quadrature import QuadratureSpec
@@ -51,8 +51,8 @@ __all__ = [
     "closed_form_lambda1", "kernel_bound_ratios",
     "kernel_difference_l1", "kernel_mass", "kernel_sweep", "kernel_values",
     "poisson_apply",
-    "LacunarySetup", "RefinedSetup", "geometric", "is_lacunary",
-    "is_regular", "refine", "remap_window",
+    "LacunarySetup", "geometric", "is_lacunary", "is_regular", "refine",
+    "remap_window",
     "LambdaSpace", "PowerWeight", "bmo_norm", "dyadic_family", "lp_norm",
     "QuadratureSpec",
     "CotlarReport", "IndexWindow", "SemigroupTable", "TruncationLevel",

@@ -127,8 +127,12 @@ def _radial_end(lam: float, t: float, hold: float, base, quad):
     about C t hold / Y, C = 2 Gamma(lam+1) / (sqrt(pi) Gamma(lam+1/2)),
     doubled as a margin for finite-Y corrections."""
     target = 0.5 * max(quad.abs_tol, 1e-14)
-    c_tail = 2.0 * math.gamma(lam + 1.0) / (math.sqrt(math.pi)
-                                            * math.gamma(lam + 0.5)) * 2.0
+    try:
+        c_tail = 2.0 * math.gamma(lam + 1.0) / (math.sqrt(math.pi)
+                                                * math.gamma(lam + 0.5)) * 2.0
+    except OverflowError:
+        raise TailEstimateError(f"tail constant overflows at lambda = "
+                                f"{lam:g}") from None
     base = np.asarray(base, dtype=float)
     need = c_tail * t * max(hold, 1e-300) / (target * base)
     K = np.maximum(1.0, np.ceil(np.log2(np.maximum(need, 2.0))))
@@ -149,6 +153,18 @@ def check_tail(bound: float, quad: QuadratureSpec) -> None:
             f"truncation tail {bound:.3e} above tolerance")
 
 
+#: functions per radial layout of apply_at.  Level times of 16 bump
+#: mixtures by batch size 1, 2, 4, 8, 16 (2-CPU Xeon, one BLAS thread, best
+#: of three): 0.22, 0.14, 0.11, 0.12, 0.16 s at 4 grid points and lambda =
+#: 1.5; 3.3, 2.8, 2.9, 3.5, 6.1 s at 96 points and lambda = 1.5; 1.5, 1.3,
+#: 1.6, 3.0, 5.7 s at 96 points and lambda = 1, where the kernel costs half
+#: as much.  Every function is evaluated on the union of the batch's nodes,
+#: about 2.8 times one function's, and beyond four that outgrows the kernel
+#: and layout saving; a batch of 50 needs 912 panels per point, above
+#: MAX_RADIAL_PANELS.
+_F_BATCH = 4
+
+
 def apply_at(space: LambdaSpace,
              f: SampledFunction | tuple[SampledFunction, ...], t: float, xs,
              quad: QuadratureSpec = QuadratureSpec()):
@@ -157,16 +173,7 @@ def apply_at(space: LambdaSpace,
 
     Returns (values, tail_bounds): values of shape (x,) for one function
     and (n_f, x) for a tuple, and one tail bound per x that holds for every
-    function.  The radial integral runs over the panels of
-    quadrature.radial_layouts: aligned with the breakpoints and graded
-    around y = x at scale t.  A tuple has one layout, from its least support
-    start to its greatest support end, on the union of its functions'
-    breakpoints and support ends, and one kernel evaluation: each function's
-    sums are those of the same weight * kernel terms times its values.  An
-    unbounded support (nonzero hold tail) is truncated where the analytic
-    kernel-decay bound for the largest hold drops below the tolerance.  One
-    radial_layouts call lays out all x, and one quadrature.panel_sums call
-    sums their nodes.
+    function.  A tuple is laid out in consecutive batches of _F_BATCH.
     """
     if t <= 0:
         raise ValueError("t must be positive")
@@ -174,6 +181,20 @@ def apply_at(space: LambdaSpace,
     if np.any(xs <= 0):
         raise ValueError("evaluation points must be positive")
     fs = f if isinstance(f, tuple) else (f,)
+    vals, tails = zip(*(_apply_batch(space, fs[i:i + _F_BATCH], t, xs, quad)
+                        for i in range(0, len(fs), _F_BATCH)))
+    vals = np.concatenate(vals)
+    return (vals if isinstance(f, tuple) else vals[0]), np.maximum.reduce(
+        tails)
+
+
+def _apply_batch(space, fs, t, xs, quad):
+    """apply_at of a tuple fs on one quadrature.radial_layouts layout of
+    all x, aligned with the union of their breakpoints and support ends
+    and graded around y = x at scale t, with one kernel evaluation summed
+    by one quadrature.panel_sums call.  An unbounded support (nonzero hold
+    tail) is truncated where the analytic kernel-decay bound for the
+    largest hold drops below the tolerance."""
     starts, ends = zip(*(g.support() for g in fs))
     slo, shi = min(starts), max(ends)
     his, tails = np.full_like(xs, shi), np.zeros_like(xs)
@@ -184,9 +205,8 @@ def apply_at(space: LambdaSpace,
                    for g, hi in zip(fs, ends) if math.isinf(hi))
         his, tails = _radial_end(space.lam, t, hold, np.maximum(
             xs, max(t, *(g.grid[-1] for g in fs))), quad)
-    # one function's support ends are the ends of its layout
-    bps = fs[0].quad_breakpoints() if len(fs) == 1 else np.unique(
-        np.concatenate([*(g.quad_breakpoints() for g in fs), starts, ends]))
+    bps = np.unique(np.concatenate(
+        [*(g.quad_breakpoints() for g in fs), starts, ends]))
     runs = radial_layouts(slo, his, xs, t, bps, quad.y_nodes_per_panel,
                           space.weight_exponent)
 
@@ -197,8 +217,7 @@ def apply_at(space: LambdaSpace,
             np.multiply(wk, g(y), out=row)
         return terms
 
-    vals = panel_sums(xs, runs, integrand)
-    return (vals if isinstance(f, tuple) else vals[0]), tails
+    return panel_sums(xs, runs, integrand), tails
 
 
 def poisson_apply(space: LambdaSpace, f: SampledFunction, t: float,

@@ -36,8 +36,9 @@ from .lacunary import LacunarySetup, geometric
 from .measure import (LambdaSpace, PowerWeight, bmo_norm, dyadic_family,
                       interval_q_averages, lp_norm)
 from .quadrature import QuadratureSpec
-from .transform import (IndexWindow, SemigroupTable, _on_grid,
-                        max_window_sum_abs, window_kernel_bounds)
+from .transform import (IndexWindow, SemigroupTable, TruncationLevel,
+                        _on_grid, max_window_sum_abs, maximal_transform,
+                        window_kernel_bounds)
 
 # --------------------------------------------------------------------------
 # configuration schema
@@ -462,27 +463,6 @@ def _setup(cfg: ExperimentConfig) -> LacunarySetup:
     return geometric(cfg["rho"], lo, hi, v=resolve_v(cfg["v"], lo, hi))
 
 
-#: functions per SemigroupTable of uniform-l2 and weighted.  Level times
-#: of 16 bump mixtures by batch size 1, 2, 4, 8, 16 (2-CPU Xeon, one BLAS
-#: thread, best of three): 0.22, 0.14, 0.11, 0.12, 0.16 s at 4 grid points
-#: and lambda = 1.5; 3.3, 2.8, 2.9, 3.5, 6.1 s at 96 points and lambda =
-#: 1.5; 1.5, 1.3, 1.6, 3.0, 5.7 s at 96 points and lambda = 1, where the
-#: kernel costs half as much.  Every function is evaluated on the union of
-#: the batch's nodes, about 2.8 times one function's, and beyond four that
-#: outgrows the kernel and layout saving; a batch of 50 needs 912 panels
-#: per point, above MAX_RADIAL_PANELS.
-_F_BATCH = 4
-
-
-def _tables(space, setup, fs, grid, quad):
-    """(index of its first function, SemigroupTable) over fs in batches of
-    _F_BATCH functions, one layout and kernel evaluation per level each."""
-    for first in range(0, len(fs), _F_BATCH):
-        yield first, SemigroupTable(space, setup,
-                                    tuple(fs[first:first + _F_BATCH]), grid,
-                                    quad)
-
-
 def _maximal_pair(table: SemigroupTable, m: int):
     """T*_M and T*_(M/2) on the table's grid from one prefix pass."""
     S = table.weighted_prefixes(m)
@@ -620,7 +600,7 @@ def run_transform(cfg: ExperimentConfig) -> ExperimentResult:
     summary = {"sup_t_n": float(np.max(np.abs(vals)))}
     m = cfg.values.get("m")
     if m is not None:
-        tstar = max_window_sum_abs(table.weighted_prefixes(m))
+        tstar = maximal_transform(table, TruncationLevel(m))
         header.append("t_star")
         columns.append(tstar)
         summary["sup_t_star"] = float(tstar.max())
@@ -712,16 +692,17 @@ def run_uniform_l2(cfg: ExperimentConfig) -> ExperimentResult:
     grid = _grid(cfg)
     rows = []
     ratios, lengths = [], []
-    fs = [bump_mixture(rng, span=(1e-1, 1e1)) for _ in range(cfg["f_count"])]
-    for first, table in _tables(space, setup, fs, grid, quad):
-        tns = [table.window(win.n1, win.n2) for win in wins]
-        for k, f in enumerate(table.f):
-            norm_f = lp_norm(space, f, 2.0)
-            for win, tn in zip(wins, tns):
-                ratio = lp_norm(space, _on_grid(grid, tn[k]), 2.0) / norm_f
-                rows.append((first + k, win.n1, win.n2, win.length, ratio))
-                ratios.append(ratio)
-                lengths.append(win.length)
+    fs = tuple(bump_mixture(rng, span=(1e-1, 1e1))
+               for _ in range(cfg["f_count"]))
+    table = SemigroupTable(space, setup, fs, grid, quad)
+    tns = [table.window(win.n1, win.n2) for win in wins]
+    for k, f in enumerate(fs):
+        norm_f = lp_norm(space, f, 2.0)
+        for win, tn in zip(wins, tns):
+            ratio = lp_norm(space, _on_grid(grid, tn[k]), 2.0) / norm_f
+            rows.append((k, win.n1, win.n2, win.length, ratio))
+            ratios.append(ratio)
+            lengths.append(win.length)
     sp = _spearman(lengths, ratios)
     max_ratio = float(np.max(ratios))
     failures = []
@@ -749,15 +730,16 @@ def run_weighted_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     setup = _setup(cfg)
     grid = _grid(cfg)
     rows = []
-    fs = [bump_mixture(rng, span=(1e-1, 1e1)) for _ in range(cfg["f_count"])]
-    for first, table in _tables(space, setup, fs, grid, quad):
-        pair = _maximal_pair(table, cfg["m"])
-        for k, f in enumerate(table.f):
-            den = lp_norm(space, f, p, weight)
-            ratio, ratio_h = (lp_norm(space, _on_grid(grid, tstar[k]), p,
-                                      weight) / den for tstar in pair)
-            stab = abs(ratio - ratio_h) / ratio if ratio > 0 else 0.0
-            rows.append((first + k, ratio, ratio_h, stab))
+    fs = tuple(bump_mixture(rng, span=(1e-1, 1e1))
+               for _ in range(cfg["f_count"]))
+    pair = _maximal_pair(SemigroupTable(space, setup, fs, grid, quad),
+                         cfg["m"])
+    for k, f in enumerate(fs):
+        den = lp_norm(space, f, p, weight)
+        ratio, ratio_h = (lp_norm(space, _on_grid(grid, tstar[k]), p,
+                                  weight) / den for tstar in pair)
+        stab = abs(ratio - ratio_h) / ratio if ratio > 0 else 0.0
+        rows.append((k, ratio, ratio_h, stab))
     max_ratio = float(np.max([r[1] for r in rows]))
     failures = []
     if not math.isfinite(max_ratio):

@@ -15,7 +15,7 @@ has one entry fewer than `a`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,59 +78,48 @@ def is_regular(setup: LacunarySetup):
     return ok, (lo, hi)
 
 
-@dataclass(frozen=True)
-class RefinedSetup:
-    eta: np.ndarray
-    omega: np.ndarray
-    rho: float
-    j_min: int
-    # original pair j -> range of the refined pair indices carrying it
-    index_map: dict = field(compare=False)
-
-    def as_setup(self) -> LacunarySetup:
-        return LacunarySetup(self.eta, self.omega, self.rho, self.j_min)
-
-
-def refine(setup: LacunarySetup) -> RefinedSetup:
+def refine(setup: LacunarySetup):
     """Insert a_j * rho^m between neighbours with ratio > rho^2.
 
-    The result is regular, keeps every original value, and reproduces the
-    original windowed sums: each block of refined differences telescopes back
-    to one original difference with the same weight.  Ratios exactly equal
-    to rho^2 take the no-insertion branch.
+    Returns (refined setup, index_map), index_map taking each original pair
+    j to the range of the refined pair indices carrying it.  The refined
+    setup is regular, keeps every original value, rho and j_min, and
+    reproduces the original windowed sums: each block of refined
+    differences telescopes back to one original difference with the same
+    weight.  Ratios exactly equal to rho^2 take the no-insertion branch.
     """
     ok, worst = is_lacunary(setup)
     if not ok:
         raise ValueError(f"not {setup.rho}-lacunary: worst ratio {worst}")
     rho, rho2 = setup.rho, setup.rho ** 2 * (1.0 + _RATIO_SLACK)
-    eta, omega = [], []
+    a, v = [], []
     index_map = {}
     next_pair = setup.j_min
     for i in range(setup.a.size - 1):
         lo, hi = setup.a[i], setup.a[i + 1]
-        eta.append(lo)
+        a.append(lo)
         m = 1
         while hi / (lo * rho ** (m - 1)) > rho2:
-            eta.append(lo * rho ** m)
+            a.append(lo * rho ** m)
             m += 1
-        count = m  # refined pairs covering [a_i, a_{i+1})
-        omega.extend([setup.v[i]] * count)
-        index_map[setup.j_min + i] = range(next_pair, next_pair + count)
-        next_pair += count
-    eta.append(setup.a[-1])
-    return RefinedSetup(np.asarray(eta), np.asarray(omega), setup.rho,
-                        setup.j_min, index_map)
+        # m refined pairs cover [a_i, a_{i+1})
+        v.extend([setup.v[i]] * m)
+        index_map[setup.j_min + i] = range(next_pair, next_pair + m)
+        next_pair += m
+    a.append(setup.a[-1])
+    return (LacunarySetup(np.asarray(a), np.asarray(v), setup.rho,
+                          setup.j_min), index_map)
 
 
-def remap_window(refined: RefinedSetup, n1: int, n2: int):
-    """Refined window (m1, m2) with eta_{m1} = a_{n1} and
-    eta_{m2+1} = a_{n2+1}, so the windowed sums coincide term-block by
-    term-block."""
+def remap_window(index_map: dict, n1: int, n2: int):
+    """Refined window (m1, m2), from the index_map of refine, with refined
+    a_{m1} = a_{n1} and refined a_{m2+1} = a_{n2+1}, so the windowed sums
+    coincide term-block by term-block."""
     if n2 < n1:
         raise ValueError("need n1 <= n2")
-    if n1 not in refined.index_map or n2 not in refined.index_map:
+    if n1 not in index_map or n2 not in index_map:
         raise IndexError("window outside the refined range")
-    return refined.index_map[n1].start, refined.index_map[n2].stop - 1
+    return index_map[n1].start, index_map[n2].stop - 1
 
 
 def geometric(rho: float, j_min: int, j_max: int, v=None) -> LacunarySetup:

@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
-from .errors import QuadratureError
+from .errors import NumericsError, QuadratureError
 
 
 @dataclass(frozen=True)
@@ -217,16 +217,24 @@ def panel_sums(points, runs, integrand) -> np.ndarray:
     each point repeated once per node, and returns the terms, one per node
     along its last axis; the sums have the terms' leading shape followed by
     the points'.  A point's sum does not depend on how the points are
-    grouped into runs.
+    grouped into runs.  A non-finite sum raises NumericsError naming its
+    point.
     """
     points = np.asarray(points, dtype=float)
     sums = []
     first = 0
-    for nodes, weights, counts in runs:
-        stop = first + counts.size
-        terms = integrand(np.repeat(points[first:stop], counts), nodes,
-                          weights)
-        sums.append(np.add.reduceat(terms, np.cumsum(counts) - counts,
-                                    axis=-1))
-        first = stop
-    return np.concatenate(sums, axis=-1)
+    # an overflow in a layout or a term shows as a non-finite sum
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for nodes, weights, counts in runs:
+            stop = first + counts.size
+            terms = integrand(np.repeat(points[first:stop], counts), nodes,
+                              weights)
+            sums.append(np.add.reduceat(terms, np.cumsum(counts) - counts,
+                                        axis=-1))
+            first = stop
+    sums = np.concatenate(sums, axis=-1)
+    finite = np.isfinite(sums).reshape(-1, points.size).all(axis=0)
+    if not finite.all():
+        raise NumericsError(f"radial sum at x = {points[~finite][0]:g} is "
+                            "not finite")
+    return sums

@@ -4,12 +4,12 @@ For a time sequence {a_j} and bounded weights {v_j},
 
     T_N f = sum_{j=N1}^{N2} v_j (P_{a_{j+1}} f - P_{a_j} f),
 
-with windowed kernel K_N(x,y) built from the same differences.  On a grid,
-T_N f is SemigroupTable.window, which adds the terms in j order; the kernel
-sums of K_N and of the partial-sum bounds go through _window_sum.  A table
-of a batch of functions computes each level P_{a_j} f with one radial
-layout on the union of their breakpoints and one kernel evaluation, shared
-by the batch.  The truncated maximal operator
+with windowed kernel K_N(x,y) built from the same differences.  One
+generator, _window_sums, adds the terms v_j (L_{j+1} - L_j) in j order over
+levels L_j: the levels P_{a_j} f of a SemigroupTable for T_N f and its
+prefix sums, and kernel levels P_{a_j}(x, y) for K_N and the partial-sum
+bounds.  A table of a tuple of functions computes each level with one
+apply_at call.  The truncated maximal operator
 
     T*_M f(x) = max over -M <= N1 < N2 <= M of |T_N f(x)|
 
@@ -22,6 +22,7 @@ behaviour of T_N f along growing windows.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,9 @@ def _check_window(setup: LacunarySetup, n1: int, n2: int):
 class SemigroupTable:
     """Cache of P_{a_j} f on a fixed grid, one quadrature pass per level.
 
-    f is one SampledFunction or a tuple of them.  The levels of a tuple
-    come from one apply_at call each, on one radial layout over the union
-    of the functions' breakpoints, and have one row per function: shape
-    (grid,) for one function, (n_f, grid) for a tuple.
+    f is one SampledFunction or a tuple of them.  Each level comes from one
+    apply_at call and has one row per function: shape (grid,) for one
+    function, (n_f, grid) for a tuple.
     """
 
     def __init__(self, space: LambdaSpace, setup: LacunarySetup,
@@ -90,37 +90,43 @@ class SemigroupTable:
         levels computed so far is kept in `max_tail`; one above
         max(abs_tol, 1e-14) raises TailEstimateError (kernel.check_tail)."""
         if j not in self._levels:
-            t = self.setup.a_at(j)
-            vals, tails = apply_at(self.space, self.f, t, self.grid,
-                                   self.quad)
+            vals, tails = apply_at(self.space, self.f, self.setup.a_at(j),
+                                   self.grid, self.quad)
             self.max_tail = max(self.max_tail,
                                 float(np.max(tails, initial=0.0)))
             check_tail(self.max_tail, self.quad)
             self._levels[j] = vals
         return self._levels[j]
 
-    def diff(self, j: int) -> np.ndarray:
-        return self.level(j + 1) - self.level(j)
-
     def window(self, n1: int, n2: int) -> np.ndarray:
         """T_N f on the grid for N = (n1, n2): the terms v_j (p_{j+1} - p_j)
         added one by one in j order (prefix differences would round
         differently)."""
         _check_window(self.setup, n1, n2)
-        vals = np.zeros_like(self.level(n1))
-        for j in range(n1, n2 + 1):
-            vals += self.setup.v_at(j) * self.diff(j)
-        return vals
+        return deque(_window_sums(self.setup, n1, (
+            self.level(j) for j in range(n1, n2 + 2))), maxlen=1).pop()
 
     def weighted_prefixes(self, m_cap: int) -> np.ndarray:
         """S[i] = sum_{j=-M}^{-M+i-1} v_j (p_{j+1} - p_j), i = 0..2M+1, each
         of a level's shape."""
         M = m_cap
         _check_window(self.setup, -M, M)
-        S = np.zeros((2 * M + 2, *self.level(-M).shape))
-        for i, j in enumerate(range(-M, M + 1)):
-            S[i + 1] = S[i] + self.setup.v_at(j) * self.diff(j)
-        return S
+        sums = list(_window_sums(self.setup, -M, (
+            self.level(j) for j in range(-M, M + 2))))
+        return np.stack([np.zeros_like(sums[0]), *sums])
+
+
+def _window_sums(setup: LacunarySetup, j_lo: int, levels):
+    """The partial sums of sum_{j >= j_lo} v_j (L_{j+1} - L_j) over the
+    levels L_{j_lo}, L_{j_lo + 1}, ..., one after each term: the terms are
+    added in j order, and each level is read once."""
+    levels = iter(levels)
+    prev = next(levels)
+    total = 0.0
+    for j, cur in enumerate(levels, start=j_lo):
+        total = total + setup.v_at(j) * (cur - prev)
+        yield total
+        prev = cur
 
 
 # --------------------------------------------------------------------------
@@ -186,32 +192,26 @@ def max_window_sum_abs(S: np.ndarray) -> np.ndarray:
 
 def _on_grid(grid, vals):
     """An operator output sampled on a grid, held on the left and zero on
-    the right: one SampledFunction, or a tuple of them for the rows of a
-    table of several functions."""
-    if vals.ndim > 1:
-        return tuple(_on_grid(grid, row) for row in vals)
+    the right."""
     return SampledFunction(grid, vals, left="hold", right="zero")
 
 
 def maximal_transform(table: SemigroupTable, cap: TruncationLevel):
-    """T*_M f on the table's grid via the prefix-sum pass, for the table's
-    f; for a table of several functions, a tuple with one T*_M per
-    function."""
-    S = table.weighted_prefixes(cap.m_cap)
-    return _on_grid(table.grid, max_window_sum_abs(S))
+    """T*_M f on table.grid via the prefix-sum pass, an array shaped like a
+    level: one row per function for a table of several."""
+    return max_window_sum_abs(table.weighted_prefixes(cap.m_cap))
 
 
 def maximal_transform_brute(table: SemigroupTable, cap: TruncationLevel):
     """Reference implementation: enumerate every admissible window.  Same
-    shapes as maximal_transform."""
+    shape as maximal_transform."""
     M = cap.m_cap
     S = table.weighted_prefixes(M)
     best = np.zeros(S.shape[1:])
     for n1 in range(-M, M):
         for n2 in range(n1 + 1, M + 1):
-            win_val = S[n2 + M + 1] - S[n1 + M]
-            np.maximum(best, np.abs(win_val), out=best)
-    return _on_grid(table.grid, best)
+            np.maximum(best, np.abs(S[n2 + M + 1] - S[n1 + M]), out=best)
+    return best
 
 
 def default_radius_grid() -> np.ndarray:
@@ -265,11 +265,11 @@ def cotlar_check(space, setup, cap: TruncationLevel, f: SampledFunction,
     denom = m_of_t + m_q
     ratios = np.zeros_like(denom)
     degenerate = denom <= 0.0
-    if np.any(degenerate) and np.any(tstar.values[degenerate] > 1e-13):
+    if np.any(degenerate) and np.any(tstar[degenerate] > 1e-13):
         raise ContractError(
             "maximal transform nonzero where both maximal functions vanish")
     ok = ~degenerate
-    ratios[ok] = tstar.values[ok] / denom[ok]
+    ratios[ok] = tstar[ok] / denom[ok]
     return CotlarReport(M, float(ratios.max()), ratios,
                         int(np.count_nonzero(degenerate)))
 
@@ -351,14 +351,9 @@ def tail_sum_bound_ratio(space, setup, m: int, k: int, m_bot: int,
 def _window_sum(space, setup, j_lo, j_hi, x, y, kind="p"):
     """sum_{j=j_lo}^{j_hi} v_j (P_{a_{j+1}} - P_{a_j})(x, y), or the same sum
     of a derivative kind, over broadcast arrays x, y."""
-    total = 0.0
-    prev = None
-    for j in range(j_lo, j_hi + 2):
-        cur = kernel_values(space, setup.a_at(j), x, y, kind)
-        if prev is not None:
-            total = total + setup.v_at(j - 1) * (cur - prev)
-        prev = cur
-    return total
+    return deque(_window_sums(setup, j_lo, (
+        kernel_values(space, setup.a_at(j), x, y, kind)
+        for j in range(j_lo, j_hi + 2))), maxlen=1).pop()
 
 
 # --------------------------------------------------------------------------

@@ -267,6 +267,41 @@ def test_help_builds_without_docstrings(tmp_path):
     assert all(name in proc.stdout for name in cli.EXPERIMENTS)
 
 
+@pytest.mark.parametrize("config", [
+    "experiment = transform\nlambda = 200\n",
+    "experiment = weighted\nlambda = 300\nf_count = 1\ngrid_points = 8\n",
+])
+def test_non_finite_radial_sum_exits_two(tmp_path, capsys, config):
+    # at these lambda the kernel's powers overflow; the radial sums used to
+    # reach the CSV as nan rows (transform, exit 0) or fail as a config
+    # error (weighted, exit 1)
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "r.csv"
+    code = cli.main([config.split()[2], "--config", str(cfg),
+                     "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(
+        "numerical failure: radial sum at x = ")
+    assert not out.exists()
+
+
+def test_overflowing_tail_constant_exits_two(tmp_path, capsys):
+    # Gamma(201) overflows a float; it used to end in an OverflowError
+    cfg = tmp_path / "l.cfg"
+    cfg.write_text("experiment = l1diff\nlambda = 200\n")
+    out = tmp_path / "l.csv"
+    code = cli.main(["l1diff", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(
+        "numerical failure: tail constant overflows at lambda = 200")
+    assert not out.exists()
+
+
 def test_non_finite_kernel_value_exits_two_without_traceback(tmp_path):
     # at x = y = 1e200 the closed forms of the derivatives overflow to
     # nan; the run stops with one line instead of writing nan rows

@@ -54,26 +54,26 @@ def test_is_regular():
 
 def test_refine_inserts_geometric_intermediates():
     s = LacunarySetup(np.array([1.0, 10.0]), np.array([1.0]), 2.0)
-    r = refine(s)
-    assert np.allclose(r.eta, [1.0, 2.0, 4.0, 10.0])
-    assert np.array_equal(r.omega, [1.0, 1.0, 1.0])
-    assert r.index_map[0] == range(0, 3)
-    ok, (lo, hi) = is_regular(r.as_setup())
+    r, index_map = refine(s)
+    assert np.allclose(r.a, [1.0, 2.0, 4.0, 10.0])
+    assert np.array_equal(r.v, [1.0, 1.0, 1.0])
+    assert index_map[0] == range(0, 3)
+    ok, (lo, hi) = is_regular(r)
     assert ok and lo >= 2.0 - 1e-12 and hi <= 4.0 + 1e-12
 
 
 def test_refine_no_insertion_when_regular():
     s = LacunarySetup(np.array([1.0, 2.0, 4.0]), np.array([3.0, -1.0]), 2.0)
-    r = refine(s)
-    assert np.array_equal(r.eta, s.a)
-    assert np.array_equal(r.omega, s.v)
+    r, _ = refine(s)
+    assert np.array_equal(r.a, s.a)
+    assert np.array_equal(r.v, s.v)
 
 
 def test_refine_tie_case_no_insertion():
     # ratio exactly rho^2 stays as is
     s = LacunarySetup(np.array([1.0, 4.0]), np.array([1.0]), 2.0)
-    r = refine(s)
-    assert np.array_equal(r.eta, [1.0, 4.0])
+    r, _ = refine(s)
+    assert np.array_equal(r.a, [1.0, 4.0])
 
 
 def test_refine_idempotent(rng):
@@ -81,10 +81,10 @@ def test_refine_idempotent(rng):
     a = np.cumprod(np.concatenate([[0.1], ratios]))
     v = rng.normal(size=a.size - 1)
     s = LacunarySetup(a, v, 2.0)
-    r = refine(s)
-    again = refine(r.as_setup())
-    assert np.array_equal(again.eta, r.eta)
-    assert np.array_equal(again.omega, r.omega)
+    r, _ = refine(s)
+    again, _ = refine(r)
+    assert np.array_equal(again.a, r.a)
+    assert np.array_equal(again.v, r.v)
 
 
 def test_refine_preserves_weight_sup(rng):
@@ -93,10 +93,10 @@ def test_refine_preserves_weight_sup(rng):
         a = np.cumprod(np.concatenate([[1.0], ratios]))
         v = rng.normal(size=5)
         s = LacunarySetup(a, v, 1.5)
-        r = refine(s)
-        assert np.max(np.abs(r.omega)) == np.max(np.abs(v))
+        r, _ = refine(s)
+        assert np.max(np.abs(r.v)) == np.max(np.abs(v))
         # every original value survives
-        assert all(any(np.isclose(e, x, rtol=1e-14) for e in r.eta) for x in a)
+        assert all(any(np.isclose(e, x, rtol=1e-14) for e in r.a) for x in a)
 
 
 def test_refine_rejects_non_lacunary():
@@ -107,28 +107,28 @@ def test_refine_rejects_non_lacunary():
 
 def test_remap_window():
     s = LacunarySetup(np.array([1.0, 10.0]), np.array([1.0]), 2.0)
-    r = refine(s)
-    assert remap_window(r, 0, 0) == (0, 2)
+    _, index_map = refine(s)
+    assert remap_window(index_map, 0, 0) == (0, 2)
 
-    ident = refine(geometric(2.0, -2, 3))
+    _, ident = refine(geometric(2.0, -2, 3))
     assert remap_window(ident, -1, 2) == (-1, 2)
 
     with pytest.raises(IndexError):
-        remap_window(r, 0, 1)
+        remap_window(index_map, 0, 1)
     with pytest.raises(ValueError):
-        remap_window(r, 1, 0)
+        remap_window(index_map, 1, 0)
 
 
 def test_remap_window_nested(rng):
     ratios = np.exp(rng.uniform(np.log(2.0), np.log(30.0), 8))
     a = np.cumprod(np.concatenate([[0.05], ratios]))
     s = LacunarySetup(a, rng.normal(size=8), 2.0, j_min=-3)
-    r = refine(s)
-    inner = remap_window(r, -1, 2)
-    outer = remap_window(r, -2, 3)
+    rs, index_map = refine(s)
+    inner = remap_window(index_map, -1, 2)
+    outer = remap_window(index_map, -2, 3)
     assert outer[0] <= inner[0] and inner[1] <= outer[1]
-    # boundary equalities: eta at the remapped edges equals a at the originals
-    rs = r.as_setup()
+    # boundary equalities: the refined a at the remapped edges equals a at
+    # the originals
     assert rs.a_at(inner[0]) == s.a_at(-1)
     assert rs.a_at(inner[1] + 1) == s.a_at(3)
 
