@@ -51,17 +51,66 @@ def _envelope_errors(nu, z):
 
 
 def test_normalized_bessel_against_mpmath():
-    # from z = 0 into the oscillatory range, with arguments on both sides
-    # of the route crossovers: z = 1 for the spherical_jn route of
-    # half-integer orders, z = 512 for the others
+    # from z = 0 into the oscillatory range up to the 20,000 of the
+    # Plancherel row, with arguments on both sides of the crossovers of the
+    # scipy routes that fill the table: z = 1 for the spherical_jn route of
+    # half-integer orders, z = 512 for the others; and at the table's cap,
+    # above which those routes serve directly
+    cap = hankel_mod._TABLE_CAP
     crossings = [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0),
                  np.nextafter(512.0, 0.0), 512.0, np.nextafter(512.0, 1e3),
-                 1.0 - 1e-6, 1.0 + 1e-6, 512.0 - 1e-3, 512.0 + 1e-3]
+                 1.0 - 1e-6, 1.0 + 1e-6, 512.0 - 1e-3, 512.0 + 1e-3,
+                 np.nextafter(cap, 0.0), cap, np.nextafter(cap, 2.0 * cap)]
     z = np.concatenate([[0.0], np.geomspace(1e-300, 1e-3, 40),
-                        np.geomspace(1e-3, 4000.0, 200), crossings])
-    for nu in (0.0, 0.25, 0.5, 0.75, 1.2, 1.5, 3.0, 3.5, 6.5, 20.5):
+                        np.geomspace(1e-3, 4000.0, 200),
+                        np.geomspace(4000.0, 20000.0, 40)[1:], crossings])
+    for nu in (0.0, 0.25, 0.5, 0.75, 1.2, 1.5, 3.0, 3.5, 6.5, 20.5, 40.5):
         errs = _envelope_errors(nu, z)
         assert np.all(errs <= 1e-13), (nu, z[np.argmax(errs)])
+
+
+def test_bessel_table_grown_in_steps_is_built_in_one(monkeypatch):
+    # a piece's coefficients are a fixed-order sum over its own nodes, so
+    # they do not depend on how many pieces were built with it
+    for nu in (0.0, 0.75, 1.5):
+        monkeypatch.setattr(hankel_mod, "_PHI_TABLES", {})
+        normalized_bessel(nu, [100.0])
+        normalized_bessel(nu, [3000.0])
+        steps = hankel_mod._PHI_TABLES[nu]
+        monkeypatch.setattr(hankel_mod, "_PHI_TABLES", {})
+        normalized_bessel(nu, [3000.0])
+        once = hankel_mod._PHI_TABLES[nu]
+        assert steps.shape == once.shape == (hankel_mod._TERMS, 2048)
+        assert np.array_equal(steps, once)
+
+
+def test_bessel_table_is_bounded(monkeypatch):
+    # arguments at and above the cap go through the scipy routes and do not
+    # grow the table; just below it the table stops at 2^14 pieces (2 MB)
+    monkeypatch.setattr(hankel_mod, "_PHI_TABLES", {})
+    cap = hankel_mod._TABLE_CAP
+    far = np.array([cap, np.nextafter(cap, 2.0 * cap), 4e4, 1e6, 1e12])
+    for nu in (0.0, 0.75, 3.5):
+        got = normalized_bessel(nu, far)
+        assert np.array_equal(got, hankel_mod._phi_scipy(nu, far))
+        assert hankel_mod._PHI_TABLES[nu].shape[1] == 256
+        normalized_bessel(nu, np.append(far, np.nextafter(cap, 0.0)))
+        table = hankel_mod._PHI_TABLES[nu]
+        assert table.shape[1] == 2 ** 14
+        assert table.nbytes <= 2 * 2 ** 20
+
+
+def test_bessel_value_does_not_depend_on_table_growth(monkeypatch):
+    # a value is the same before and after the table grew, alone or among
+    # arguments that make it grow
+    monkeypatch.setattr(hankel_mod, "_PHI_TABLES", {})
+    z = np.concatenate([[0.0, 1e-9], np.geomspace(1e-3, 511.0, 300)])
+    for nu in (0.0, 0.75, 1.5, 40.5):
+        before = normalized_bessel(nu, z)
+        grown = normalized_bessel(nu, np.append(z, 30000.0))
+        assert hankel_mod._PHI_TABLES[nu].shape[1] == 2 ** 14
+        assert np.array_equal(normalized_bessel(nu, z), before)
+        assert np.array_equal(grown[:-1], before)
 
 
 def test_normalized_bessel_at_zero_limit():
@@ -152,9 +201,10 @@ def test_spectral_route_matches_direct(space1):
 
 def test_normalized_bessel_at_the_largest_order():
     # nu = 40.5 (lambda = 41) is the largest order accepted, and 40.25 is a
-    # neighbour off the half-integers.  jv still serves z > 512 there, and
-    # it is within only 3e-13 of the envelope at these orders (at z of
-    # several hundred), above the 1e-13 it keeps up to nu = 6.5
+    # neighbour off the half-integers.  jv still builds the table above
+    # z = 512 there, and it is within only 3e-13 of the envelope at these
+    # orders (at z of several hundred), above the 1e-13 it keeps up to
+    # nu = 6.5
     z = np.concatenate([[0.0, 1e-300, 1e-7], np.geomspace(1e-3, 4000.0, 120)])
     for nu in (40.5, 40.25):
         errs = _envelope_errors(nu, z)
