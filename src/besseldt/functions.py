@@ -76,6 +76,9 @@ class SampledFunction:
     # -- constructors ---------------------------------------------------------
     @staticmethod
     def from_callable(func, grid, left="zero", right="zero", breakpoints=()):
+        """f evaluated by func, sampled on grid.  The grid sets f's support
+        and the cell cuts of measure's integrals, not the quadrature, which
+        calls func at its own nodes on panels cut at `breakpoints`."""
         grid = np.asarray(grid, dtype=float)
         return SampledFunction(grid, np.asarray(func(grid), dtype=float),
                                left, right, func, tuple(breakpoints))

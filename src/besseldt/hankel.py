@@ -6,7 +6,9 @@
 With this normalization H is its own inverse on L2(dm), an isometry, and
 exp(-x^2/2) is a fixed point.  The subordinated semigroup acts as a Fourier
 multiplier: P_t f = H(exp(-t y) (H f)(y)), which provides a route to P_t f
-completely independent of the kernel quadrature.
+completely independent of the kernel quadrature.  Its intermediates H f and
+exp(-t y) H f, like the Gaussian of the fixed-point check, are read only
+through their closures, so each is built on the two ends of its support.
 
 The transform of a grid of frequencies y groups them into bands at the
 panelization frequency |y| (plus extra_freq for an oscillating f): every
@@ -236,21 +238,19 @@ def _horner(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # transform quadrature
 
-def _period_layouts(lo: float, hi: float, freqs, breakpoints, n: int,
+def _period_layouts(lo: float, hi: float, freq: float, breakpoints, n: int,
                     exponent: float):
-    """quadrature.panel_layouts of [lo, hi], one point per frequency in
-    `freqs`, with the budget MAX_HANKEL_PANELS: the breakpoints inside
-    (lo, hi) are the base edges of every frequency, and panels are no wider
-    than one oscillation period 2 pi/freq (nor than hi - lo)."""
-    freqs = np.asarray(freqs, dtype=float)
+    """The nodes and weights of quadrature.panel_layouts of [lo, hi] at one
+    frequency, with the budget MAX_HANKEL_PANELS: the breakpoints inside
+    (lo, hi) are base edges, and panels are no wider than one oscillation
+    period 2 pi/freq (nor than hi - lo)."""
     bps = np.asarray(breakpoints, dtype=float)
     base = np.unique(np.concatenate([[lo, hi], bps[(bps > lo) & (bps < hi)]]))
     two_pi = 2.0 * math.pi
-    cap = two_pi / np.maximum(freqs, two_pi / (hi - lo))
-    return panel_layouts(np.tile(base, freqs.size),
-                         np.full(freqs.size, base.size),
-                         np.repeat(cap, base.size - 1), n, exponent,
-                         MAX_HANKEL_PANELS)
+    cap = two_pi / max(freq, two_pi / (hi - lo))
+    [(x, w, _)] = panel_layouts(base, [base.size], np.full(base.size - 1, cap),
+                                n, exponent, MAX_HANKEL_PANELS)
+    return x, w
 
 
 def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
@@ -289,9 +289,8 @@ def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
             top = sorted_freqs[stop - 1]
             start = 0 if top <= f0 else max(low, np.searchsorted(
                 sorted_freqs, 0.5 * top, side="right"))
-            [(x, w, _)] = _period_layouts(slo, shi, [top], bps,
-                                          quad.y_nodes_per_panel,
-                                          space.weight_exponent)
+            x, w = _period_layouts(slo, shi, top, bps, quad.y_nodes_per_panel,
+                                   space.weight_exponent)
             wf = w * f(x)
             band = order[start:stop]
             rows = max(1, quadrature._NODE_BLOCK // x.size)
@@ -311,20 +310,18 @@ def spectral_poisson_apply(space: LambdaSpace, f: SampledFunction, t: float,
                            ) -> SampledFunction:
     """P_t f through the multiplier route H(exp(-t y) H f).
 
-    Truncates the frequency integral where exp(-t y) has decayed below
-    roundoff; cost grows like 1/t, so this route suits moderate t.
+    Truncates the frequency integral at y_max = 40/t, where exp(-t y) has
+    decayed below roundoff; cost grows like 1/t, so this route suits
+    moderate t.  H f and exp(-t y) H f live on the support ends [y_max 1e-5,
+    y_max]: the outer transform reads them only at its Gauss nodes.
     """
     if t <= 0:
         raise ValueError("t must be positive")
     y_max = 40.0 / t
-    y_grid = np.geomspace(y_max * 1e-5, y_max, 192)
-    hf = hankel_transform(space, f, y_grid, quad)
-
-    def damped_func(ys):
-        ys = np.asarray(ys, dtype=float)
-        return np.exp(-t * np.clip(ys, None, y_max)) * hf(ys)
-
-    damped = SampledFunction.from_callable(damped_func, y_grid, left="hold")
+    ends = np.array([y_max * 1e-5, y_max])
+    hf = hankel_transform(space, f, ends, quad)
+    damped = SampledFunction.from_callable(
+        lambda ys: np.exp(-t * ys) * hf(ys), ends, left="hold")
     # the damped transform itself oscillates at the scale of f's support
     return hankel_transform(space, damped, eval_grid, quad,
                             extra_freq=f.support()[1] + 0.5 * t)
@@ -338,10 +335,10 @@ def gaussian_fixed_point_defect(space: LambdaSpace, eval_pts,
     The Gaussian's left tail is "hold" on its callable, so its support
     starts at 0 and the Gauss-Jacobi first panel takes the piece below the
     grid."""
-    grid = np.geomspace(1e-6, 14.0, 256)
     g = SampledFunction.from_callable(
-        lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2), grid,
-        left="hold", breakpoints=(0.5, 1.0, 2.0, 4.0, 8.0))
+        lambda x: np.exp(-0.5 * np.asarray(x, dtype=float) ** 2),
+        np.array([1e-6, 14.0]), left="hold",
+        breakpoints=(0.5, 1.0, 2.0, 4.0, 8.0))
     eval_pts = np.asarray(eval_pts, dtype=float)
     hg = hankel_transform(space, g, eval_pts, quad)
     return float(np.max(np.abs(hg.values - np.exp(-0.5 * eval_pts ** 2))))

@@ -127,12 +127,8 @@ def _radial_end(lam: float, t: float, hold: float, base, quad):
     about C t hold / Y, C = 2 Gamma(lam+1) / (sqrt(pi) Gamma(lam+1/2)),
     doubled as a margin for finite-Y corrections."""
     target = 0.5 * max(quad.abs_tol, 1e-14)
-    try:
-        c_tail = 2.0 * math.gamma(lam + 1.0) / (math.sqrt(math.pi)
-                                                * math.gamma(lam + 0.5)) * 2.0
-    except OverflowError:
-        raise TailEstimateError(f"tail constant overflows at lambda = "
-                                f"{lam:g}") from None
+    c_tail = 4.0 * math.exp(math.lgamma(lam + 1.0) - math.lgamma(lam + 0.5)
+                            ) / math.sqrt(math.pi)
     base = np.asarray(base, dtype=float)
     need = c_tail * t * max(hold, 1e-300) / (target * base)
     K = np.maximum(1.0, np.ceil(np.log2(np.maximum(need, 2.0))))
@@ -245,8 +241,7 @@ def kernel_mass(space: LambdaSpace, t: float, x: float,
     """
     one = SampledFunction.from_callable(
         lambda y: np.ones_like(np.asarray(y, dtype=float)),
-        np.geomspace(min(x, t), max(x, t) * 2.0, 8).clip(1e-300, None),
-        left="hold", right="hold")
+        np.array([min(x, t), max(x, t) * 2.0]), left="hold", right="hold")
     vals, tails = apply_at(space, one, t, [x], quad)
     return float(vals[0]), float(tails[0])
 

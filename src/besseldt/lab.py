@@ -566,15 +566,17 @@ def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
         space = LambdaSpace(lam)
         sweep = kernel_sweep(rng, n, t_rng, xy_rng)
         pair_sweep = _regime_sweep(rng, n, *xy_rng)
-        plain = constants(space, sweep, pair_sweep, 1.0)
-        dilated = (constants(space, sweep, pair_sweep, dil) if dil != 1.0
-                   else plain)
+        # an overflow shows as a non-finite constant, checked below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            plain = constants(space, sweep, pair_sweep, 1.0)
+            dilated = (constants(space, sweep, pair_sweep, dil)
+                       if dil != 1.0 else plain)
         for item in items:
             for (regime, val), (_, val_d) in zip(plain[item], dilated[item]):
+                if not (math.isfinite(val) and math.isfinite(val_d)):
+                    raise NumericsError(f"constant {item}/{regime} at lambda "
+                                        f"= {lam:g} is {val}, dilated {val_d}")
                 rows.append((lam, item, regime, val, val_d))
-                if not math.isfinite(val):
-                    failures.append(f"non-finite constant: lambda={lam:g} "
-                                    f"{item}/{regime}")
                 if dil != 1.0 and abs(val - val_d) > 1e-10 * abs(val):
                     failures.append(
                         f"dilation broke homogeneity: lambda={lam:g} "

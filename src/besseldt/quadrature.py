@@ -128,9 +128,9 @@ def panel_layouts(edges, counts, caps, n: int, exponent: float,
     m -= grows & (m > 1) & (np.ldexp(a, m - 1) >= top)
     cur = np.where(grows, np.minimum(b, np.ldexp(a, m)), a)
     rest = b - cur
-    k = np.where(rest > 0.0, np.maximum(1.0, np.ceil(rest / cap)), 0.0
-                 ).astype(np.int64)
-    step = rest / np.maximum(k, 1)
+    # counts stay floats up to the budget check: they may not fit an int64
+    k = np.where(rest > 0.0, np.maximum(1.0, np.ceil(rest / cap)), 0.0)
+    step = rest / np.maximum(k, 1.0)
     gap_panels = m + k
     first_gap = starts - np.arange(counts.size)
     panels = np.add.reduceat(gap_panels, first_gap)
@@ -139,8 +139,9 @@ def panel_layouts(edges, counts, caps, n: int, exponent: float,
         i = over[0]
         raise QuadratureError(
             f"panel layout of [{edges[starts[i]]:g}, "
-            f"{edges[starts[i] + counts[i] - 1]:g}] needs {panels[i]} "
+            f"{edges[starts[i] + counts[i] - 1]:g}] needs {panels[i]:.0f} "
             f"panels, above the budget of {max_panels}")
+    gap_panels, panels = gap_panels.astype(np.int64), panels.astype(np.int64)
 
     first_node = (np.cumsum(panels) - panels) * n
     cuts = [*(np.flatnonzero(np.diff(first_node // _NODE_BLOCK)) + 1)]

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -289,7 +290,9 @@ def test_non_finite_radial_sum_exits_two(tmp_path, capsys, config):
 
 
 def test_overflowing_tail_constant_exits_two(tmp_path, capsys):
-    # Gamma(201) overflows a float; it used to end in an OverflowError
+    # Gamma(201) overflows a float; it used to end in an OverflowError.  The
+    # tail constant now comes from lgamma and is finite, and the kernel's
+    # powers overflow in the radial sum instead
     cfg = tmp_path / "l.cfg"
     cfg.write_text("experiment = l1diff\nlambda = 200\n")
     out = tmp_path / "l.csv"
@@ -298,7 +301,36 @@ def test_overflowing_tail_constant_exits_two(tmp_path, capsys):
     assert code == 2, err
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith(
-        "numerical failure: tail constant overflows at lambda = 200")
+        "numerical failure: radial sum at x = 0.01 is not finite")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config, line", [
+    # a gap's panel count, 1.85e43 at rho = 1e30, used to wrap negative in
+    # an int64, pass the budget and fail in np.repeat as a config error
+    ("experiment = uniform-l2\nrho = 1e30\nf_count = 1\ngrid_points = 4\n"
+     "windows = 2\nj_min = -2\nj_max = 2\n",
+     "numerical failure: panel layout of "),
+    # the dilated constants overflowed to nan and were written (exit 0)
+    ("experiment = bounds-suite\ndilation = 1e300\nn_points = 30\n",
+     "numerical failure: constant i/all at lambda = 1 is 1.27"),
+    # the plain ones were a contract failure (exit 3) with a CSV of nan
+    ("experiment = bounds-suite\nlambda_list = 200\n",
+     "numerical failure: constant i/all at lambda = 200 is nan, dilated nan"),
+], ids=["panel-count", "dilated-constant", "constant"])
+def test_overflow_exits_two_with_one_line(tmp_path, capsys, config, line):
+    cfg = tmp_path / "o.cfg"
+    cfg.write_text(config)
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        # numpy's overflow warnings would reach stderr beside the line
+        warnings.simplefilter("error")
+        code = cli.main([config.split()[2], "--config", str(cfg),
+                         "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith(line) and err.count("\n") == 1, err
+    assert err.rstrip().endswith(("above the budget of 400", "dilated nan"))
     assert not out.exists()
 
 

@@ -5,7 +5,6 @@ import pytest
 from scipy.special import jv
 
 import besseldt.hankel as hankel_mod
-import besseldt.quadrature as quadrature_mod
 from besseldt.errors import NumericsError, QuadratureError, TailEstimateError
 from besseldt.functions import (SampledFunction, constant_one, gaussian,
                                 smooth_bump)
@@ -199,6 +198,38 @@ def test_spectral_route_matches_direct(space1):
     assert np.max(np.abs(via_hankel.values - direct)) < 1e-7
 
 
+@pytest.mark.parametrize("lam", [0.5, 1.25, 3.5])
+def test_spectral_route_reads_only_closures_and_support_ends(
+        monkeypatch, lam):
+    # H f and exp(-t y) H f are built on their two support ends: the values
+    # are those of the 192-point sampling with a clip at y_max that the
+    # route had, at fewer Bessel points (the 192 samples of each go)
+    space = LambdaSpace(lam)
+    f = smooth_bump(2.0, 1.0)
+    t, pts = 1.0, np.array([0.8, 1.9])
+    points = []
+    real = hankel_mod.normalized_bessel
+
+    def counted(nu, z):
+        points.append(np.size(z))
+        return real(nu, z)
+
+    monkeypatch.setattr(hankel_mod, "normalized_bessel", counted)
+    got = spectral_poisson_apply(space, f, t, pts).values
+    now = sum(points)
+    points.clear()
+    y_max = 40.0 / t
+    y_grid = np.geomspace(y_max * 1e-5, y_max, 192)
+    hf = hankel_transform(space, f, y_grid)
+    damped = SampledFunction.from_callable(
+        lambda ys: np.exp(-t * np.clip(ys, None, y_max)) * hf(ys), y_grid,
+        left="hold")
+    want = hankel_transform(space, damped, pts,
+                            extra_freq=f.support()[1] + 0.5 * t).values
+    assert np.array_equal(got, want)
+    assert now < sum(points)
+
+
 def test_normalized_bessel_at_the_largest_order():
     # nu = 40.5 (lambda = 41) is the largest order accepted, and 40.25 is a
     # neighbour off the half-integers.  jv still builds the table above
@@ -261,13 +292,6 @@ def _loop_nodes(edges, n, exponent):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _per_frequency(runs):
-    """The (nodes, weights) of each frequency in runs of panel_layouts."""
-    for nodes, weights, counts in runs:
-        cuts = np.cumsum(counts)[:-1]
-        yield from zip(np.split(nodes, cuts), np.split(weights, cuts))
-
-
 def _random_layout_case(rng, lo_zero):
     lo = 0.0 if lo_zero else float(rng.uniform(1e-5, 0.5))
     hi = lo + float(rng.uniform(0.2, 20.0))
@@ -279,22 +303,17 @@ def _random_layout_case(rng, lo_zero):
 
 
 @pytest.mark.parametrize("lo_zero", [True, False])
-@pytest.mark.parametrize("block", [1 << 21, 2000])
-def test_osc_layouts_match_per_frequency_loop(monkeypatch, lo_zero, block):
-    # a small node block makes the builder lay out the frequencies in runs;
+def test_osc_layouts_match_per_frequency_loop(lo_zero):
     # a first panel at 0 takes numpy's array power where the loop takes
     # float ** float, so its weights may differ in the last bit of the
     # power, at most 2 ulp after the product
-    monkeypatch.setattr(quadrature_mod, "_NODE_BLOCK", block)
     rng = np.random.default_rng(11 + lo_zero)
     for _ in range(60):
         lo, hi, bps, freqs = _random_layout_case(rng, lo_zero)
         n = int(rng.choice([4, 8, 16]))
         expo = float(rng.choice([0.2, 1.2, 2.0, 3.7, 7.0]))
-        got = list(_per_frequency(
-            _period_layouts(lo, hi, freqs, bps, n, expo)))
-        assert len(got) == freqs.size
-        for freq, (nodes, weights) in zip(freqs, got):
+        for freq in freqs:
+            nodes, weights = _period_layouts(lo, hi, freq, bps, n, expo)
             want_nodes, want_weights = _loop_nodes(
                 _osc_edges_loop(lo, hi, freq, bps), n, expo)
             assert np.array_equal(nodes, want_nodes)
@@ -321,8 +340,8 @@ def test_osc_layouts_one_period_panels_on_breakpoints(lo_zero):
     rng = np.random.default_rng(5)
     for _ in range(40):
         lo, hi, bps, freqs = _random_layout_case(rng, lo_zero)
-        for freq, (nodes, _) in zip(freqs, _per_frequency(_period_layouts(
-                lo, hi, freqs, bps, 8, 2.0))):
+        for freq in freqs:
+            nodes, _ = _period_layouts(lo, hi, freq, bps, 8, 2.0)
             edges, width = _panel_edges_of(nodes, 8, lo, 2.0)
             tol = 1e-9 * hi
             assert abs(edges[0] - lo) <= tol and abs(edges[-1] - hi) <= tol
@@ -335,10 +354,14 @@ def test_osc_layouts_panel_budget(monkeypatch):
     # the Hankel route shares the budget of panel_layouts: a frequency whose
     # layout has P panels passes with MAX_HANKEL_PANELS = P and raises
     # QuadratureError (exit 2) below it, naming the interval
-    assert_budget_boundary(
-        monkeypatch, hankel_mod, "MAX_HANKEL_PANELS",
-        lambda: _period_layouts(0.0, 3.0, [2.0, 40.0, 80.0], (1.0, 2.0), 16,
-                                2.0), 3)
+    def layouts():
+        for freq in (2.0, 40.0, 80.0):
+            nodes, weights = _period_layouts(0.0, 3.0, freq, (1.0, 2.0), 16,
+                                             2.0)
+            yield nodes, weights, np.array([nodes.size])
+
+    assert_budget_boundary(monkeypatch, hankel_mod, "MAX_HANKEL_PANELS",
+                           lambda: list(layouts()), 3)
     monkeypatch.setattr(hankel_mod, "MAX_HANKEL_PANELS", 4)
     with pytest.raises(QuadratureError, match="above the budget of 4"):
         hankel_transform(LambdaSpace(1.0), smooth_bump(2.0, 1.0),

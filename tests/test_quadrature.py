@@ -128,6 +128,15 @@ def test_panel_edges_validation_and_budget(monkeypatch):
         apply_at(LambdaSpace(1.0), smooth_bump(2.0, 1.0), 1e-3, [3.0])
 
 
+def test_panel_layouts_budget_holds_past_int64():
+    # a gap 1e40 caps wide: its count used to wrap negative in the int64
+    # cast, pass the budget and fail in np.repeat
+    with pytest.raises(QuadratureError, match=r"panel layout of \[1, 1e\+40\]"
+                       r" needs \d{41} panels, above the budget of 400"):
+        list(quadrature_mod.panel_layouts([1.0, 1e40], [2], [1.0], 4, 0.0,
+                                          400))
+
+
 def test_panel_nodes_zero_left_jacobi():
     # a panel at 0 takes the Jacobi rule absorbing y^2 and the other folds
     # y^2 into its Gauss-Legendre weights, so integral_0^1 y^2 dy and
