@@ -28,9 +28,12 @@ where kappa >= 1, the form that does not cancel in each regime.  Then
     P_t     = (2 lam / pi) t I_1
     dP/dt   = (2 lam / pi) (I_1 - 2 (lam+1) t^2 I_2)
     dP/dx   = -(2 lam / pi) t (lam+1) (2 (x-y) I_2 + 2y M_2)
+    dP/dy   = -(2 lam / pi) t (lam+1) (2 (y-x) I_2 + 2x M_2)
 
-with dP/dy the same after swapping x and y, and the mixed derivatives
-d2P/dtdx, d2P/dtdy adding the I_3, M_3 terms of d/dt.
+I_k and M_k are symmetric in x and y, so the gradient (dP/dx, dP/dy) reads
+them once and differs by row only in the factors x - y and y (kind
+"grad").  The mixed gradient (d2P/dtdx, d2P/dtdy) adds the I_3, M_3 terms
+of d/dt (kind "dtgrad").
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from .functions import SampledFunction
 from .measure import LambdaSpace
 from .quadrature import QuadratureSpec, panel_sums, radial_layouts
 
-_KINDS = ("p", "dt", "dx", "dy", "dtdx", "dtdy")
+_KINDS = ("p", "dt", "grad", "dtgrad")
 
 
 def closed_form_lambda1(t, x, y):
@@ -73,8 +76,9 @@ def _j_k(lam, k, scale, A, B, q, z):
 
 def kernel_values(space, t, x, y, kind="p"):
     """P_t(x, y) or one of its derivatives over broadcast arrays (t, x, y),
-    in closed form (see the module docstring); kind is one of
-    p, dt, dx, dy, dtdx, dtdy."""
+    in closed form (see the module docstring); kind is one of p, dt, grad,
+    dtgrad.  grad stacks d/dx and d/dy, and dtgrad d2/dtdx and d2/dtdy,
+    as rows 0 and 1 of an array of shape (2, ...)."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
     lam = space.lam
@@ -107,10 +111,11 @@ def kernel_values(space, t, x, y, kind="p"):
                                       B[large], q[large], z[large])
         return out
 
-    d, other = (x - y, y) if kind in ("dx", "dtdx") else (y - x, x)
+    # rows d/dx and d/dy: only these factors depend on the row
+    d, other = np.stack([x - y, y - x]), np.stack([y, x])
     i2 = _i_k(lam, 2, front, A, q, z)
     g1 = 2.0 * d * i2 + 2.0 * other * m_k(2, i2)
-    if kind in ("dx", "dy"):
+    if kind == "grad":
         return -t * (lam + 1.0) * g1
     i3 = _i_k(lam, 3, front, A, q, z)
     g2 = 2.0 * d * i3 + 2.0 * other * m_k(3, i3)
@@ -312,11 +317,12 @@ def kernel_bound_ratios(space, sweep, item) -> BoundReport:
         raise ValueError("sweep must cover both |x-y| <= t and |x-y| > t")
     den = _bound_denominator(space, item, t, x, y)
     if item == "iv":
-        num = (np.abs(kernel_values(space, t, x, y, "dtdx"))
-               + np.abs(kernel_values(space, t, x, y, "dtdy")))
+        num = np.abs(kernel_values(space, t, x, y, "dtgrad")).sum(axis=0)
+    elif item == "ii":
+        num = np.abs(kernel_values(space, t, x, y, "grad")[0])
     else:
-        kind = {"i": "p", "ii": "dx", "iii": "dt"}[item]
-        num = np.abs(kernel_values(space, t, x, y, kind))
+        num = np.abs(kernel_values(space, t, x, y,
+                                   {"i": "p", "iii": "dt"}[item]))
     ratio = num / den
     return BoundReport(item, float(ratio.max()),
                        float(ratio[near].max()), float(ratio[~near].max()),

@@ -114,9 +114,11 @@ _KEYS = {
     "x_list": (_parse_floats, *_POSITIVE_ENTRIES),
     "y_list": (_parse_floats, *_POSITIVE_ENTRIES),
     "lambda_list": (_parse_floats, *_POSITIVE_ENTRIES),
-    "r_list": (_parse_floats, lambda rs: all(0 < 2.0 * r < 1.0 for r in rs),
-               "entries must be positive with 2r < 1 (log-growth averages "
-               "over (0, r))"),
+    # the log-growth slope is fitted through the distinct radii
+    "r_list": (_parse_floats, lambda rs: (all(0 < 2.0 * r < 1.0 for r in rs)
+                                          and len(set(rs)) == len(rs)),
+               "entries must be distinct and positive with 2r < 1 "
+               "(log-growth averages over (0, r))"),
     "items": (_parse_strs, lambda items: set(items) <= set(_ITEMS),
               f"names an unknown bound item (known: {', '.join(_ITEMS)})"),
     "n_points": (int, *_at_least(1)),
@@ -142,7 +144,7 @@ _KEYS = {
     "k_hi": (int, *_ANY),
     "m_lo": (int, *_ANY),
     "m_hi": (int, *_ANY),
-    "y_max": (_real, *_ANY),
+    "y_max": (_real, *_POSITIVE),
     # fewer frequencies cannot resolve H f in the Plancherel check
     "n_y": (int, *_at_least(16)),
     "tol_fixed": (_real, *_ANY),
@@ -308,6 +310,10 @@ def _check_together(exp: str, c: dict, bad) -> None:
                    ("t_lo", "t_hi"), ("xy_lo", "xy_hi")):
         if lo in c and not c[lo] < c[hi]:
             bad(f"needs {lo} < {hi}, got ({c[lo]:g}, {c[hi]:g})", lo, hi)
+    # k_lo = k_hi (or m_lo = m_hi) is a family of one center (or radius)
+    for lo, hi in (("k_lo", "k_hi"), ("m_lo", "m_hi")):
+        if lo in c and not c[lo] <= c[hi]:
+            bad(f"needs {lo} <= {hi}, got ({c[lo]}, {c[hi]})", lo, hi)
     if exp == "uniform-l2" and c["j_max"] - c["j_min"] < 2:
         bad("uniform-l2 draws windows inside [j_min, j_max - 1] and needs "
             f"j_max - j_min >= 2, got ({c['j_min']}, {c['j_max']})",
@@ -500,18 +506,16 @@ def run_kernel_eval(cfg: ExperimentConfig) -> ExperimentResult:
         gx, gy = gx.ravel(), gy.ravel()
         # an overflow shows as a non-finite value, checked below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            cols = {kind: kernel_values(space, t, gx, gy, kind)
-                    for kind in ("p", "dt", "dx", "dy")}
-        for kind, vals in cols.items():
-            bad = np.flatnonzero(~np.isfinite(vals))
-            if bad.size:
-                i = bad[0]
-                raise NumericsError(
-                    f"kernel value {kind} at t = {t:g}, x = {gx[i]:g}, "
-                    f"y = {gy[i]:g} is {vals[i]}")
-        for i in range(gx.size):
-            rows.append((t, gx[i], gy[i], cols["p"][i], cols["dt"][i],
-                         cols["dx"][i], cols["dy"][i]))
+            # rows p, dt, d/dx, d/dy
+            vals = np.vstack([kernel_values(space, t, gx, gy, kind)
+                              for kind in ("p", "dt", "grad")])
+        bad = np.argwhere(~np.isfinite(vals))
+        if bad.size:
+            row, i = bad[0]
+            raise NumericsError(
+                f"kernel value {('p', 'dt', 'dx', 'dy')[row]} at "
+                f"t = {t:g}, x = {gx[i]:g}, y = {gy[i]:g} is {vals[row, i]}")
+        rows.extend((t, x, y, *v) for x, y, v in zip(gx, gy, vals.T))
     header = ["t", "x", "y", "p", "dp_dt", "dp_dx", "dp_dy"]
     summary = {"points": len(rows),
                "sup_p": max(r[3] for r in rows)}

@@ -133,7 +133,8 @@ def _window_sums(setup: LacunarySetup, j_lo: int, levels):
 # the transform and its kernel
 
 def window_kernel(space, setup, win: IndexWindow, x, y, kind="p"):
-    """K_N(x, y) (or a first derivative for kind 'dx'/'dy'), vectorized."""
+    """K_N(x, y), or for kind 'grad' its rows d/dx and d/dy stacked as in
+    kernel.kernel_values, vectorized."""
     _check_window(setup, win.n1, win.n2)
     return _window_sum(space, setup, win.n1, win.n2, x, y, kind)
 
@@ -309,9 +310,8 @@ def window_kernel_bounds(space, setup, win: IndexWindow, sweep,
     size = np.abs(window_kernel(space, setup, win, x, y)) * meas
     sup_grad = None
     if gradient:
-        k_dx = window_kernel(space, setup, win, x, y, kind="dx")
-        k_dy = window_kernel(space, setup, win, x, y, kind="dy")
-        sup_grad = float(((np.abs(k_dx) + np.abs(k_dy)) * meas * d).max())
+        grad = np.abs(window_kernel(space, setup, win, x, y, kind="grad"))
+        sup_grad = float((grad.sum(axis=0) * meas * d).max())
     return WindowBoundReport(float(size.max()), sup_grad,
                              float(size[local].max()),
                              float(size[~local].max()), len(pts))

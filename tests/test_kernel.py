@@ -69,18 +69,21 @@ def test_derivatives_match_closed_form(space1):
                - closed_form_lambda1(t, x - h, y)) / (2 * h)
     want_dy = (closed_form_lambda1(t, x, y + h)
                - closed_form_lambda1(t, x, y - h)) / (2 * h)
-    for kind, want in (("dt", want_dt), ("dx", want_dx), ("dy", want_dy)):
-        assert float(kernel_values(space1, t, x, y, kind)) == pytest.approx(
-            want, rel=1e-7)
+    for kind, want in (("dt", want_dt), ("grad", [want_dx, want_dy])):
+        assert kernel_values(space1, t, x, y, kind) == pytest.approx(
+            np.array(want), rel=1e-7)
 
 
 def test_batch_kinds_match_scalar_wrappers(space1):
     t = np.array([0.5, 1.5])
     x = np.array([1.0, 2.0])
     y = np.array([0.7, 3.0])
-    for kind in ("dt", "dx", "dy"):
+    for kind in ("dt", "grad"):
         got = kernel_values(space1, t, x, y, kind=kind)
-        want = [float(kernel_values(space1, *p, kind)) for p in zip(t, x, y)]
+        # one point per column of grad's rows
+        want = np.stack([kernel_values(space1, *p, kind)
+                         for p in zip(t, x, y)], axis=-1)
+        assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-12)
 
 
@@ -243,11 +246,11 @@ def test_kernel_against_mpmath(lam):
     assert np.array_equal(kernel_values(space, t, x, y), got)
 
 
-#: derivative kind -> (order in (t, x, y), bound item whose scale it is
-#: measured on)
-DERIVATIVES = {"dt": ((1, 0, 0), "iii"), "dx": ((0, 1, 0), "ii"),
-               "dy": ((0, 0, 1), "ii"), "dtdx": ((1, 1, 0), "iv"),
-               "dtdy": ((1, 0, 1), "iv")}
+#: derivative kind -> per row, (order in (t, x, y), bound item whose scale
+#: it is measured on)
+DERIVATIVES = {"dt": (((1, 0, 0), "iii"),),
+               "grad": (((0, 1, 0), "ii"), ((0, 0, 1), "ii")),
+               "dtgrad": (((1, 1, 0), "iv"), ((1, 0, 1), "iv"))}
 
 
 @pytest.mark.parametrize("lam", ORACLE_LAMS)
@@ -258,15 +261,16 @@ def test_kernel_derivatives_against_mpmath(lam):
     rng = np.random.default_rng(int(lam * 100) + 1)
     t, x, y = oracle_points(rng, 8, np.geomspace(1.0, 1e-12, 7))
     space = LambdaSpace(lam)
-    for kind, (order, item) in DERIVATIVES.items():
-        got = kernel_values(space, t, x, y, kind)
-        with mpmath.workdps(40):
-            want = np.array([float(mpmath.diff(
-                lambda *v: mp_kernel(lam, *v), p, order))
-                for p in zip(t, x, y)])
-        scale = _bound_denominator(space, item, t, x, y)
-        err = float(np.max(np.abs(got - want) / scale))
-        assert err <= 1e-12, (kind, err)
+    for kind, rows in DERIVATIVES.items():
+        got = kernel_values(space, t, x, y, kind).reshape(len(rows), -1)
+        for row, (order, item) in zip(got, rows):
+            with mpmath.workdps(40):
+                want = np.array([float(mpmath.diff(
+                    lambda *v: mp_kernel(lam, *v), p, order))
+                    for p in zip(t, x, y)])
+            scale = _bound_denominator(space, item, t, x, y)
+            err = float(np.max(np.abs(row - want) / scale))
+            assert err <= 1e-12, (kind, order, err)
 
 
 def test_poisson_apply_closure_checks_tails(space1, monkeypatch):
@@ -296,6 +300,10 @@ def test_kernel_symmetric(lam, t, x, y):
     b = float(kernel_values(s, t, y, x))
     assert a > 0
     assert a == pytest.approx(b, rel=1e-14)
+    # the d/dy row is the d/dx row with x and y swapped, bit for bit
+    for kind in ("grad", "dtgrad"):
+        assert (kernel_values(s, t, x, y, kind)[1]
+                == kernel_values(s, t, y, x, kind)[0])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -54,6 +54,8 @@ def test_parse_config_key_aliases():
     bmo = parse_config("experiment = bmo\nwindows = 2\n")
     assert (bmo["j_min"], bmo["j_max"]) == (-6, 6)
     assert parse_config("experiment = bmo\nj_min = -20\n")["j_max"] == 9
+    # k_lo = k_hi is a dyadic family of one center, not an empty one
+    assert parse_config("experiment = bmo\nk_lo = 2\nk_hi = 2\n")["k_lo"] == 2
 
 
 @pytest.mark.parametrize("text,needle", [
@@ -157,6 +159,18 @@ def test_parse_config_error_carries_line_number():
     ("experiment=transform\ngrid_lo = 500\n", "line 2: .*grid_lo < grid_hi"),
     ("experiment=uniform-l2\nj_max = 3\nv = 1, 2\n",
      "line 3: explicit v has 2 entries"),
+    # the involution row samples H f on [y_max 1e-5, y_max]
+    ("experiment=hankel-check\ny_max = 0\n",
+     "line 2: y_max must be positive, got 0"),
+    ("experiment=hankel-check\ny_max = -10\n",
+     "line 2: y_max must be positive, got -10"),
+    # an empty dyadic family; k_lo = k_hi is a family of one center
+    ("experiment=bmo\nk_lo = 3\nk_hi = 2\n", "line 2: needs k_lo <= k_hi"),
+    ("experiment=bmo\nk_lo = 5\n", "line 2: needs k_lo <= k_hi"),
+    ("experiment=bmo\nseed = 1\nm_hi = -5\n", "line 3: needs m_lo <= m_hi"),
+    # a slope through one abscissa once passed as a fit
+    ("experiment=loggrowth\nr_list = 0.25,0.25\n",
+     "line 2: r_list entries must be distinct"),
 ])
 def test_validation_gates(text, needle):
     with pytest.raises(ConfigError, match=needle):
