@@ -248,8 +248,8 @@ def _period_layouts(lo: float, hi: float, freq: float, breakpoints, n: int,
     base = np.unique(np.concatenate([[lo, hi], bps[(bps > lo) & (bps < hi)]]))
     two_pi = 2.0 * math.pi
     cap = two_pi / max(freq, two_pi / (hi - lo))
-    [(x, w, _)] = panel_layouts(base, [base.size], np.full(base.size - 1, cap),
-                                n, exponent, MAX_HANKEL_PANELS)
+    x, w, _ = panel_layouts(base, [base.size], np.full(base.size - 1, cap),
+                            n, exponent, MAX_HANKEL_PANELS)
     return x, w
 
 

@@ -47,7 +47,7 @@ from scipy.special import beta, hyp2f1
 from .errors import TailEstimateError
 from .functions import SampledFunction
 from .measure import LambdaSpace
-from .quadrature import QuadratureSpec, panel_sums, radial_layouts
+from .quadrature import QuadratureSpec, radial_sums
 
 _KINDS = ("p", "dt", "grad", "dtgrad")
 
@@ -190,10 +190,10 @@ def apply_at(space: LambdaSpace,
 
 
 def _apply_batch(space, fs, t, xs, quad):
-    """apply_at of a tuple fs on one quadrature.radial_layouts layout of
-    all x, aligned with the union of their breakpoints and support ends
-    and graded around y = x at scale t, with one kernel evaluation summed
-    by one quadrature.panel_sums call.  An unbounded support (nonzero hold
+    """apply_at of a tuple fs by one quadrature.radial_sums call: one
+    layout of all x, aligned with the union of their breakpoints and
+    support ends and graded around y = x at scale t, with one kernel
+    evaluation per block of points.  An unbounded support (nonzero hold
     tail) is truncated where the analytic kernel-decay bound for the
     largest hold drops below the tolerance."""
     starts, ends = zip(*(g.support() for g in fs))
@@ -208,8 +208,6 @@ def _apply_batch(space, fs, t, xs, quad):
             xs, max(t, *(g.grid[-1] for g in fs))), quad)
     bps = np.unique(np.concatenate(
         [*(g.quad_breakpoints() for g in fs), starts, ends]))
-    runs = radial_layouts(slo, his, xs, t, bps, quad.y_nodes_per_panel,
-                          space.weight_exponent)
 
     def integrand(x, y, w):
         wk = w * kernel_values(space, t, x, y)
@@ -218,7 +216,8 @@ def _apply_batch(space, fs, t, xs, quad):
             np.multiply(wk, g(y), out=row)
         return terms
 
-    return panel_sums(xs, runs, integrand), tails
+    return radial_sums(slo, his, xs, t, bps, quad.y_nodes_per_panel,
+                       space.weight_exponent, integrand), tails
 
 
 def poisson_apply(space: LambdaSpace, f: SampledFunction, t: float,
@@ -262,10 +261,11 @@ def kernel_difference_l1(space: LambdaSpace, t1: float, t2: float, x: float,
     if not 0.0 < t1 < t2:
         raise ValueError("needs 0 < t1 < t2")
     hi, _ = _radial_end(space.lam, t2, 1.0, max(x, t2), quad)
-    runs = radial_layouts(0.0, hi, x, t1, (t1, t2, x + t1, x + t2),
-                          quad.y_nodes_per_panel, space.weight_exponent)
-    return float(panel_sums([x], runs, lambda x, y, w: w * np.abs(
-        kernel_values(space, t2, x, y) - kernel_values(space, t1, x, y)))[0])
+    return float(radial_sums(0.0, hi, x, t1, (t1, t2, x + t1, x + t2),
+                             quad.y_nodes_per_panel, space.weight_exponent,
+                             lambda x, y, w: w * np.abs(
+                                 kernel_values(space, t2, x, y)
+                                 - kernel_values(space, t1, x, y)))[0])
 
 
 # --------------------------------------------------------------------------

@@ -350,12 +350,22 @@ def _check_together(exp: str, c: dict, bad) -> None:
         if not (c["j_min"] <= 1 - reach and reach <= c["j_max"]):
             bad(f"window (-{reach - 1},{reach - 1}) does not fit in "
                 f"[{c['j_min']},{c['j_max']}]", "j_min", "j_max", "windows")
-    if "v" in c:
+    if "rho" in c:
         lo, hi = _pair_range(exp, c)
+        # the times rho^j, j = lo .. hi, of geometric: a Python float power
+        # raises OverflowError where numpy's would warn and give inf
         try:
-            resolve_v(c["v"], lo, hi)
-        except ConfigError as exc:
-            bad(str(exc), "v", "m", "j_min", "j_max")
+            first, last = c["rho"] ** lo, c["rho"] ** hi
+        except OverflowError:
+            first = last = math.inf
+        if not (first > 0.0 and last < math.inf):
+            bad(f"rho = {c['rho']:g} makes the times rho^j, j in [{lo}, "
+                f"{hi}], overflow or underflow", "rho", "m", "j_min", "j_max")
+        if "v" in c:
+            try:
+                resolve_v(c["v"], lo, hi)
+            except ConfigError as exc:
+                bad(str(exc), "v", "m", "j_min", "j_max")
 
 
 def _pair_range(exp: str, c) -> tuple:

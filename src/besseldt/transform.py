@@ -33,7 +33,7 @@ from .kernel import apply_at, check_tail, kernel_values
 from .lacunary import LacunarySetup, is_lacunary, is_regular
 from .measure import (LambdaSpace, interval_masses, interval_q_averages,
                       lp_norm)
-from .quadrature import QuadratureSpec, panel_sums, radial_layouts
+from .quadrature import QuadratureSpec, radial_sums
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,9 @@ class TruncationLevel:
 
 
 def _check_window(setup: LacunarySetup, n1: int, n2: int):
+    """IndexWindow's ValueError unless n1 < n2, and IndexError unless the
+    window lies in the pair range."""
+    IndexWindow(n1, n2)
     if not (setup.j_min <= n1 and n2 <= setup.j_max - 1):
         raise IndexError(
             f"window ({n1}, {n2}) outside pair range "
@@ -162,11 +165,10 @@ def apply_transform_kernel_route(space, setup, win: IndexWindow,
     if math.isinf(shi):
         raise ValueError("kernel route needs a compactly supported f")
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    runs = radial_layouts(slo, shi, xs, setup.a_at(win.n1),
-                          f.quad_breakpoints(), quad.y_nodes_per_panel,
-                          space.weight_exponent)
-    return panel_sums(xs, runs, lambda x, y, w: (
-        w * window_kernel(space, setup, win, x, y) * f(y)))
+    return radial_sums(slo, shi, xs, setup.a_at(win.n1),
+                       f.quad_breakpoints(), quad.y_nodes_per_panel,
+                       space.weight_exponent, lambda x, y, w: (
+                           w * window_kernel(space, setup, win, x, y) * f(y)))
 
 
 # --------------------------------------------------------------------------

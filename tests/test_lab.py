@@ -171,6 +171,25 @@ def test_parse_config_error_carries_line_number():
     # a slope through one abscissa once passed as a fit
     ("experiment=loggrowth\nr_list = 0.25,0.25\n",
      "line 2: r_list entries must be distinct"),
+    # the times rho^j over the pair range overflow (or underflow); these
+    # once failed with "sequence must be positive and strictly increasing"
+    ("experiment=bounds-suite\nrho = 1e200\n",
+     r"line 2: rho = 1e\+200 makes the times rho\^j, j in \[-4, 4\], "
+     "overflow or underflow"),
+    ("experiment=transform\nrho = 1e200\n",
+     r"line 2: rho = 1e\+200 .*\[-6, 6\]"),
+    ("experiment=l1diff\nrho = 1e100\n", r"line 2: rho = 1e\+100 .*\[-4, 4\]"),
+    ("experiment=weighted\nrho = 1e100\n",
+     r"line 2: rho = 1e\+100 .*\[-8, 9\]"),
+    ("experiment=loggrowth\nrho = 1e100\n",
+     r"line 2: rho = 1e\+100 .*\[-16, 17\]"),
+    ("experiment=bmo\nrho = 1e100\n", r"line 2: rho = 1e\+100 .*\[-9, 9\]"),
+    ("experiment=uniform-l2\nrho = 1e100\n",
+     r"line 2: rho = 1e\+100 .*\[-10, 10\]"),
+    # the default rho over a pair range too long for it names that line
+    ("experiment=l1diff\nseed = 1\nj_max = 2000\n",
+     r"line 3: rho = 2 makes the times rho\^j, j in \[-4, 2000\]"),
+    ("experiment=weighted\nm = 2000\n", r"line 2: rho = 2 .*\[-2000, 2001\]"),
 ])
 def test_validation_gates(text, needle):
     with pytest.raises(ConfigError, match=needle):

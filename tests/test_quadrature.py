@@ -11,8 +11,9 @@ from besseldt.functions import smooth_bump
 from besseldt.hankel import hankel_transform
 from besseldt.kernel import apply_at
 from besseldt.measure import LambdaSpace
-from besseldt.quadrature import (QuadratureSpec, gauss_panels, jacobi_rule,
-                                 legendre_rule, panel_sums, radial_layouts)
+from besseldt.quadrature import (MAX_RADIAL_PANELS, QuadratureSpec,
+                                 gauss_panels, jacobi_rule, legendre_rule,
+                                 radial_sums)
 
 from conftest import assert_budget_boundary
 
@@ -67,21 +68,28 @@ def _radial_case(rng):
     return lo, his, xs, 2.0 ** rng.uniform(-10.0, 10.0), bps
 
 
-def _radial_panels(monkeypatch, lo, his, xs, t, bps, n=4):
-    """The runs of radial_layouts and, per point, the panel ends
-    (left, right) that it hands gauss_panels."""
-    seen = []
-    real = quadrature_mod.gauss_panels
+def _radial_panels(monkeypatch, lo, his, xs, t, bps, n=4, exponent=1.4):
+    """The layouts (nodes, weights, counts) that radial_sums gets from
+    panel_layouts, one per block of points, and per point the panel ends
+    (left, right) that they hand gauss_panels."""
+    layouts, seen = [], []
+    real_layouts, real_panels = (quadrature_mod.panel_layouts,
+                                 quadrature_mod.gauss_panels)
 
-    def record(left, right, n, exponent):
+    def record_layouts(*args):
+        layouts.append(real_layouts(*args))
+        return layouts[-1]
+
+    def record_panels(left, right, n, exponent):
         seen.append((left.copy(), right.copy()))
-        return real(left, right, n, exponent)
+        return real_panels(left, right, n, exponent)
 
-    monkeypatch.setattr(quadrature_mod, "gauss_panels", record)
-    runs = list(radial_layouts(lo, his, xs, t, bps, n, 1.4))
-    monkeypatch.setattr(quadrature_mod, "gauss_panels", real)
-    cuts = np.cumsum(np.concatenate([r[2] for r in runs]) // n)[:-1]
-    return (runs, np.split(np.concatenate([s[0] for s in seen]), cuts),
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature_mod, "panel_layouts", record_layouts)
+        patch.setattr(quadrature_mod, "gauss_panels", record_panels)
+        radial_sums(lo, his, xs, t, bps, n, exponent, lambda x, y, w: w)
+    cuts = np.cumsum(np.concatenate([r[2] for r in layouts]) // n)[:-1]
+    return (layouts, np.split(np.concatenate([s[0] for s in seen]), cuts),
             np.split(np.concatenate([s[1] for s in seen]), cuts))
 
 
@@ -90,11 +98,12 @@ def test_panel_edges_breakpoints_and_grading(monkeypatch):
     # panel [a, b] resolves the peak, b - a <= 0.75 (t + dist([a, b], x)),
     # and is no wider than a unless a = 0; every breakpoint and x inside
     # (lo, hi) is an edge; and the layouts do not depend on how the points
-    # are grouped into runs
+    # are grouped into blocks
     rng = np.random.default_rng(3)
     for _ in range(150):
         lo, his, xs, t, bps = _radial_case(rng)
-        runs, lefts, rights = _radial_panels(monkeypatch, lo, his, xs, t, bps)
+        blocks, lefts, rights = _radial_panels(monkeypatch, lo, his, xs, t,
+                                               bps)
         for x, hi, a, b in zip(xs, np.broadcast_to(his, xs.shape), lefts,
                                rights):
             assert a[0] == lo and b[-1] == hi
@@ -106,11 +115,11 @@ def test_panel_edges_breakpoints_and_grading(monkeypatch):
             assert np.all((b - a <= a + slack) | (a == 0.0))
             edges = np.append(bps, x)
             assert np.all(np.isin(edges[(edges > lo) & (edges < hi)], b))
-        whole = [np.concatenate(arrays) for arrays in zip(*runs)]
+        whole = [np.concatenate(arrays) for arrays in zip(*blocks)]
         monkeypatch.setattr(quadrature_mod, "_NODE_BLOCK", 64)
-        small = list(radial_layouts(lo, his, xs, t, bps, 4, 1.4))
+        small = _radial_panels(monkeypatch, lo, his, xs, t, bps)[0]
         monkeypatch.undo()
-        assert len(small) >= len(runs)
+        assert len(small) >= len(blocks)
         for got, want in zip(zip(*small), whole):
             assert np.array_equal(np.concatenate(got), want)
 
@@ -121,8 +130,8 @@ def test_panel_edges_validation_and_budget(monkeypatch):
     # QuadratureError (exit 2) below it, naming the interval
     assert_budget_boundary(
         monkeypatch, quadrature_mod, "MAX_RADIAL_PANELS",
-        lambda: radial_layouts(0.0, 8.0, [3.0, 0.5], 1e-3, (1.0, 7.0), 16,
-                               2.0), 8)
+        lambda: _radial_panels(monkeypatch, 0.0, 8.0, [3.0, 0.5], 1e-3,
+                               (1.0, 7.0), 16, 2.0)[0], 8)
     monkeypatch.setattr(quadrature_mod, "MAX_RADIAL_PANELS", 4)
     with pytest.raises(QuadratureError, match="above the budget of 4"):
         apply_at(LambdaSpace(1.0), smooth_bump(2.0, 1.0), 1e-3, [3.0])
@@ -133,8 +142,7 @@ def test_panel_layouts_budget_holds_past_int64():
     # cast, pass the budget and fail in np.repeat
     with pytest.raises(QuadratureError, match=r"panel layout of \[1, 1e\+40\]"
                        r" needs \d{41} panels, above the budget of 400"):
-        list(quadrature_mod.panel_layouts([1.0, 1e40], [2], [1.0], 4, 0.0,
-                                          400))
+        quadrature_mod.panel_layouts([1.0, 1e40], [2], [1.0], 4, 0.0, 400)
 
 
 def test_panel_nodes_zero_left_jacobi():
@@ -198,49 +206,59 @@ def test_weighted_panel_nodes_folds_the_power(monkeypatch):
     # are the plain Gauss-Legendre weights times y^1.4, and they sum to
     # integral_lo^6 y^1.4 dy
     for lo in (0.0, 0.5):
-        runs, lefts, rights = _radial_panels(monkeypatch, lo, 6.0, [1.0], 0.1,
-                                             (), n=16)
+        layouts, lefts, rights = _radial_panels(monkeypatch, lo, 6.0, [1.0],
+                                                0.1, (), n=16)
         nodes, weights = gauss_panels(lefts[0], rights[0], 16, 1.4)
         plain_nodes, plain = gauss_panels(lefts[0], rights[0], 16, 0.0)
         k = 1 if lo == 0.0 else 0
         assert np.array_equal(nodes[k:], plain_nodes[k:])
         assert np.array_equal(weights[k:], plain[k:] * nodes[k:] ** 1.4)
-        assert np.array_equal(runs[0][1], weights.ravel())
+        assert np.array_equal(layouts[0][1], weights.ravel())
         assert float(np.sum(weights)) == pytest.approx(
             (6.0 ** 2.4 - lo ** 2.4) / 2.4, rel=1e-13)
 
 
-def test_panel_sums_blocking_is_bit_identical(monkeypatch):
+def test_radial_sums_blocking_is_bit_identical(monkeypatch):
+    # blocks of whole points, each at most max(_NODE_BLOCK, n
+    # MAX_RADIAL_PANELS) nodes, with the same sums as one block; apply_at
+    # and the Hankel bands do not depend on _NODE_BLOCK either
     rng = np.random.default_rng(5)
     points = rng.uniform(0.5, 3.0, 60)
+    calls = []
 
-    def runs():
-        return radial_layouts(0.0, 8.0, points, 0.1, (), 16, 1.4)
+    def sums():
+        calls.clear()
+        return radial_sums(0.0, 8.0, points, 0.1, (), 16, 1.4, integrand)
 
     def integrand(x, y, w):
+        calls.append((x, y, w))
         return w * np.cos(x * y) * np.exp(-y)
+
+    def point_counts(x):
+        # nodes per point: the points are distinct, so one run of x each
+        return np.diff(np.flatnonzero(np.r_[True, x[1:] != x[:-1], True]))
 
     space, f = LambdaSpace(0.7), smooth_bump(2.0, 1.0)
     xs = np.geomspace(0.05, 20.0, 40)
-    whole = panel_sums(points, runs(), integrand)
+    whole = sums()
+    [(x, y, w)] = calls
+    counts = point_counts(x)
+    assert np.array_equal(x, np.repeat(points, counts))
     applied = apply_at(space, f, 0.3, xs)[0]
     transformed = hankel_transform(space, f, xs).values
 
-    calls = []
-
-    def counted(x, y, w):
-        calls.append(y.size)
-        return integrand(x, y, w)
-
-    monkeypatch.setattr(quadrature_mod, "_NODE_BLOCK", 1000)
-    assert np.array_equal(panel_sums(points, runs(), counted), whole)
-    assert len(calls) > 3 and max(calls) < 2000
-    assert np.array_equal(apply_at(space, f, 0.3, xs)[0], applied)
-    assert np.array_equal(hankel_transform(space, f, xs).values, transformed)
-    per_point = []
-    for nodes, weights, counts in runs():
-        cuts = np.cumsum(counts)[:-1]
-        per_point += [np.sum(integrand(x, y, w)) for x, y, w in zip(
-            points[len(per_point):], np.split(nodes, cuts),
-            np.split(weights, cuts))]
+    for block in (1000, 20000):
+        monkeypatch.setattr(quadrature_mod, "_NODE_BLOCK", block)
+        assert np.array_equal(sums(), whole)
+        assert len(calls) > 3
+        assert max(c[1].size for c in calls) <= max(block,
+                                                    16 * MAX_RADIAL_PANELS)
+        assert np.array_equal(
+            np.concatenate([point_counts(c[0]) for c in calls]), counts)
+        assert np.array_equal(apply_at(space, f, 0.3, xs)[0], applied)
+        assert np.array_equal(hankel_transform(space, f, xs).values,
+                              transformed)
+    cuts = np.cumsum(counts)[:-1]
+    per_point = [np.sum(integrand(p, yp, wp)) for p, yp, wp in zip(
+        points, np.split(y, cuts), np.split(w, cuts))]
     assert np.allclose(whole, per_point, rtol=1e-14, atol=0.0)

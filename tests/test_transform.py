@@ -294,6 +294,10 @@ def test_table_window_is_the_explicit_sum(lam):
     for n1, n2 in ((-6, 0), (0, 5), (5, 6)):
         with pytest.raises(IndexError):
             table.window(n1, n2)
+    # reversed and one-term windows, as IndexWindow rejects them
+    for n1, n2 in ((2, 1), (2, 2)):
+        with pytest.raises(ValueError, match="window needs n1 < n2"):
+            table.window(n1, n2)
 
 
 def test_batch_table_matches_single_tables():
