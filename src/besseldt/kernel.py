@@ -59,19 +59,32 @@ def closed_form_lambda1(t, x, y):
                                 * ((x + y) ** 2 + t ** 2))
 
 
-def _i_k(lam, k, scale, A, q, z):
+def _i_k(lam, k, scale, A, B, q):
     """scale / B(lam, 1/2) times I_k, with q = c (c + 2B)."""
     # numpy's q ** 1 is a full power pass, and the kernel (k = 1) is hot
     qk = q if k == 1 else q ** k
-    return (scale * A ** (k - lam) / qk
-            * hyp2f1(0.5 * (lam - (k - 1)), 0.5 * (lam - k), lam + 0.5, z))
+    return (scale * _power(A, k - lam) / qk
+            * _hyp2f1(0.5 * (lam - (k - 1)), 0.5 * (lam - k), lam + 0.5, A, B))
 
 
-def _j_k(lam, k, scale, A, B, q, z):
+def _j_k(lam, k, scale, A, B, q):
     """scale / ((lam + k) B(lam, 3/2)) times J_k, with q = c (c + 2B)."""
-    return (scale * (B / A) * A ** (k - lam) / q ** k
-            * hyp2f1(0.5 * (lam - (k - 2)), 0.5 * (lam - (k - 1)),
-                     lam + 1.5, z))
+    return (scale * (B / A) * _power(A, k - lam) / q ** k
+            * _hyp2f1(0.5 * (lam - (k - 2)), 0.5 * (lam - (k - 1)),
+                      lam + 1.5, A, B))
+
+
+def _power(A, e):
+    """A ** e; exactly 1, without a pass, at e = 0."""
+    return 1.0 if e == 0 else A ** e
+
+
+def _hyp2f1(a, b, c, A, B):
+    """2F1(a, b; c; z) at z = (B/A)^2; exactly 1, without a pass, when a or
+    b is 0, as scipy returns it (at lam = 1 for I_1, I_2, J_2 and J_3)."""
+    if a == 0 or b == 0:
+        return 1.0
+    return hyp2f1(a, b, c, (B / A) ** 2)
 
 
 def kernel_values(space, t, x, y, kind="p"):
@@ -88,15 +101,14 @@ def kernel_values(space, t, x, y, kind="p"):
     c = (x - y) ** 2 + t * t
     B = 2.0 * x * y
     A = c + B
-    z = (B / A) ** 2
     q = c * (c + 2.0 * B)
     # (2 lam / pi) B(lam, 1/2): every I_k below carries the kernel's factor
     front = 2.0 * lam / math.pi * beta(lam, 0.5)
     if kind == "p":
-        return _i_k(lam, 1, front * t, A, q, z)
+        return _i_k(lam, 1, front * t, A, B, q)
     if kind == "dt":
-        return (_i_k(lam, 1, front, A, q, z)
-                - 2.0 * (lam + 1.0) * t * t * _i_k(lam, 2, front, A, q, z))
+        return (_i_k(lam, 1, front, A, B, q)
+                - 2.0 * (lam + 1.0) * t * t * _i_k(lam, 2, front, A, B, q))
 
     small = c < B
     large = ~small
@@ -105,19 +117,19 @@ def kernel_values(space, t, x, y, kind="p"):
     def m_k(k, ik):
         """(2 lam / pi) M_k from (2 lam / pi) I_k, each regime on its mask."""
         out = np.empty_like(c)
-        out[small] = (_i_k(lam, k - 1, front, A[small], q[small], z[small])
+        out[small] = (_i_k(lam, k - 1, front, A[small], B[small], q[small])
                       - c[small] * ik[small]) / B[small]
         out[large] = ik[large] - _j_k(lam, k, (lam + k) * front_j, A[large],
-                                      B[large], q[large], z[large])
+                                      B[large], q[large])
         return out
 
     # rows d/dx and d/dy: only these factors depend on the row
     d, other = np.stack([x - y, y - x]), np.stack([y, x])
-    i2 = _i_k(lam, 2, front, A, q, z)
+    i2 = _i_k(lam, 2, front, A, B, q)
     g1 = 2.0 * d * i2 + 2.0 * other * m_k(2, i2)
     if kind == "grad":
         return -t * (lam + 1.0) * g1
-    i3 = _i_k(lam, 3, front, A, q, z)
+    i3 = _i_k(lam, 3, front, A, B, q)
     g2 = 2.0 * d * i3 + 2.0 * other * m_k(3, i3)
     return -(lam + 1.0) * g1 + 2.0 * (lam + 1.0) * (lam + 2.0) * t * t * g2
 
@@ -125,9 +137,9 @@ def kernel_values(space, t, x, y, kind="p"):
 # --------------------------------------------------------------------------
 # applying the semigroup
 
-def _radial_end(lam: float, t: float, hold: float, base, quad):
+def _radial_end(lam: float, t, hold: float, base, quad):
     """Ends Y = base * 2^K of radial integrals against P_t of a function
-    bounded by `hold` beyond base, for an array of bases, with the tail
+    bounded by `hold` beyond base, for arrays of times and bases, with the tail
     beyond Y below half the tolerance: returns (Y, tail bounds).  The tail is
     about C t hold / Y, C = 2 Gamma(lam+1) / (sqrt(pi) Gamma(lam+1/2)),
     doubled as a margin for finite-Y corrections."""
@@ -138,7 +150,12 @@ def _radial_end(lam: float, t: float, hold: float, base, quad):
     need = c_tail * t * max(hold, 1e-300) / (target * base)
     K = np.maximum(1.0, np.ceil(np.log2(np.maximum(need, 2.0))))
     # base * 2^K must stay a finite float
-    if np.any(K > 200) or np.any(np.log2(base) + K >= 1024):
+    bad = np.atleast_2d((K > 200) | (np.log2(base) + K >= 1024))
+    if bad.any():
+        # named by the first row that fails: a table's first failing level
+        row = np.flatnonzero(bad.any(axis=1))[0]
+        K, base = (np.atleast_2d(np.broadcast_to(v, need.shape))[row]
+                   for v in (K, base))
         raise TailEstimateError(
             f"tail truncation needs 2^{K.max():g} * {base.max():g}; "
             "not attainable")
@@ -154,31 +171,34 @@ def check_tail(bound: float, quad: QuadratureSpec) -> None:
             f"truncation tail {bound:.3e} above tolerance")
 
 
-#: functions per radial layout of apply_at.  Level times of 16 bump
-#: mixtures by batch size 1, 2, 4, 8, 16 (2-CPU Xeon, one BLAS thread, best
-#: of three): 0.22, 0.14, 0.11, 0.12, 0.16 s at 4 grid points and lambda =
-#: 1.5; 3.3, 2.8, 2.9, 3.5, 6.1 s at 96 points and lambda = 1.5; 1.5, 1.3,
-#: 1.6, 3.0, 5.7 s at 96 points and lambda = 1, where the kernel costs half
-#: as much.  Every function is evaluated on the union of the batch's nodes,
-#: about 2.8 times one function's, and beyond four that outgrows the kernel
-#: and layout saving; a batch of 50 needs 912 panels per point, above
-#: MAX_RADIAL_PANELS.
+#: functions per radial layout of apply_at.  Times of one table fill of 16
+#: bump mixtures over the 21 levels of uniform-l2's default time range by
+#: batch size 1, 2, 4, 8, 16 (2-CPU Xeon, one BLAS thread, best of three,
+#: all levels in one call): 0.16, 0.20, 0.19, 0.25, 0.32 s at 4 grid points
+#: and lambda = 1.5; 4.0, 3.7, 3.0, 3.7, 5.6 s at 96 points and lambda =
+#: 1.5; 2.0, 1.9, 2.4, 3.4, 3.8 s at 96 points and lambda = 1.  Every
+#: function is evaluated on the union of the batch's nodes, about 2.8 times
+#: one function's; a batch of 50 needs 912 panels per point, above
+#: MAX_RADIAL_PANELS.  The batches set the layouts, so another size moves
+#: the values in their last bits.
 _F_BATCH = 4
 
 
 def apply_at(space: LambdaSpace,
-             f: SampledFunction | tuple[SampledFunction, ...], t: float, xs,
+             f: SampledFunction | tuple[SampledFunction, ...], t, xs,
              quad: QuadratureSpec = QuadratureSpec()):
-    """(P_t f)(x) for an array of x, with a truncation-tail estimate; f is a
-    SampledFunction or a tuple of them.
+    """(P_t f)(x) over broadcast arrays t and x, with a truncation-tail
+    estimate; f is a SampledFunction or a tuple of them.
 
-    Returns (values, tail_bounds): values of shape (x,) for one function
-    and (n_f, x) for a tuple, and one tail bound per x that holds for every
-    function.  A tuple is laid out in consecutive batches of _F_BATCH.
+    Returns (values, tail_bounds): values of the broadcast shape for one
+    function and (n_f, ...) for a tuple, and one tail bound per (t, x) that
+    holds for every function.  A tuple is laid out in consecutive batches
+    of _F_BATCH.
     """
-    if t <= 0:
+    t, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                np.atleast_1d(np.asarray(xs, dtype=float)))
+    if np.any(t <= 0):
         raise ValueError("t must be positive")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs <= 0):
         raise ValueError("evaluation points must be positive")
     fs = f if isinstance(f, tuple) else (f,)
@@ -190,12 +210,12 @@ def apply_at(space: LambdaSpace,
 
 
 def _apply_batch(space, fs, t, xs, quad):
-    """apply_at of a tuple fs by one quadrature.radial_sums call: one
-    layout of all x, aligned with the union of their breakpoints and
-    support ends and graded around y = x at scale t, with one kernel
-    evaluation per block of points.  An unbounded support (nonzero hold
-    tail) is truncated where the analytic kernel-decay bound for the
-    largest hold drops below the tolerance."""
+    """apply_at of a tuple fs at broadcast arrays t and xs by one
+    quadrature.radial_sums call: every (t, x) is one point, laid out on the
+    union of fs's breakpoints and support ends and graded around y = x at
+    scale t, with one kernel evaluation per block of points.  An unbounded
+    support (nonzero hold tail) is truncated where the analytic
+    kernel-decay bound for the largest hold drops below the tolerance."""
     starts, ends = zip(*(g.support() for g in fs))
     slo, shi = min(starts), max(ends)
     his, tails = np.full_like(xs, shi), np.zeros_like(xs)
@@ -205,19 +225,21 @@ def _apply_batch(space, fs, t, xs, quad):
         hold = max(abs(float(g.values[-1]))
                    for g, hi in zip(fs, ends) if math.isinf(hi))
         his, tails = _radial_end(space.lam, t, hold, np.maximum(
-            xs, max(t, *(g.grid[-1] for g in fs))), quad)
+            xs, np.maximum(t, max(g.grid[-1] for g in fs))), quad)
     bps = np.unique(np.concatenate(
         [*(g.quad_breakpoints() for g in fs), starts, ends]))
+    ts, x = t.ravel(), xs.ravel()
 
-    def integrand(x, y, w):
-        wk = w * kernel_values(space, t, x, y)
+    def integrand(i, y, w):
+        wk = w * kernel_values(space, ts[i], x[i], y)
         terms = np.empty((len(fs), y.size))
         for row, g in zip(terms, fs):
             np.multiply(wk, g(y), out=row)
         return terms
 
-    return radial_sums(slo, his, xs, t, bps, quad.y_nodes_per_panel,
-                       space.weight_exponent, integrand), tails
+    return radial_sums(slo, his.ravel(), x, ts, bps, quad.y_nodes_per_panel,
+                       space.weight_exponent, integrand
+                       ).reshape(len(fs), *xs.shape), tails
 
 
 def poisson_apply(space: LambdaSpace, f: SampledFunction, t: float,
@@ -263,7 +285,7 @@ def kernel_difference_l1(space: LambdaSpace, t1: float, t2: float, x: float,
     hi, _ = _radial_end(space.lam, t2, 1.0, max(x, t2), quad)
     return float(radial_sums(0.0, hi, x, t1, (t1, t2, x + t1, x + t2),
                              quad.y_nodes_per_panel, space.weight_exponent,
-                             lambda x, y, w: w * np.abs(
+                             lambda i, y, w: w * np.abs(
                                  kernel_values(space, t2, x, y)
                                  - kernel_values(space, t1, x, y)))[0])
 

@@ -9,13 +9,16 @@ panel_layouts lays out the panels and Gauss nodes of many points with array
 operations: per point, base edges and a cap on the panel width of each gap
 between them.  radial_sums is the one call of the radial integrals against
 the kernel (apply_at, kernel_difference_l1 and the kernel route of T_N): it
-gives panel_layouts their base edges and caps and sums a vectorized
-integrand on the layout, in blocks of whole points of at most _NODE_BLOCK
-nodes.  The Hankel transform gives panel_layouts f's breakpoints and one
-oscillation period 2 pi/F of the top frequency F of a band of frequencies
-within a factor 2 of F, and sums the band on that one layout in blocks of
-at most _NODE_BLOCK (frequency, node) pairs.  Its node step, gauss_panels,
-also makes the Gauss cells of measure's interval integrals.
+plans the same layouts from the radial rule's base edges and caps, with a
+peak scale per point, so every (time, x) point of a semigroup table's fill
+shares one call.  It sums a vectorized integrand on them in blocks of whole
+points of at most _RADIAL_NODES nodes, counted from the planned panels
+before any node is built.  The Hankel transform gives panel_layouts f's
+breakpoints and one oscillation period 2 pi/F of the top frequency F of a
+band of frequencies within a factor 2 of F, and sums the band on that one
+layout in blocks of at most _NODE_BLOCK (frequency, node) pairs.  Its node
+step, gauss_panels, also makes the Gauss cells of measure's interval
+integrals.
 """
 
 from __future__ import annotations
@@ -84,31 +87,29 @@ def gauss_panels(left, right, n: int, exponent: float):
     return nodes, weights
 
 
-#: nodes of one integrand call of radial_sums, and (frequency, node) pairs
-#: of one block of a Hankel band: bounds the memory of a block
+#: (frequency, node) pairs of one block of a Hankel band: bounds the memory
+#: of a block
 _NODE_BLOCK = 1 << 21
+
+#: candidate edges of one layout block of radial_sums, and nodes of one
+#: integrand call unless one point has more: bounds the memory of a block.
+#: On a 2-CPU Xeon with one BLAS thread, perfbench's semigroup workload
+#: peaks at 65.9 MB of RSS with 4096, against 66.1 MB with one call per
+#: level (medians of four); 8192 adds 0.5 MB and 16384 1.3 MB, where the
+#: default uniform-l2 takes 0.77 and 0.68 of its CPU time at 4096 (numpy's
+#: cost per call).
+_RADIAL_NODES = 4096
 
 #: budget of panels per point of radial_sums
 MAX_RADIAL_PANELS = 400
 
 
-def panel_layouts(edges, counts, caps, n: int, exponent: float,
-                  max_panels: int):
-    """Gauss layouts of many points for integrals against y**exponent dy.
-
-    Point i owns the next counts[i] >= 2 entries of `edges`, its sorted and
-    distinct base edges; all of them are edges of its layout.  The gaps
-    between base edges, in the same order, have panels no wider than their
-    entry of `caps`.  In a gap [a, b] with 0 < a < min(b, cap) the edges
-    first double, a 2^i, up to the first one at or past min(b, cap)
-    (clipped to b); this log-grades the panels away from 0 and keeps each
-    no wider than its left end.  The rest of the gap is cut into
-    ceil(rest / cap) equal pieces.  A point whose layout needs more than
-    max_panels panels raises QuadratureError.
-
-    Returns (nodes, weights, counts): the flat gauss_panels nodes and
-    weights of the points in order, counts[i] of them for point i.
-    """
+def _layout_gaps(edges, counts, caps, max_panels: int):
+    """The plan of panel_layouts before any node: per point its first edge
+    and its panel count, and per gap between base edges (a, b, cur, step,
+    m, k, panels), m doubling edges from a up to cur and then k pieces of
+    width step up to b.  A point over max_panels panels raises
+    QuadratureError."""
     edges = np.asarray(edges, dtype=float)
     counts = np.asarray(counts, dtype=np.int64)
     cap = np.asarray(caps, dtype=float)
@@ -136,14 +137,22 @@ def panel_layouts(edges, counts, caps, n: int, exponent: float,
     over = np.flatnonzero(panels > max_panels)
     if over.size:
         i = over[0]
+        # in full near the budget, to three digits past int64
+        count = f"{panels[i]:.0f}" if panels[i] < 1e9 else f"{panels[i]:.3g}"
         raise QuadratureError(
             f"panel layout of [{edges[starts[i]]:g}, "
-            f"{edges[starts[i] + counts[i] - 1]:g}] needs {panels[i]:.0f} "
-            f"panels, above the budget of {max_panels}")
-    gap_panels, panels = gap_panels.astype(np.int64), panels.astype(np.int64)
+            f"{edges[starts[i] + counts[i] - 1]:g}] needs {count} panels, "
+            f"above the budget of {max_panels}")
+    return (edges[starts], panels.astype(np.int64),
+            (a, b, cur, step, m, k, gap_panels.astype(np.int64)))
 
+
+def _gap_nodes(firsts, panels, gaps, n: int, exponent: float):
+    """The flat gauss_panels nodes and weights of whole points laid out by
+    _layout_gaps: their first edges, panel counts and gaps."""
+    gap_panels = gaps[-1]
     ga, gb, gcur, gstep, gm, gk = (np.repeat(v, gap_panels)
-                                   for v in (a, b, cur, step, m, k))
+                                   for v in gaps[:-1])
     # right edge number i of a gap: a 2^(i+1) while doubling, then
     # cur + j step as np.linspace(cur, b, k + 1) makes them
     i = np.arange(gap_panels.sum()) - np.repeat(
@@ -154,67 +163,109 @@ def panel_layouts(edges, counts, caps, n: int, exponent: float,
         np.where(j == gk, gb, j * gstep + gcur))
     left = np.empty_like(right)
     left[1:] = right[:-1]
-    left[np.cumsum(panels) - panels] = edges[starts]
+    left[np.cumsum(panels) - panels] = firsts
     nodes, weights = gauss_panels(left, right, n, exponent)
-    return nodes.ravel(), weights.ravel(), panels * n
+    return nodes.ravel(), weights.ravel()
 
 
-def radial_sums(lo: float, his, centers, width: float, breakpoints, n: int,
+def panel_layouts(edges, counts, caps, n: int, exponent: float,
+                  max_panels: int):
+    """Gauss layouts of many points for integrals against y**exponent dy.
+
+    Point i owns the next counts[i] >= 2 entries of `edges`, its sorted and
+    distinct base edges; all of them are edges of its layout.  The gaps
+    between base edges, in the same order, have panels no wider than their
+    entry of `caps`.  In a gap [a, b] with 0 < a < min(b, cap) the edges
+    first double, a 2^i, up to the first one at or past min(b, cap)
+    (clipped to b); this log-grades the panels away from 0 and keeps each
+    no wider than its left end.  The rest of the gap is cut into
+    ceil(rest / cap) equal pieces.  A point whose layout needs more than
+    max_panels panels raises QuadratureError.
+
+    Returns (nodes, weights, counts): the flat gauss_panels nodes and
+    weights of the points in order, counts[i] of them for point i.
+    """
+    firsts, panels, gaps = _layout_gaps(edges, counts, caps, max_panels)
+    return (*_gap_nodes(firsts, panels, gaps, n, exponent), panels * n)
+
+
+def _radial_gaps(lo, c, top, width, breakpoints, ladder):
+    """The base edge counts and the _layout_gaps plan of radial_sums' rule
+    for the points c with ends `top` and peak scales `width`, all columns,
+    and the rungs width 2^ladder."""
+    rungs = np.ldexp(width, ladder)
+    inside = np.concatenate(
+        [np.broadcast_to(breakpoints, (c.size, breakpoints.size)), c,
+         c - rungs, c + rungs], axis=1)
+    inside[~((inside > lo) & (inside < top))] = np.inf
+    cand = np.sort(np.concatenate([np.full_like(c, lo), top, inside],
+                                  axis=1), axis=1)
+    keep = np.isfinite(cand)
+    keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+    # a kept edge j > 0 closes the gap (cand[j-1], cand[j]): whatever sits
+    # at j-1 equals the kept edge before it
+    a, b = cand[:, :-1], cand[:, 1:]
+    dist = np.maximum(np.maximum(a - c, c - b), 0.0)
+    caps = (0.75 * (width + dist))[keep[:, 1:]]
+    counts = keep.sum(axis=1)
+    return counts, _layout_gaps(cand[keep], counts, caps, MAX_RADIAL_PANELS)
+
+
+def radial_sums(lo: float, his, centers, width, breakpoints, n: int,
                 exponent: float, integrand) -> np.ndarray:
-    """Per point x_i = centers_i, the sum of integrand(x_i, y, w) over the
+    """Per point x_i = centers_i, the sum of integrand(i, y, w) over the
     Gauss nodes y and weights w of a panel_layouts layout of [lo, his_i],
     for radial integrals against a kernel that peaks at y = x_i on the
-    scale `width`, with the budget MAX_RADIAL_PANELS.
+    scale width_i, with the budget MAX_RADIAL_PANELS; his and width are
+    scalars or arrays broadcast to centers.
 
     The base edges of point i are lo, his_i and, inside (lo, his_i), the
-    breakpoints, x_i and the ladder x_i +- width 2^k, k >= 0; the cap of a
-    gap is 0.75 (width + its distance to x_i).  So a panel [a, b] has
-    b - a <= 0.75 (width + dist([a, b], x_i)), which resolves the peak, and
-    b - a <= a unless a = 0.
+    breakpoints, x_i and the ladder x_i +- width_i 2^k, k >= 0; the cap of
+    a gap is 0.75 (width_i + its distance to x_i).  So a panel [a, b] has
+    b - a <= 0.75 (width_i + dist([a, b], x_i)), which resolves the peak,
+    and b - a <= a unless a = 0.
 
-    The points are laid out and summed in blocks of whole points.  The
-    integrand is vectorized: it gets the nodes and weights of a block with
-    each point repeated once per node, and returns the terms, one per node
-    along its last axis; the sums have the terms' leading shape followed by
-    the points'.  A point's sum does not depend on the blocks.  A
-    non-finite sum raises NumericsError naming its point.
+    The points are planned in blocks of at most _RADIAL_NODES candidate
+    edges, and summed in blocks of whole points of at most _RADIAL_NODES
+    nodes (or one point with more), counted from the plan's panel counts
+    before any node is built.  The integrand is vectorized: it gets the
+    index i of each node's point, the nodes and the weights of a block, and
+    returns the terms, one per node along its last axis; the sums have the
+    terms' leading shape followed by the points'.  A point's sum does not
+    depend on the blocks.  A non-finite sum raises NumericsError naming its
+    point.
     """
     sums = []
     # an overflow in a layout or a term shows as a non-finite sum
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         centers = np.atleast_1d(np.asarray(centers, dtype=float))
-        his = np.broadcast_to(np.asarray(his, dtype=float), centers.shape)
-        reach = float(np.max(np.maximum(his - centers, centers - lo)))
-        rungs = np.ldexp(width, np.arange(
-            max(0, math.ceil(math.log2(reach / width))) + 1))
+        his, width = (np.broadcast_to(np.asarray(v, dtype=float),
+                                      centers.shape) for v in (his, width))
+        reach = float(np.max(np.maximum(his - centers, centers - lo) / width))
+        ladder = np.arange(max(0, math.ceil(math.log2(reach))) + 1)
         bps = np.asarray(breakpoints, dtype=float)
-        # a point has at most MAX_RADIAL_PANELS panels (more raise), so
-        # blocks of `size` points hold about _NODE_BLOCK candidate edges
-        # and at most _NODE_BLOCK nodes (n MAX_RADIAL_PANELS for one point)
-        size = max(1, _NODE_BLOCK // (n * max(
-            MAX_RADIAL_PANELS, bps.size + 2 * rungs.size + 3)))
+        size = max(1, _RADIAL_NODES // (bps.size + 2 * ladder.size + 3))
         for first in range(0, centers.size, size):
-            c = centers[first:first + size, None]
-            top = his[first:first + size, None]
-            inside = np.concatenate(
-                [np.broadcast_to(bps, (c.size, bps.size)), c, c - rungs,
-                 c + rungs], axis=1)
-            inside[~((inside > lo) & (inside < top))] = np.inf
-            cand = np.sort(np.concatenate([np.full_like(c, lo), top, inside],
-                                          axis=1), axis=1)
-            keep = np.isfinite(cand)
-            keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
-            # a kept edge j > 0 closes the gap (cand[j-1], cand[j]):
-            # whatever sits at j-1 equals the kept edge before it
-            a, b = cand[:, :-1], cand[:, 1:]
-            dist = np.maximum(np.maximum(a - c, c - b), 0.0)
-            caps = (0.75 * (width + dist))[keep[:, 1:]]
-            nodes, weights, counts = panel_layouts(
-                cand[keep], keep.sum(axis=1), caps, n, exponent,
-                MAX_RADIAL_PANELS)
-            terms = integrand(np.repeat(c[:, 0], counts), nodes, weights)
-            sums.append(np.add.reduceat(terms, np.cumsum(counts) - counts,
-                                        axis=-1))
+            part = slice(first, first + size)
+            counts, (firsts, panels, gaps) = _radial_gaps(
+                lo, centers[part, None], his[part, None], width[part, None],
+                bps, ladder)
+            nodes = panels * n
+            ends = np.cumsum(nodes)
+            gap_ends = np.cumsum(counts - 1)
+            i = 0
+            while i < counts.size:
+                # whole points up to _RADIAL_NODES nodes, at least one
+                j = max(i + 1, int(np.searchsorted(
+                    ends, ends[i] - nodes[i] + _RADIAL_NODES, "right")))
+                g = slice(gap_ends[i] - counts[i] + 1, gap_ends[j - 1])
+                y, w = _gap_nodes(firsts[i:j], panels[i:j],
+                                  tuple(v[g] for v in gaps), n, exponent)
+                # no block's terms outlive its sums
+                sums.append(np.add.reduceat(integrand(
+                    np.repeat(np.arange(first + i, first + j), nodes[i:j]),
+                    y, w), np.cumsum(nodes[i:j]) - nodes[i:j], axis=-1))
+                i = j
     sums = np.concatenate(sums, axis=-1)
     finite = np.isfinite(sums).reshape(-1, centers.size).all(axis=0)
     if not finite.all():

@@ -8,8 +8,9 @@ with windowed kernel K_N(x,y) built from the same differences.  One
 generator, _window_sums, adds the terms v_j (L_{j+1} - L_j) in j order over
 levels L_j: the levels P_{a_j} f of a SemigroupTable for T_N f and its
 prefix sums, and kernel levels P_{a_j}(x, y) for K_N and the partial-sum
-bounds.  A table of a tuple of functions computes each level with one
-apply_at call.  The truncated maximal operator
+bounds.  A table computes all the levels a read lacks with one apply_at
+call, its (level, x) points in one radial pass per batch of functions.  The
+truncated maximal operator
 
     T*_M f(x) = max over -M <= N1 < N2 <= M of |T_N f(x)|
 
@@ -70,11 +71,13 @@ def _check_window(setup: LacunarySetup, n1: int, n2: int):
 
 
 class SemigroupTable:
-    """Cache of P_{a_j} f on a fixed grid, one quadrature pass per level.
+    """Cache of P_{a_j} f on a fixed grid.
 
-    f is one SampledFunction or a tuple of them.  Each level comes from one
-    apply_at call and has one row per function: shape (grid,) for one
-    function, (n_f, grid) for a tuple.
+    f is one SampledFunction or a tuple of them.  Each level has one row
+    per function: shape (grid,) for one function, (n_f, grid) for a tuple.
+    A read computes every level it needs and the table lacks with one
+    apply_at call: its (level, x) points share one radial pass per batch of
+    functions.
     """
 
     def __init__(self, space: LambdaSpace, setup: LacunarySetup,
@@ -88,34 +91,43 @@ class SemigroupTable:
         self._levels: dict[int, np.ndarray] = {}
         self.max_tail = 0.0
 
-    def level(self, j: int) -> np.ndarray:
-        """P_{a_j} f on the grid.  The largest truncation-tail bound of the
-        levels computed so far is kept in `max_tail`; one above
-        max(abs_tol, 1e-14) raises TailEstimateError (kernel.check_tail)."""
-        if j not in self._levels:
-            vals, tails = apply_at(self.space, self.f, self.setup.a_at(j),
+    def _levels_of(self, js) -> list:
+        """The levels P_{a_j} f, j in js (increasing), the missing ones
+        computed together.  Their truncation-tail bounds are checked level
+        by level in j order: the largest so far is kept in `max_tail`, and
+        one above max(abs_tol, 1e-14) raises TailEstimateError
+        (kernel.check_tail)."""
+        missing = [j for j in js if j not in self._levels]
+        if missing:
+            times = np.array([self.setup.a_at(j) for j in missing])
+            vals, tails = apply_at(self.space, self.f, times[:, None],
                                    self.grid, self.quad)
-            self.max_tail = max(self.max_tail,
-                                float(np.max(tails, initial=0.0)))
-            check_tail(self.max_tail, self.quad)
-            self._levels[j] = vals
-        return self._levels[j]
+            for row, j in enumerate(missing):
+                self.max_tail = max(self.max_tail,
+                                    float(np.max(tails[row], initial=0.0)))
+                check_tail(self.max_tail, self.quad)
+                self._levels[j] = vals[..., row, :]
+        return [self._levels[j] for j in js]
+
+    def level(self, j: int) -> np.ndarray:
+        """P_{a_j} f on the grid."""
+        return self._levels_of([j])[0]
 
     def window(self, n1: int, n2: int) -> np.ndarray:
         """T_N f on the grid for N = (n1, n2): the terms v_j (p_{j+1} - p_j)
         added one by one in j order (prefix differences would round
         differently)."""
         _check_window(self.setup, n1, n2)
-        return deque(_window_sums(self.setup, n1, (
-            self.level(j) for j in range(n1, n2 + 2))), maxlen=1).pop()
+        return deque(_window_sums(self.setup, n1, self._levels_of(
+            range(n1, n2 + 2))), maxlen=1).pop()
 
     def weighted_prefixes(self, m_cap: int) -> np.ndarray:
         """S[i] = sum_{j=-M}^{-M+i-1} v_j (p_{j+1} - p_j), i = 0..2M+1, each
         of a level's shape."""
         M = m_cap
         _check_window(self.setup, -M, M)
-        sums = list(_window_sums(self.setup, -M, (
-            self.level(j) for j in range(-M, M + 2))))
+        sums = list(_window_sums(self.setup, -M, self._levels_of(
+            range(-M, M + 2))))
         return np.stack([np.zeros_like(sums[0]), *sums])
 
 
@@ -167,8 +179,9 @@ def apply_transform_kernel_route(space, setup, win: IndexWindow,
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     return radial_sums(slo, shi, xs, setup.a_at(win.n1),
                        f.quad_breakpoints(), quad.y_nodes_per_panel,
-                       space.weight_exponent, lambda x, y, w: (
-                           w * window_kernel(space, setup, win, x, y) * f(y)))
+                       space.weight_exponent, lambda i, y, w: (
+                           w * window_kernel(space, setup, win, xs[i], y)
+                           * f(y)))
 
 
 # --------------------------------------------------------------------------

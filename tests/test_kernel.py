@@ -196,6 +196,44 @@ def test_six_functions_are_two_batches(space1):
         assert np.array_equal(tails, np.maximum(head_tails, rest_tails))
 
 
+def test_unattainable_tail_end_names_the_first_failing_time():
+    # rows of times, as a table's fill passes its levels: the error names
+    # the first row that fails, as a call with that row alone does
+    t = np.array([[0.5], [1e300], [1e305]])
+    base = np.maximum(np.array([1.0, 2.0]), t)
+    messages = []
+    for row in (1, 2):
+        with pytest.raises(TailEstimateError) as alone:
+            kernel_mod._radial_end(1.0, t[row], 1.0, base[row],
+                                   QuadratureSpec())
+        messages.append(str(alone.value))
+    assert messages[0] != messages[1]
+    with pytest.raises(TailEstimateError) as together:
+        kernel_mod._radial_end(1.0, t, 1.0, base, QuadratureSpec())
+    assert str(together.value) == messages[0]
+
+
+def test_unit_factors_at_lambda_one_change_no_bit(monkeypatch):
+    # at lambda = 1 every 2F1 but I_3's has a or b = 0 and I_1's power has
+    # exponent 0: kernel_values calls no hyp2f1 for p, dt and grad, and
+    # every kind keeps the bits of the formula with scipy's 2F1 and numpy's
+    # A ** 0 in place, near the diagonal (kappa down to 1e-12) too
+    space = LambdaSpace(1.0)
+    t, x, y = oracle_points(np.random.default_rng(12), 2000,
+                            np.geomspace(1e-12, 1e3, 16))
+    kinds = ("p", "dt", "grad", "dtgrad")
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel_mod, "hyp2f1", None)
+        got = {kind: kernel_values(space, t, x, y, kind) for kind in kinds[:3]}
+    got["dtgrad"] = kernel_values(space, t, x, y, "dtgrad")
+    monkeypatch.setattr(kernel_mod, "_power", lambda A, e: A ** e)
+    monkeypatch.setattr(kernel_mod, "_hyp2f1", lambda a, b, c, A, B: (
+        kernel_mod.hyp2f1(a, b, c, (B / A) ** 2)))
+    for kind in kinds:
+        assert np.array_equal(got[kind], kernel_values(space, t, x, y, kind)
+                              ), kind
+
+
 # -- closed form against an independent oracle --------------------------------
 
 def mp_kernel(lam, t, x, y):

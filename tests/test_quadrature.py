@@ -69,25 +69,23 @@ def _radial_case(rng):
 
 
 def _radial_panels(monkeypatch, lo, his, xs, t, bps, n=4, exponent=1.4):
-    """The layouts (nodes, weights, counts) that radial_sums gets from
-    panel_layouts, one per block of points, and per point the panel ends
-    (left, right) that they hand gauss_panels."""
+    """The layouts (nodes, weights, counts) of the integrand calls of one
+    radial_sums call, one per block of points, and per point the panel ends
+    (left, right) that the blocks hand gauss_panels."""
     layouts, seen = [], []
-    real_layouts, real_panels = (quadrature_mod.panel_layouts,
-                                 quadrature_mod.gauss_panels)
-
-    def record_layouts(*args):
-        layouts.append(real_layouts(*args))
-        return layouts[-1]
+    real_panels = quadrature_mod.gauss_panels
 
     def record_panels(left, right, n, exponent):
         seen.append((left.copy(), right.copy()))
         return real_panels(left, right, n, exponent)
 
+    def integrand(i, y, w):
+        layouts.append((y, w, np.unique(i, return_counts=True)[1]))
+        return w
+
     with monkeypatch.context() as patch:
-        patch.setattr(quadrature_mod, "panel_layouts", record_layouts)
         patch.setattr(quadrature_mod, "gauss_panels", record_panels)
-        radial_sums(lo, his, xs, t, bps, n, exponent, lambda x, y, w: w)
+        radial_sums(lo, his, xs, t, bps, n, exponent, integrand)
     cuts = np.cumsum(np.concatenate([r[2] for r in layouts]) // n)[:-1]
     return (layouts, np.split(np.concatenate([s[0] for s in seen]), cuts),
             np.split(np.concatenate([s[1] for s in seen]), cuts))
@@ -116,7 +114,7 @@ def test_panel_edges_breakpoints_and_grading(monkeypatch):
             edges = np.append(bps, x)
             assert np.all(np.isin(edges[(edges > lo) & (edges < hi)], b))
         whole = [np.concatenate(arrays) for arrays in zip(*blocks)]
-        monkeypatch.setattr(quadrature_mod, "_NODE_BLOCK", 64)
+        monkeypatch.setattr(quadrature_mod, "_RADIAL_NODES", 64)
         small = _radial_panels(monkeypatch, lo, his, xs, t, bps)[0]
         monkeypatch.undo()
         assert len(small) >= len(blocks)
@@ -141,7 +139,7 @@ def test_panel_layouts_budget_holds_past_int64():
     # a gap 1e40 caps wide: its count used to wrap negative in the int64
     # cast, pass the budget and fail in np.repeat
     with pytest.raises(QuadratureError, match=r"panel layout of \[1, 1e\+40\]"
-                       r" needs \d{41} panels, above the budget of 400"):
+                       r" needs 1e\+40 panels, above the budget of 400"):
         quadrature_mod.panel_layouts([1.0, 1e40], [2], [1.0], 4, 0.0, 400)
 
 
@@ -201,6 +199,29 @@ def test_panel_nodes_bit_identical_to_panel_loop(lo, zl):
     assert np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("lo", [0.0, 0.05])
+def test_radial_sums_per_point_widths_are_separate_calls(lo):
+    # a width and an end per point: each point is laid out and summed as a
+    # call of that point alone with its scalar width, bit for bit
+    rng = np.random.default_rng(13)
+    xs = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), 30))
+    widths = 2.0 ** rng.uniform(-12.0, 8.0, 30)
+    his = 4.0 * xs + 1.0
+    bps = (0.3, 1.0, 7.0)
+
+    def terms(x, width, y, w):
+        near = width / ((y - x) ** 2 + width ** 2)
+        return np.stack([w * near, w * near * np.cos(y)])
+
+    together = radial_sums(lo, his, xs, widths, bps, 16, 1.4,
+                           lambda i, y, w: terms(xs[i], widths[i], y, w))
+    assert together.shape == (2, xs.size)
+    for k, (x, width, hi) in enumerate(zip(xs, widths, his)):
+        alone = radial_sums(lo, hi, x, width, bps, 16, 1.4,
+                            lambda i, y, w: terms(x, width, y, w))
+        assert np.array_equal(together[:, k], alone[:, 0])
+
+
 def test_weighted_panel_nodes_folds_the_power(monkeypatch):
     # the layout weights carry y^1.4 on every panel: off a panel at 0 they
     # are the plain Gauss-Legendre weights times y^1.4, and they sum to
@@ -219,9 +240,10 @@ def test_weighted_panel_nodes_folds_the_power(monkeypatch):
 
 
 def test_radial_sums_blocking_is_bit_identical(monkeypatch):
-    # blocks of whole points, each at most max(_NODE_BLOCK, n
-    # MAX_RADIAL_PANELS) nodes, with the same sums as one block; apply_at
-    # and the Hankel bands do not depend on _NODE_BLOCK either
+    # blocks of whole points with the same sums as one block: integrand
+    # calls of at most max(_RADIAL_NODES, n MAX_RADIAL_PANELS) nodes, more
+    # than _RADIAL_NODES only for one point; apply_at and the Hankel bands
+    # depend on neither _RADIAL_NODES nor _NODE_BLOCK
     rng = np.random.default_rng(5)
     points = rng.uniform(0.5, 3.0, 60)
     calls = []
@@ -230,7 +252,8 @@ def test_radial_sums_blocking_is_bit_identical(monkeypatch):
         calls.clear()
         return radial_sums(0.0, 8.0, points, 0.1, (), 16, 1.4, integrand)
 
-    def integrand(x, y, w):
+    def integrand(i, y, w):
+        x = points[i]
         calls.append((x, y, w))
         return w * np.cos(x * y) * np.exp(-y)
 
@@ -240,25 +263,33 @@ def test_radial_sums_blocking_is_bit_identical(monkeypatch):
 
     space, f = LambdaSpace(0.7), smooth_bump(2.0, 1.0)
     xs = np.geomspace(0.05, 20.0, 40)
-    whole = sums()
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature_mod, "_RADIAL_NODES", 1 << 21)
+        whole = sums()
     [(x, y, w)] = calls
     counts = point_counts(x)
     assert np.array_equal(x, np.repeat(points, counts))
     applied = apply_at(space, f, 0.3, xs)[0]
     transformed = hankel_transform(space, f, xs).values
 
-    for block in (1000, 20000):
-        monkeypatch.setattr(quadrature_mod, "_NODE_BLOCK", block)
-        assert np.array_equal(sums(), whole)
-        assert len(calls) > 3
-        assert max(c[1].size for c in calls) <= max(block,
-                                                    16 * MAX_RADIAL_PANELS)
-        assert np.array_equal(
-            np.concatenate([point_counts(c[0]) for c in calls]), counts)
-        assert np.array_equal(apply_at(space, f, 0.3, xs)[0], applied)
-        assert np.array_equal(hankel_transform(space, f, xs).values,
-                              transformed)
+    for budget, size in (("_NODE_BLOCK", 1000), ("_NODE_BLOCK", 20000),
+                         ("_RADIAL_NODES", 1), ("_RADIAL_NODES", 64),
+                         ("_RADIAL_NODES", 500), ("_RADIAL_NODES", 3000)):
+        with monkeypatch.context() as patch:
+            patch.setattr(quadrature_mod, budget, size)
+            assert np.array_equal(sums(), whole)
+            assert len(calls) > 1
+            nodes = quadrature_mod._RADIAL_NODES
+            assert max(c[1].size for c in calls) <= max(
+                nodes, 16 * MAX_RADIAL_PANELS)
+            assert all(c[1].size <= nodes or point_counts(c[0]).size == 1
+                       for c in calls)
+            assert np.array_equal(
+                np.concatenate([point_counts(c[0]) for c in calls]), counts)
+            assert np.array_equal(apply_at(space, f, 0.3, xs)[0], applied)
+            assert np.array_equal(hankel_transform(space, f, xs).values,
+                                  transformed)
     cuts = np.cumsum(counts)[:-1]
-    per_point = [np.sum(integrand(p, yp, wp)) for p, yp, wp in zip(
-        points, np.split(y, cuts), np.split(w, cuts))]
+    per_point = [np.sum(integrand(i, yp, wp)) for i, yp, wp in zip(
+        range(points.size), np.split(y, cuts), np.split(w, cuts))]
     assert np.allclose(whole, per_point, rtol=1e-14, atol=0.0)

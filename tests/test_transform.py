@@ -276,6 +276,66 @@ def test_table_keeps_largest_tail_bound(space1, monkeypatch):
         table.level(1)
 
 
+@pytest.mark.parametrize("count", [1, 6])
+def test_table_fills_levels_in_one_call(count, monkeypatch):
+    # a read computes every level it lacks with one apply_at call; each
+    # level and max_tail equal those of per-level apply_at calls bit for
+    # bit, for one function and for six (two batches); the held tail makes
+    # the tail bounds nonzero
+    space = LambdaSpace(1.5)
+    setup = geometric(2.0, -5, 5, v=np.random.default_rng(4).normal(size=10))
+    knots = np.geomspace(0.1, 10.0, 20)
+    held = SampledFunction(knots, 1.0 + 0.5 * np.sin(np.log(knots)),
+                           left="hold", right="hold")
+    rng = np.random.default_rng(9)
+    fs = (*(bump_mixture(rng, span=(1e-1, 1e1)) for _ in range(count - 1)),
+          held)
+    f = fs if count > 1 else held
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2])
+        return apply_at(*args)
+
+    monkeypatch.setattr(transform_mod, "apply_at", counted)
+    table = SemigroupTable(space, setup, f, GRID)
+    table.weighted_prefixes(4)
+    table.window(-5, 4)
+    table.level(3)
+    assert [np.ravel(t).tolist() for t in calls] == [
+        [setup.a_at(j) for j in range(-4, 6)], [setup.a_at(-5)]]
+    want_tail = 0.0
+    for j in range(-5, 6):
+        want, tails = apply_at(space, f, setup.a_at(j), GRID)
+        assert np.array_equal(table.level(j), want)
+        want_tail = max(want_tail, float(np.max(tails)))
+    assert len(calls) == 2
+    assert table.max_tail == want_tail > 0.0
+
+
+def test_table_tail_failure_raises_at_its_level(space1, monkeypatch):
+    # the tails of a fill are checked level by level in j order: a bound
+    # above tolerance from level 1 on raises with level 1's bound, keeps
+    # the levels before it and computes no level again
+    setup = geometric(2.0, -3, 3)
+    table = SemigroupTable(space1, setup, constant_one(), np.array([0.5, 2.0]))
+
+    def loose_tail(space, f, t, xs, quad):
+        vals, tails = apply_at(space, f, t, xs, quad)
+        return vals, np.where(t >= setup.a_at(1), 1e-6 * t / setup.a_at(1),
+                              tails)
+
+    monkeypatch.setattr(transform_mod, "apply_at", loose_tail)
+    with pytest.raises(TailEstimateError, match="1.000e-06"):
+        table.window(-2, 2)
+    assert table.max_tail == 1e-6
+    monkeypatch.setattr(transform_mod, "apply_at", None)
+    for j in (-2, -1, 0):
+        table.level(j)
+    with pytest.raises(TypeError):
+        table.level(1)
+
+
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
 def test_table_window_is_the_explicit_sum(lam):
     space = LambdaSpace(lam)
