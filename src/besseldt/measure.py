@@ -11,19 +11,24 @@ arrays.  The interval I(x, r) = (x - r, x + r) intersected with (0, inf) is
 canonicalized in one place, _interval_ends: for x < r it is (0, x + r),
 with center = radius = (x + r)/2.
 
-Every integral of f over intervals takes one batched path: the cells of
-all the intervals are laid out in one numpy pass (searchsorted into f's
-grid and breakpoints), f is evaluated once on all their nodes and
-per-interval sums are taken over the cells (_q_integrals, _signed_integrals).
-_batched clips the intervals to f's support and groups them into blocks of
-about _CELL_CHUNK cells, which bounds the memory.  The maximal function's
-thousands of averages, a BMO family, the log-growth averages and a single
-norm go through the same code; masses are exact power integrals over arrays
-of interval ends.
+Every integral of f over intervals takes one batched path, _batched: it
+clips the intervals to f's support and cuts them into cells at f's grid
+and breakpoints (searchsorted), and each interval's value is the sum of its
+cells, left to right.  A sample-backed f is integrated on its linear pieces
+(_q_integrals, _signed_integrals), in blocks of about _CELL_CHUNK cells.  On
+a callable-backed f (_gl_cells) a Gauss cell between two neighbouring
+alignment points is built and summed once per call, however many intervals
+span it; only each interval's two end cells are its own.  f is evaluated
+once on every distinct cell's nodes, _CELL_CHUNK rows at a time, which
+bounds the memory.  The maximal function's thousands of averages, a BMO
+family, the log-growth averages and a single norm go through the same code;
+masses are exact power integrals over arrays of interval ends.
 
 bmo_norm makes two such passes over its family: the signed means c_k, then
 |f - c_k| with a shift of one c_k per interval (subtracted from the linear
-pieces of a sampled f, from the values of a callable f in the Gauss cells).
+pieces of a sampled f, from the values of a callable f in the Gauss cells,
+where a shared cell keeps its nodes' weights and f values and each interval
+sums its own row).
 Outside f's support |f - c_k| = |c_k|, and that part is added as
 |c_k| m(I_k minus supp f) from exact power integrals.
 """
@@ -83,12 +88,15 @@ class PowerWeight:
 #
 # Integrals over many intervals run as one batch.  Each interval [A, B] is cut
 # into cells whose edges are A, B and the alignment points of f strictly
-# inside; the cells of all intervals form one flat list (`owner` gives each
-# cell's interval), and per-interval results are sums over their cells.
+# inside (f's grid, and for a callable-backed f also its breakpoints); per
+# interval the result is the sum of its cells, left to right.
 
-#: cells per block of a batched integral (whole intervals are added to a
-#: block until it holds this many); with at most 32 Gauss nodes per cell it
-#: bounds the memory of one block
+#: Gauss rows per gauss_panels call of a batched integral: with at most 32
+#: nodes a row it bounds the memory of one call.  Blocks of whole intervals
+#: bound the rest: about this many cells for a sample-backed f; for a
+#: callable-backed f about as many entries as the nodes of this many
+#: 24-node rows, counting 24 for each end row and, per (interval, cell)
+#: pair, 1 for its gathered sum or, under a shift, 24 for its gathered row
 _CELL_CHUNK = 512
 
 
@@ -117,11 +125,18 @@ def _power_integrals_or_zero(a, b, p):
 
 
 def _alignment_points(f):
-    """Sorted points where the cells of an integral of f are cut: the grid,
-    and for callable-backed f also its breakpoints."""
-    if f.func is None:
-        return f.grid
+    """Sorted points where the Gauss cells of a callable-backed f are cut:
+    its grid and its breakpoints."""
     return np.union1d(f.grid, np.asarray(f.breakpoints, dtype=float))
+
+
+def _blocks(cost, budget):
+    """Slices of consecutive items, one starting wherever the cost of the
+    items before it reaches a multiple of budget; none for no items."""
+    block = (np.cumsum(cost) - cost) // budget
+    bounds = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist(),
+              cost.size]
+    return [slice(s, e) for s, e in zip(bounds, bounds[1:]) if e > s]
 
 
 def _cells(pts, A, B):
@@ -140,24 +155,89 @@ def _cells(pts, A, B):
     return owner, a, b
 
 
-def _gauss_cells(a, b, p, values, n):
-    """Per cell [a_i, b_i], the n-node Gauss sum of values * y^p on the
-    nodes and weights of quadrature.gauss_panels (Gauss-Jacobi absorbing
-    y^p, which is not smooth at 0, on cells at 0); `values(y)` gives the
-    integrand at the nodes y, one row per cell."""
-    y, w = gauss_panels(a, b, n, p)
-    return np.sum(w * values(y), axis=1)
+def _gl_cells(f, pts, A, B, p, q=None, shift=None):
+    """integral_{A_k}^{B_k} |f(y) - shift_k|^q y^p dy (shift 0 when None),
+    or f(y) y^p dy when q is None, for arrays of interval ends with B > A:
+    a callable-backed f on 24-node Gauss-Legendre cells, the cells of
+    _cells on f's sorted alignment points pts.
 
+    Each cell is built once per call.  A gap [pts[g], pts[g+1]] is one row,
+    shared by every interval that spans it; each interval's first and last
+    cell are rows of their own.  The intervals go in blocks; a block builds
+    its end rows and the gaps it is the first to span, _CELL_CHUNK rows per
+    gauss_panels call and f evaluation, and sums each row.  Under a shift
+    the gap rows keep their weights and f values, and each (interval, gap)
+    pair sums its own row of |f - shift_k|^q.  Each interval's value is the
+    bincount of its cell sums, left to right, so no sum depends on the
+    batch."""
+    n_gaps = pts.size - 1
+    # per gap its row sum, and under a shift its weights and f values; the
+    # spare last entry stands in for the end cells, which read their own rows
+    gap_sum = np.zeros(n_gaps + 1)
+    built = np.zeros(n_gaps, dtype=bool)
+    if shift is not None:
+        gap_w, gap_f = np.zeros((n_gaps + 1, 24)), np.zeros((n_gaps + 1, 24))
 
-def _gl_cells(f, A, B, p, transform):
-    """integral_{A_k}^{B_k} transform(f(y), owner) y^p dy for arrays of
-    interval ends, by 24-node Gauss-Legendre cells aligned with f's grid
-    and breakpoints (callable-backed f); transform gets f's values one row
-    per cell and the interval of each cell."""
-    owner, a, b = _cells(_alignment_points(f), A, B)
-    cell = _gauss_cells(a, b, p, lambda y: transform(
-        f(y.ravel()).reshape(y.shape), owner), 24)
-    return np.bincount(owner, cell, minlength=A.size)
+    def values(t):
+        return t if q is None else np.abs(t) ** q
+
+    def row_sums(new, a, b, row_shift):
+        # the rows [a_i, b_i], the first new.size of them the gaps new
+        y, w = gauss_panels(a, b, 24, p)
+        t = f(y.ravel()).reshape(y.shape)
+        if shift is not None:
+            gap_w[new], gap_f[new] = w[:new.size], t[:new.size]
+            t = t - row_shift[:, None]
+        return np.sum(w * values(t), axis=1)
+
+    def block_integrals(idx):
+        lo_b, n, A_b, B_b = lo[idx], count[idx], A[idx], B[idx]
+        two = np.flatnonzero(n > 1)
+        # the gaps lo_k, ..., lo_k + n_k - 3 spanned by the intervals
+        spans = n > 2
+        new = np.flatnonzero(~built & (np.cumsum(
+            np.bincount(lo_b[spans], minlength=n_gaps + 1)
+            - np.bincount(lo_b[spans] + n[spans] - 2,
+                          minlength=n_gaps + 1))[:-1] > 0))
+        built[new] = True
+        # rows: the new gaps, the first cells, then the last cells
+        a = np.concatenate([pts[new], A_b, pts[lo_b[two] + n[two] - 2]])
+        b = np.concatenate([pts[new + 1],
+                            np.where(n > 1, pts[np.minimum(lo_b, n_gaps)],
+                                     B_b),
+                            B_b[two]])
+        if shift is not None:
+            shift_b = shift[idx]
+            row_shift = np.concatenate([np.zeros(new.size), shift_b,
+                                        shift_b[two]])
+        # one row_sums call per chunk: its nodes are freed before the next
+        chunks = (slice(s, s + _CELL_CHUNK)
+                  for s in range(0, a.size, _CELL_CHUNK))
+        sums = np.concatenate([
+            row_sums(new[c], a[c], b[c],
+                     None if shift is None else row_shift[c])
+            for c in chunks])
+        gap_sum[new] = sums[:new.size]
+        # cell j of interval k lies on gap lo_k + j - 1, unless it is an end
+        start = np.cumsum(n) - n
+        owner = np.repeat(np.arange(n.size), n)
+        g = np.arange(owner.size) - np.repeat(start - lo_b + 1, n)
+        if shift is None:
+            cell = gap_sum[g]
+        else:
+            cell = np.sum(gap_w[g] * values(gap_f[g] - shift_b[owner, None]),
+                          axis=1)
+        cell[start] = sums[new.size:new.size + n.size]
+        cell[start[two] + n[two] - 1] = sums[new.size + n.size:]
+        return np.bincount(owner, cell, minlength=n.size)
+
+    lo = np.searchsorted(pts, A, side="right")
+    count = np.searchsorted(pts, B, side="left") - lo + 1
+    out = np.empty(A.size)
+    for idx in _blocks(48 + count * (1 if shift is None else 24),
+                       24 * _CELL_CHUNK):
+        out[idx] = block_integrals(idx)
+    return out
 
 
 def _linear_pieces(f, A, B):
@@ -224,9 +304,7 @@ def _zero_end_q_integrals(a, b, fa, fb, q, p, n):
 
 def _signed_integrals(f, A, B, p):
     """integral_{A_k}^{B_k} f(y) y^p dy for arrays of interval ends with
-    B > A; exact on sample-backed f."""
-    if f.func is not None:
-        return _gl_cells(f, A, B, p, lambda t, owner: t)
+    B > A, sample-backed f; exact."""
     owner, a, b, al, be = _linear_pieces(f, A, B)
     return np.bincount(owner, _linear_integrals(a, b, al, be, p),
                        minlength=A.size)
@@ -234,15 +312,10 @@ def _signed_integrals(f, A, B, p):
 
 def _q_integrals(f, A, B, q, p, shift=None):
     """integral_{A_k}^{B_k} |f(y) - shift_k|^q y^p dy (shift 0 when None)
-    for arrays of interval ends with B > A; exact for q in {1, 2} on
-    sample-backed f.  For other q a piece of a sample-backed f that ends at
-    a zero of f - shift_k gets a Gauss-Jacobi rule absorbing the zero
-    (_zero_end_q_integrals), the others 16-node Gauss."""
-    if f.func is not None:
-        if shift is None:
-            return _gl_cells(f, A, B, p, lambda t, owner: np.abs(t) ** q)
-        return _gl_cells(f, A, B, p, lambda t, owner: (
-            np.abs(t - shift[owner, None]) ** q))
+    for arrays of interval ends with B > A, sample-backed f; exact for q in
+    {1, 2}.  For other q a piece that ends at a zero of f - shift_k gets a
+    Gauss-Jacobi rule absorbing the zero (_zero_end_q_integrals), the others
+    16-node Gauss (quadrature.gauss_panels)."""
     owner, a, b, al, be = _linear_pieces(f, A, B)
     if shift is not None:
         be = be - shift[owner]
@@ -263,30 +336,39 @@ def _q_integrals(f, A, B, q, p, shift=None):
         zero_end = (fa == 0.0) != (fb == 0.0)
         piece = np.zeros(a.size)
         smooth = np.flatnonzero(~zero_end & (fa != 0.0))
-        als, bes = al[smooth, None], be[smooth, None]
-        piece[smooth] = _gauss_cells(
-            a[smooth], b[smooth], p, lambda y: np.abs(als * y + bes) ** q, 16)
+        y, w = gauss_panels(a[smooth], b[smooth], 16, p)
+        piece[smooth] = np.sum(
+            w * np.abs(al[smooth, None] * y + be[smooth, None]) ** q, axis=1)
         piece[zero_end] = _zero_end_q_integrals(
             a[zero_end], b[zero_end], fa[zero_end], fb[zero_end], q, p, 16)
     return np.bincount(owner, piece, minlength=A.size)
 
 
-def _batched(f, left, right, integrals):
-    """Integrals over the intervals (left_k, right_k) clipped to f's
-    support, [A_k, B_k]: integrals(idx, A, B) gives them for the intervals
-    idx, one call per block of whole intervals with about _CELL_CHUNK cells;
-    an interval that misses the support gets 0."""
+def _batched(f, left, right, p, q=None, shift=None):
+    """integral_{A_k}^{B_k} |f(y) - shift_k|^q y^p dy (shift 0 when None),
+    or f(y) y^p dy when q is None, over the intervals (left_k, right_k)
+    clipped to f's support, [A_k, B_k]; an interval that misses the support
+    gets 0.  A callable-backed f takes one _gl_cells call over all of them,
+    on its grid and breakpoints; a sample-backed f one call per block of
+    whole intervals with about _CELL_CHUNK cells."""
     slo, shi = f.support()
     A = np.maximum(np.asarray(left, dtype=float), slo)
     B = np.minimum(np.asarray(right, dtype=float), shi)
-    live = np.flatnonzero(B > A)
     out = np.zeros(A.shape)
-    pts = _alignment_points(f)
-    cells = (np.searchsorted(pts, B[live], side="left")
-             - np.searchsorted(pts, A[live], side="right") + 1)
-    block = (np.cumsum(cells) - cells) // _CELL_CHUNK
-    for idx in np.split(live, np.flatnonzero(np.diff(block)) + 1):
-        out[idx] = integrals(idx, A[idx], B[idx])
+    live = np.flatnonzero(B > A)
+    A, B = A[live], B[live]
+    if shift is not None:
+        shift = shift[live]
+    if f.func is not None:
+        out[live] = _gl_cells(f, _alignment_points(f), A, B, p, q, shift)
+        return out
+    cells = (np.searchsorted(f.grid, B, side="left")
+             - np.searchsorted(f.grid, A, side="right") + 1)
+    for idx in _blocks(cells, _CELL_CHUNK):
+        out[live[idx]] = (
+            _signed_integrals(f, A[idx], B[idx], p) if q is None
+            else _q_integrals(f, A[idx], B[idx], q, p,
+                              None if shift is None else shift[idx]))
     return out
 
 
@@ -296,9 +378,7 @@ def interval_q_integrals(space: LambdaSpace, f: SampledFunction, left, right,
     ends; exact for q in {1, 2} on sampled f."""
     if q < 1.0:
         raise ValueError("q must be at least 1")
-    p = space.weight_exponent
-    return _batched(f, left, right,
-                    lambda idx, A, B: _q_integrals(f, A, B, q, p))
+    return _batched(f, left, right, space.weight_exponent, q)
 
 
 def _interval_ends(x, r):
@@ -341,10 +421,8 @@ def bmo_norm(space: LambdaSpace, f: SampledFunction, left, right) -> float:
         raise ValueError("interval family must be nonempty")
     p = space.weight_exponent
     mass = _power_integrals(left, right, p)
-    c = _batched(f, left, right,
-                 lambda idx, A, B: _signed_integrals(f, A, B, p)) / mass
-    osc = _batched(f, left, right,
-                   lambda idx, A, B: _q_integrals(f, A, B, 1.0, p, c[idx]))
+    c = _batched(f, left, right, p) / mass
+    osc = _batched(f, left, right, p, 1.0, c)
     # outside the support f = 0, so |f - c| = |c| there
     slo, shi = f.support()
     below = _power_integrals_or_zero(left, np.clip(slo, left, right), p)
@@ -382,6 +460,8 @@ def lp_norm(space: LambdaSpace, f: SampledFunction, p: float,
         return math.inf
     if slo == 0.0 and pw <= -1.0:
         return math.inf
-    total = _q_integrals(f, np.array([slo]), np.array([shi]), p, pw)[0]
+    A, B = np.array([slo]), np.array([shi])
+    total = (_q_integrals(f, A, B, p, pw) if f.func is None
+             else _gl_cells(f, _alignment_points(f), A, B, pw, p))[0]
     return float(total) ** (1.0 / p)
 

@@ -6,8 +6,9 @@ import pytest
 from scipy.integrate import quad as quad_ref
 from scipy.optimize import brentq
 
-from besseldt.functions import SampledFunction, constant_one, indicator, \
-    smooth_bump, smoothed_step
+import besseldt.measure as measure_mod
+from besseldt.functions import SampledFunction, bump_mixture, constant_one, \
+    indicator, smooth_bump, smoothed_step
 from besseldt.measure import (LambdaSpace, PowerWeight, _interval_ends,
                               bmo_norm, dyadic_family, interval_masses,
                               interval_q_averages, interval_q_integrals,
@@ -137,6 +138,41 @@ def test_q_integrals_at_zeros_of_sampled_f():
                             points=pts or None, limit=400, epsabs=0.0,
                             epsrel=1e-13)[0]
             assert got[k] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("chunk", [1, 512])
+@pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
+def test_callable_batch_equals_one_interval_calls(lam, chunk, monkeypatch):
+    # a batch shares the Gauss rows of the gaps between alignment points
+    # among its intervals; every sum must keep the bits of the interval
+    # alone, with blocks of one row per gauss_panels call too
+    space = LambdaSpace(lam)
+    for f in (indicator(1.0, 1.3), smooth_bump(1.5, 0.6),
+              bump_mixture(np.random.default_rng(0))):
+        pts = np.union1d(f.grid, f.breakpoints)
+        k = np.searchsorted(pts, 0.3)
+        ends = [
+            (pts[k] + 0.25 * (pts[k + 1] - pts[k]),
+             pts[k] + 0.75 * (pts[k + 1] - pts[k])),    # inside one gap
+            (0.0, 0.7), (0.0, 100.0), (0.0, pts[3]),   # from 0
+            (0.3, pts[k + 3]), (pts[k], 0.9),           # ending, starting
+            (pts[k - 5], pts[k + 5]),                   # on points
+            (0.01, 50.0), (0.2, 0.8), (0.25, 0.9),     # sharing gaps
+            (1e3, 2e3), (1e-12, 1e-11)]                 # past, below supp
+        left, right = np.array(ends).T
+        with monkeypatch.context() as m:
+            m.setattr(measure_mod, "_CELL_CHUNK", chunk)
+            empty = interval_q_integrals(space, f, [], [], 1.0)
+            batch = {q: interval_q_integrals(space, f, left, right, q)
+                     for q in (1.0, 1.5, 2.0)}
+            osc = bmo_norm(space, f, left, right)
+        assert empty.shape == (0,)
+        for q, got in batch.items():
+            want = [interval_q_integrals(space, f, [a], [b], q)[0]
+                    for a, b in ends]
+            assert np.array_equal(got, want), (f, q)
+        # the shifted rows |f - c_k| of bmo_norm as well
+        assert osc == max(bmo_norm(space, f, [a], [b]) for a, b in ends)
 
 
 @pytest.mark.parametrize("lam", [0.05, 0.3, 2.5])

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import besseldt.measure as measure_mod
 import besseldt.transform as transform_mod
 from besseldt.errors import ContractError, TailEstimateError
 from besseldt.functions import (SampledFunction, bump_mixture, constant_one,
@@ -13,7 +15,7 @@ from besseldt.kernel import apply_at, closed_form_lambda1
 from besseldt.lacunary import LacunarySetup, geometric, refine, remap_window
 from besseldt.measure import (LambdaSpace, _interval_ends, interval_masses,
                               interval_q_integrals)
-from besseldt.quadrature import QuadratureSpec
+from besseldt.quadrature import QuadratureSpec, gauss_panels
 from besseldt.transform import (CotlarReport, IndexWindow, SemigroupTable,
                                 TruncationLevel, apply_transform,
                                 apply_transform_kernel_route,
@@ -226,6 +228,45 @@ def test_maximal_hl_matches_per_interval_loop(lam):
             want = _maximal_hl_loop(space, f, q, radii, pts)
             assert np.all(want > 0.0)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+
+def test_maximal_hl_builds_each_gauss_cell_once(space1, monkeypatch):
+    # the maximal workload's M_q f: 253 of its 384 intervals meet f's
+    # support, with 12,173 cells between them.  Built once each, they are
+    # 488 end cells and 62 gaps between f's 64 grid points, 550 rows
+    rows = []
+
+    def counted(left, right, n, exponent):
+        rows.append(left.size)
+        return gauss_panels(left, right, n, exponent)
+
+    monkeypatch.setattr(measure_mod, "gauss_panels", counted)
+    maximal_hl(space1, indicator(1.07), 2.0, default_radius_grid(),
+               np.geomspace(1e-2, 1e2, 6))
+    assert sum(rows) <= 600
+    assert max(rows) <= measure_mod._CELL_CHUNK
+
+
+#: tracemalloc peaks of the maximal_hl calls below, in bytes, when each
+#: interval built its own Gauss cells in blocks of about _CELL_CHUNK cells
+#: (580.2-580.7 KB and 1,408.2-1,409.8 KB over three runs, numpy 2.4.6,
+#: Python 3.11); sharing the cells must not cost memory
+_PEAK_PER_INTERVAL_CELLS = {"indicator": 580_000, "mixture": 1_408_000}
+
+
+@pytest.mark.parametrize("name", sorted(_PEAK_PER_INTERVAL_CELLS))
+def test_maximal_hl_peak_memory(space1, name):
+    f, n = ((indicator(1.07), 6) if name == "indicator"
+            else (bump_mixture(np.random.default_rng(0)), 96))
+    args = (space1, f, 2.0, default_radius_grid(), np.geomspace(1e-2, 1e2, n))
+    maximal_hl(*args)   # fills the cached Gauss rules
+    tracemalloc.start()
+    try:
+        maximal_hl(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= _PEAK_PER_INTERVAL_CELLS[name]
 
 
 def test_maximal_hl_monotone_in_q(space1):
