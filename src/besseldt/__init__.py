@@ -10,6 +10,7 @@ The measure is dm(x) = x^(2*lambda) dx.  Modules:
 - ``kernel``: Poisson kernel values/derivatives, semigroup application,
   pointwise bound sweeps
 - ``hankel``: Hankel transform and the spectral route to the semigroup
+- ``piecewise``: the piecewise polynomial tables of hankel and kernel
 - ``lacunary``: lacunary time sequences, regularity, refinement
 - ``transform``: differential-transform partial sums, truncated maximal
   operator, Cotlar-type checks, convergence probes

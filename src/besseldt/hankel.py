@@ -40,7 +40,6 @@ half-integer orders (DLMF 10.47.3) above z = 1, and jv elsewhere.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -49,7 +48,7 @@ from scipy.special import hyp0f1, jv, spherical_jn
 from .errors import NumericsError, TailEstimateError
 from .functions import SampledFunction
 from .measure import LambdaSpace, lp_norm
-from . import quadrature
+from . import piecewise, quadrature
 from .quadrature import QuadratureSpec, panel_layouts
 
 
@@ -94,11 +93,12 @@ def normalized_bessel(nu: float, z) -> np.ndarray:
     flat = z.ravel()
     top = flat.max(initial=0.0)
     if top < _TABLE_CAP:
-        return _horner(_phi_table(nu, top), flat).reshape(z.shape)
+        return piecewise.horner(_phi_table(nu, top), z, _locate)
     near = flat < _TABLE_CAP
     out = np.empty_like(flat)
-    out[near] = _horner(_phi_table(nu, np.max(flat, initial=0.0, where=near)),
-                        flat[near])
+    out[near] = piecewise.horner(
+        _phi_table(nu, np.max(flat, initial=0.0, where=near)), flat[near],
+        _locate)
     out[~near] = _phi_scipy(nu, flat[~near])
     return out.reshape(z.shape)
 
@@ -106,40 +106,14 @@ def normalized_bessel(nu: float, z) -> np.ndarray:
 # --------------------------------------------------------------------------
 # the table of phi: polynomial pieces on [2 j, 2 j + 2] per order
 
-#: coefficients per piece: degree 14 in u = z - 2 j - 1
-_TERMS = 15
-
 #: pieces of a new table (it covers z < 512), and the cap of every table
 #: at 2^14 pieces (z < 2^15, about 2 MB per order)
 _FIRST_PIECES = 256
 _TABLE_CAP = 2.0 ** 15
 
-#: entries per chunk of the Horner sum: on whole blocks of
-#: quadrature._NODE_BLOCK entries it is memory-bound, 66 against 27 ns a
-#: point
-_CHUNK = 8192
-
-#: order nu -> (_TERMS, pieces) power-series coefficients of phi in
-#: u = z - 2 j - 1 on the pieces [2 j, 2 j + 2], row k holding u^k's
+#: order nu -> (piecewise.TERMS, pieces) power-series coefficients of phi
+#: in u = z - 2 j - 1 on the pieces [2 j, 2 j + 2], row k holding u^k's
 _PHI_TABLES: dict = {}
-
-
-@functools.cache
-def _interpolation():
-    """The Chebyshev points of the first kind rounded to multiples of
-    2^-30, so that a node 2 j + 1 + u_i is exact for z < 2^22 and is the z
-    at which phi was evaluated; the inverse of T_k(u_i), which gives the
-    Chebyshev coefficients of the interpolant at those rounded points; and
-    the power-series coefficients of T_k, integers and so exact."""
-    k = np.arange(_TERMS)
-    u = np.round(np.cos(math.pi * (k + 0.5) / _TERMS) * 2.0 ** 30
-                 ) / 2.0 ** 30
-    inverse = np.linalg.inv(np.polynomial.chebyshev.chebvander(u, _TERMS - 1))
-    powers = np.zeros((_TERMS, _TERMS))
-    for j in range(_TERMS):
-        t_j = np.polynomial.chebyshev.cheb2poly(np.eye(_TERMS)[j])
-        powers[:t_j.size, j] = t_j
-    return u, inverse, powers
 
 
 def _phi_scipy(nu: float, z: np.ndarray) -> np.ndarray:
@@ -174,16 +148,6 @@ def _phi_scipy(nu: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fixed_sum(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """matrix @ rows as a sum over matrix's columns in a fixed order, so
-    that each column of the result depends on its own column of rows only
-    (a BLAS product may round differently with the batch's size)."""
-    out = matrix[:, :1] * rows[0]
-    for i in range(1, matrix.shape[1]):
-        out += matrix[:, i:i + 1] * rows[i]
-    return out
-
-
 def _phi_table(nu: float, top: float) -> np.ndarray:
     """The coefficients of phi's table for order nu, doubled from
     _FIRST_PIECES pieces until they cover z = top < _TABLE_CAP.
@@ -199,40 +163,26 @@ def _phi_table(nu: float, top: float) -> np.ndarray:
         size *= 2
     if size == have:
         return coef
-    u, inverse, powers = _interpolation()
+    u = piecewise.interpolation()[0]
     centers = 2.0 * np.arange(have, size) + 1.0
     values = _phi_scipy(nu, (u[:, None] + centers).ravel()
-                        ).reshape(_TERMS, -1)
-    new = _fixed_sum(powers, _fixed_sum(inverse, values))
+                        ).reshape(piecewise.TERMS, -1)
+    new = piecewise.coefficients(values)
     coef = new if coef is None else np.concatenate([coef, new], axis=1)
     _PHI_TABLES[nu] = coef
     return coef
 
 
-def _horner(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The table's value at each z < 2 coef.shape[1]: Horner's sum of the
-    piece's power series in u = z - 2 j - 1, in chunks of _CHUNK entries,
-    gathering one coefficient row per step.
+def _locate(z: np.ndarray):
+    """The piece [2 j, 2 j + 2] of each z and its u = z - 2 j - 1.
 
     phi is of exponential type 1, so by Cauchy's estimate the k-th
-    coefficient of a piece is of order 1/k! of phi's size near it, and the
-    sum cancels nothing.  It takes 3 array passes a step, where Clenshaw's
-    sum of the Chebyshev series takes 4."""
-    out = np.empty_like(z)
-    row = np.empty(min(z.size, _CHUNK))
-    for first in range(0, z.size, _CHUNK):
-        zc = z[first:first + _CHUNK]
-        piece = (0.5 * zc).astype(np.intp)
-        u = zc - 2.0 * piece
-        u -= 1.0
-        acc = out[first:first + _CHUNK]
-        r = row[:zc.size]
-        # pieces lie in range, so clipping, the cheapest mode, changes none
-        coef[-1].take(piece, out=acc, mode="clip")
-        for k in range(_TERMS - 2, -1, -1):
-            acc *= u
-            acc += coef[k].take(piece, out=r, mode="clip")
-    return out
+    coefficient of a piece is of order 1/k! of phi's size near it, and
+    Horner's sum in u cancels nothing."""
+    piece = (0.5 * z).astype(np.intp)
+    u = z - 2.0 * piece
+    u -= 1.0
+    return piece, u
 
 
 # --------------------------------------------------------------------------

@@ -365,10 +365,16 @@ def tail_sum_bound_ratio(space, setup, m: int, k: int, m_bot: int,
 
 def _window_sum(space, setup, j_lo, j_hi, x, y, kind="p"):
     """sum_{j=j_lo}^{j_hi} v_j (P_{a_{j+1}} - P_{a_j})(x, y), or the same sum
-    of a derivative kind, over broadcast arrays x, y."""
-    return deque(_window_sums(setup, j_lo, (
-        kernel_values(space, setup.a_at(j), x, y, kind)
-        for j in range(j_lo, j_hi + 2))), maxlen=1).pop()
+    of a derivative kind, over broadcast arrays x, y.  Every level comes
+    from one kernel_values call with the times a_j as a column; the kernel
+    is elementwise, so each level has the bits of a call of its own."""
+    ndim = np.broadcast(x, y).ndim
+    t = np.array([setup.a_at(j) for j in range(j_lo, j_hi + 2)])
+    levels = kernel_values(space, t.reshape(-1, *(1,) * ndim), x, y, kind)
+    # the two rows of grad and dtgrad lead: each level is levels[:, j]
+    if levels.ndim > ndim + 1:
+        levels = np.moveaxis(levels, 1, 0)
+    return deque(_window_sums(setup, j_lo, levels), maxlen=1).pop()
 
 
 # --------------------------------------------------------------------------

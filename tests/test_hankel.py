@@ -5,6 +5,7 @@ import pytest
 from scipy.special import jv
 
 import besseldt.hankel as hankel_mod
+from besseldt import piecewise
 from besseldt.errors import NumericsError, QuadratureError, TailEstimateError
 from besseldt.functions import (SampledFunction, constant_one, gaussian,
                                 smooth_bump)
@@ -79,7 +80,7 @@ def test_bessel_table_grown_in_steps_is_built_in_one(monkeypatch):
         monkeypatch.setattr(hankel_mod, "_PHI_TABLES", {})
         normalized_bessel(nu, [3000.0])
         once = hankel_mod._PHI_TABLES[nu]
-        assert steps.shape == once.shape == (hankel_mod._TERMS, 2048)
+        assert steps.shape == once.shape == (piecewise.TERMS, 2048)
         assert np.array_equal(steps, once)
 
 

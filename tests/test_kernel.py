@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as quad_ref
+from scipy.special import beta
 
 import besseldt.kernel as kernel_mod
 from besseldt.errors import TailEstimateError
@@ -227,7 +228,7 @@ def test_unit_factors_at_lambda_one_change_no_bit(monkeypatch):
         got = {kind: kernel_values(space, t, x, y, kind) for kind in kinds[:3]}
     got["dtgrad"] = kernel_values(space, t, x, y, "dtgrad")
     monkeypatch.setattr(kernel_mod, "_power", lambda A, e: A ** e)
-    monkeypatch.setattr(kernel_mod, "_hyp2f1", lambda a, b, c, A, B: (
+    monkeypatch.setattr(kernel_mod, "_hyp2f1", lambda a, b, c, A, B, q: (
         kernel_mod.hyp2f1(a, b, c, (B / A) ** 2)))
     for kind in kinds:
         assert np.array_equal(got[kind], kernel_values(space, t, x, y, kind)
@@ -282,6 +283,165 @@ def test_kernel_against_mpmath(lam):
     assert err < 1e-12
     # the radial integrals read the same closed form
     assert np.array_equal(kernel_values(space, t, x, y), got)
+
+
+def _counting_hyp2f1(monkeypatch):
+    """Counts of the kernel's 2F1 evaluations, (calls, points), kept by a
+    wrapper of kernel._hyp2f1."""
+    counts = [0, 0]
+    hyp = kernel_mod._hyp2f1
+
+    def counted(a, b, c, A, B, q):
+        counts[0] += 1
+        counts[1] += np.size(q)
+        return hyp(a, b, c, A, B, q)
+
+    monkeypatch.setattr(kernel_mod, "_hyp2f1", counted)
+    return counts
+
+
+def _dtgrad_reevaluating_i2(space, t, x, y):
+    """dtgrad as it was first written: M_3 on the kappa < 1 mask evaluates
+    I_2 there again."""
+    lam, _i_k, _j_k = space.lam, kernel_mod._i_k, kernel_mod._j_k
+    c = (x - y) ** 2 + t * t
+    B = 2.0 * x * y
+    A = c + B
+    q = c * (c + 2.0 * B)
+    front = 2.0 * lam / math.pi * beta(lam, 0.5)
+    front_j = 2.0 * lam / math.pi * beta(lam, 1.5)
+    small, large = c < B, c >= B
+
+    def m_k(k, ik):
+        out = np.empty_like(c)
+        out[small] = (_i_k(lam, k - 1, front, A[small], B[small], q[small])
+                      - c[small] * ik[small]) / B[small]
+        out[large] = ik[large] - _j_k(lam, k, (lam + k) * front_j, A[large],
+                                      B[large], q[large])
+        return out
+
+    d, other = np.stack([x - y, y - x]), np.stack([y, x])
+    i2 = _i_k(lam, 2, front, A, B, q)
+    g1 = 2.0 * d * i2 + 2.0 * other * m_k(2, i2)
+    i3 = _i_k(lam, 3, front, A, B, q)
+    g2 = 2.0 * d * i3 + 2.0 * other * m_k(3, i3)
+    return -(lam + 1.0) * g1 + 2.0 * (lam + 1.0) * (lam + 2.0) * t * t * g2
+
+
+@pytest.mark.parametrize("lam", [0.6, 1.0, 3.5])
+def test_each_kind_evaluates_each_2f1_once(monkeypatch, lam):
+    # p reads I_1; dt I_1 and I_2; grad I_2, with I_1 where kappa < 1 and
+    # J_2 where kappa >= 1; dtgrad adds I_3 and J_3, and reads I_2 on
+    # kappa < 1 from the I_2 it has, with the bits of evaluating it there
+    space = LambdaSpace(lam)
+    t, x, y = oracle_points(np.random.default_rng(13), 300,
+                            np.geomspace(1e-12, 1.0, 13))
+    n, n_large = t.size, int(np.count_nonzero((x - y) ** 2 + t * t
+                                              >= 2.0 * x * y))
+    assert 0 < n_large < n
+    want = {"p": (1, n), "dt": (2, 2 * n), "grad": (3, 2 * n),
+            "dtgrad": (5, 3 * n + n_large)}
+    for kind, pinned in want.items():
+        with monkeypatch.context() as patch:
+            counts = _counting_hyp2f1(patch)
+            kernel_values(space, t, x, y, kind)
+        assert tuple(counts) == pinned, kind
+    assert np.array_equal(kernel_values(space, t, x, y, "dtgrad"),
+                          _dtgrad_reevaluating_i2(space, t, x, y))
+
+
+def _table_2f1s(lam):
+    """The (a, b, c) of every 2F1 that kernel_values reads from a table at
+    lam."""
+    params = set()
+    hyp = kernel_mod._hyp2f1
+
+    def spy(a, b, c, A, B, q):
+        params.add((a, b, c))
+        return hyp(a, b, c, A, B, q)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel_mod, "_hyp2f1", spy)
+        for kind in ("dt", "dtgrad"):
+            kernel_values(LambdaSpace(lam), *oracle_points(
+                np.random.default_rng(0), 20, np.array([1e-3])), kind)
+    return sorted(p for p in params if not any(
+        v <= 0 and float(v).is_integer() for v in p[:2]))
+
+
+def _table_at(a, b, c, w):
+    """2F1(a, b; c; 1 - w) through kernel._hyp2f1, with A = 1 and q = w so
+    that its w = q / A^2 is the given one."""
+    return kernel_mod._hyp2f1(a, b, c, np.ones_like(w), np.sqrt(1.0 - w), w)
+
+
+def _w_samples(rng, coef):
+    """w log-uniform in [2^-64, 1], the ends of a few pieces, w = 1 and w
+    below the last piece of a table with coefficients coef."""
+    depth = (coef.shape[1] - 1) // 2
+    ends = [0.5, 0.375, 0.75 * 2.0 ** -8, 2.0 ** -30, 1.5 * 2.0 ** -depth,
+            2.0 ** -depth]
+    return np.concatenate([np.exp(rng.uniform(-64.0 * math.log(2.0), 0.0,
+                                              8)),
+                           ends, [1.0, 2.0 ** -depth / 3.0]])
+
+
+def _mp_2f1(a, b, c, w):
+    with mpmath.workdps(30):
+        return np.array([float(mpmath.hyp2f1(a, b, c, 1 - mpmath.mpf(v)))
+                         for v in w])
+
+
+@pytest.mark.parametrize("lam", [lam for lam in ORACLE_LAMS if lam != 1.0])
+def test_2f1_tables_against_mpmath(lam):
+    # every non-terminating 2F1 of kernel_values, from its table: within
+    # 1e-14 of 30-digit mpmath, where scipy at the rounded z = 1 - w is off
+    # by up to 2.5e-11 (I_1 at lambda = 7)
+    rng = np.random.default_rng(int(lam * 100) + 2)
+    params = _table_2f1s(lam)
+    assert len(params) == 5
+    for a, b, c in params:
+        w = _w_samples(rng, kernel_mod._f_table(a, b, c))
+        err = np.abs(_table_at(a, b, c, w) / _mp_2f1(a, b, c, w) - 1.0)
+        assert err.max() <= 1e-14, (a, b, c, w[np.argmax(err)], err.max())
+
+
+def test_2f1_tables_at_lambda_20_beat_scipy():
+    # large lambda: I_1's F falls by 7e3 from w = 0 to w = 1/2; the worst
+    # error of a table is 1.7e-13, of the top half-octaves' interpolants,
+    # and scipy at z = 1 - w is 1.2e-12 off at w = 2^-4 and up to 2.1e-10
+    # elsewhere
+    rng = np.random.default_rng(20)
+    for a, b, c in _table_2f1s(20.0):
+        w = np.concatenate([[2.0 ** -4, 0.5, 0.74],
+                            _w_samples(rng, kernel_mod._f_table(a, b, c))])
+        want = _mp_2f1(a, b, c, w)
+        err = np.abs(_table_at(a, b, c, w) / want - 1.0)
+        scipy_err = np.abs(kernel_mod.hyp2f1(a, b, c, 1.0 - w) / want - 1.0)
+        assert err.max() <= 1e-12, (a, b, c, w[np.argmax(err)], err.max())
+        assert err.max() <= scipy_err.max()
+
+
+def test_2f1_table_value_depends_on_w_alone(monkeypatch):
+    # a value does not depend on the other arguments of its call, on the
+    # order in which the tables were built, or on a build after it
+    rng = np.random.default_rng(4)
+    w = np.concatenate([np.exp(rng.uniform(-70.0, 0.0, 600)), [1.0]])
+    params = [p for lam in (0.6, 1.5, 3.5) for p in _table_2f1s(lam)]
+    builds = []
+    for order in (params, params[::-1]):
+        monkeypatch.setattr(kernel_mod, "_F_TABLES", {})
+        values = {p: _table_at(*p, w) for p in order}
+        builds.append((dict(kernel_mod._F_TABLES), values))
+    (first, values), (second, again) = builds
+    for p in params:
+        assert np.array_equal(first[p], second[p])
+        assert np.array_equal(values[p], again[p])
+        alone = np.array([_table_at(*p, w[i:i + 1])[0] for i in (0, 7, 600)])
+        assert np.array_equal(alone, values[p][[0, 7, 600]])
+        assert np.array_equal(_table_at(*p, w[::-1]), values[p][::-1])
+        assert np.array_equal(_table_at(*p, w.reshape(-1, 1))[:, 0],
+                              values[p])
 
 
 #: derivative kind -> per row, (order in (t, x, y), bound item whose scale

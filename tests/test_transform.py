@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import besseldt.transform as transform_mod
 from besseldt.errors import ContractError, TailEstimateError
 from besseldt.functions import (SampledFunction, bump_mixture, constant_one,
                                 indicator, smooth_bump)
-from besseldt.kernel import apply_at, closed_form_lambda1
+from besseldt.kernel import apply_at, closed_form_lambda1, kernel_values
 from besseldt.lacunary import LacunarySetup, geometric, refine, remap_window
 from besseldt.measure import (LambdaSpace, _interval_ends, interval_masses,
                               interval_q_integrals)
@@ -468,6 +469,41 @@ def test_apply_transform_closure_reproduces_values(space1):
     tn = apply_transform(space1, setup, IndexWindow(-3, 2),
                          smooth_bump(1.0, 0.5), GRID)
     assert np.array_equal(tn(GRID), tn.values)
+
+
+def _window_sum_per_level(space, setup, j_lo, j_hi, x, y, kind="p"):
+    """transform._window_sum with one kernel_values call per level."""
+    return deque(transform_mod._window_sums(setup, j_lo, (
+        kernel_values(space, setup.a_at(j), x, y, kind)
+        for j in range(j_lo, j_hi + 2))), maxlen=1).pop()
+
+
+@pytest.mark.parametrize("lam", [0.6, 1.0, 3.5])
+def test_window_levels_in_one_call_keep_their_bits(monkeypatch, lam):
+    # the kernel is elementwise, so a window's levels evaluated in one call
+    # with the times as a column are those of one call per level
+    space = LambdaSpace(lam)
+    setup = geometric(2.0, -6, 6, v=alternating(-6, 6))
+    rng = np.random.default_rng(9)
+    x = np.exp(rng.uniform(-3.0, 3.0, 200))
+    y = x * np.exp(rng.uniform(-2.0, 2.0, 200))
+    win = IndexWindow(-3, 3)
+    for kind in ("p", "grad"):
+        want = _window_sum_per_level(space, setup, -4, 2, x, y, kind)
+        assert np.array_equal(
+            transform_mod._window_sum(space, setup, -4, 2, x, y, kind), want)
+        assert np.array_equal(
+            window_kernel(space, setup, win, x, y, kind),
+            _window_sum_per_level(space, setup, win.n1, win.n2, x, y, kind))
+        one = window_kernel(space, setup, win, 1.1, 0.7, kind)
+        assert np.shape(one) == (() if kind == "p" else (2,))
+        assert np.array_equal(one, _window_sum_per_level(
+            space, setup, win.n1, win.n2, 1.1, 0.7, kind))
+    sweep = np.column_stack([x, y])
+    got = tail_sum_bound_ratio(space, setup, 0, 2, -5, sweep)
+    monkeypatch.setattr(transform_mod, "_window_sum", _window_sum_per_level)
+    assert got == tail_sum_bound_ratio(space, setup, 0, 2, -5, sweep)
+    assert got.n_used > 0
 
 
 def test_window_bounds_zero_weights(space1):
