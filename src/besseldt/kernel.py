@@ -35,6 +35,11 @@ them once and differs by row only in the factors x - y and y (kind
 "grad").  The mixed gradient (d2P/dtdx, d2P/dtdy) adds the I_3, M_3 terms
 of d/dt (kind "dtgrad"); M_3 reads the I_2 of M_2.
 
+One pass per point set: kernel_values takes a tuple of kinds and reads
+each A^(k - lam), q^k and 2F1 of I_k once for all of them, and J_k reads
+I_k's power and q^k on its mask.  bounds-suite's four bound items and a
+window's K_N and gradient are each one call.
+
 Each of these 2F1s has (a, b, c) fixed by lam and varies only in
 w = 1 - z = q / A^2, with q = c (c + 2B) as above; with c - a - b = k it
 is a smooth function of w plus a w^k ln w term (DLMF 15.8.10).  So
@@ -66,7 +71,8 @@ from .functions import SampledFunction
 from .measure import LambdaSpace
 from .quadrature import QuadratureSpec, radial_sums
 
-_KINDS = ("p", "dt", "grad", "dtgrad")
+#: kind -> its rows in kernel_values
+_KINDS = {"p": 1, "dt": 1, "grad": 2, "dtgrad": 2}
 
 
 def closed_form_lambda1(t, x, y):
@@ -76,20 +82,37 @@ def closed_form_lambda1(t, x, y):
                                 * ((x + y) ** 2 + t ** 2))
 
 
-def _i_k(lam, k, scale, A, B, q):
-    """scale / B(lam, 1/2) times I_k, with q = c (c + 2B)."""
+def _i_factors(lam, k, A, B, q):
+    """A^(k - lam), q^k and the 2F1 of I_k, with q = c (c + 2B): I_k is
+    B(lam, 1/2) A^(k - lam) / q^k 2F1."""
     # numpy's q ** 1 is a full power pass, and the kernel (k = 1) is hot
-    qk = q if k == 1 else q ** k
-    return (scale * _power(A, k - lam) / qk
-            * _hyp2f1(0.5 * (lam - (k - 1)), 0.5 * (lam - k), lam + 0.5,
-                      A, B, q))
+    return (_power(A, k - lam), q if k == 1 else q ** k,
+            _hyp2f1(0.5 * (lam - (k - 1)), 0.5 * (lam - k), lam + 0.5,
+                    A, B, q))
 
 
-def _j_k(lam, k, scale, A, B, q):
-    """scale / ((lam + k) B(lam, 3/2)) times J_k, with q = c (c + 2B)."""
-    return (scale * (B / A) * _power(A, k - lam) / q ** k
-            * _hyp2f1(0.5 * (lam - (k - 2)), 0.5 * (lam - (k - 1)),
-                      lam + 1.5, A, B, q))
+def _i_k(scale, factors):
+    """scale / B(lam, 1/2) times I_k from its _i_factors."""
+    power, qk, f = factors
+    return scale * power / qk * f
+
+
+def _i_j(lam, k, scale, A, B, q, large=None, front_j=None):
+    """scale / B(lam, 1/2) times I_k, and given a mask large,
+    front_j / B(lam, 3/2) times J_k on it, which reads I_k's A^(k - lam)
+    and q^k there (None without a mask)."""
+    factors = _i_factors(lam, k, A, B, q)
+    ik = _i_k(scale, factors)
+    if large is None:
+        return ik, None
+    power, qk, _ = factors
+    A, B, q = A[large], B[large], q[large]
+    # a unit power (a scalar) holds on every mask
+    if np.ndim(power):
+        power = power[large]
+    return ik, ((lam + k) * front_j * (B / A) * power / qk[large]
+                * _hyp2f1(0.5 * (lam - (k - 2)), 0.5 * (lam - (k - 1)),
+                          lam + 1.5, A, B, q))
 
 
 def _power(A, e):
@@ -113,13 +136,30 @@ def _hyp2f1(a, b, c, A, B, q):
     return piecewise.horner(_f_table(a, b, c), q / (A * A), _locate_w)
 
 
+def _distinct(given, allowed, what):
+    """given as a tuple, checked to be a nonempty tuple of distinct entries
+    of allowed; a string is not one."""
+    out = () if isinstance(given, str) else tuple(given)
+    if not out or len(set(out)) < len(out) or not set(out) <= set(allowed):
+        raise ValueError(f"{what} must be a nonempty tuple of distinct "
+                         f"entries of {tuple(allowed)}, got {given!r}")
+    return out
+
+
 def kernel_values(space, t, x, y, kind="p"):
-    """P_t(x, y) or one of its derivatives over broadcast arrays (t, x, y),
-    in closed form (see the module docstring); kind is one of p, dt, grad,
-    dtgrad.  grad stacks d/dx and d/dy, and dtgrad d2/dtdx and d2/dtdy,
-    as rows 0 and 1 of an array of shape (2, ...)."""
-    if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    """P_t(x, y) or its derivatives over broadcast arrays (t, x, y), in
+    closed form (see the module docstring); kind is one of p, dt, grad,
+    dtgrad, or a tuple of distinct ones.  grad stacks d/dx and d/dy, and
+    dtgrad d2/dtdx and d2/dtdy, as rows 0 and 1 of an array of shape
+    (2, ...).  A tuple returns its kinds' rows stacked in its order: one
+    row for p and dt, two for grad and dtgrad.
+
+    One pass per point set: the kinds of a call read one evaluation of
+    each A^(k - lam), q^k and 2F1 of I_k, and J_k reads I_k's power and q^k
+    on its mask.  Each kind applies its own scale in its own order, so its
+    rows have the bits of a call of their own."""
+    kinds = _distinct((kind,) if isinstance(kind, str) else kind, _KINDS,
+                      "kind")
     lam = space.lam
     t, x, y = np.broadcast_arrays(np.asarray(t, dtype=float),
                                   np.asarray(x, dtype=float),
@@ -130,35 +170,49 @@ def kernel_values(space, t, x, y, kind="p"):
     q = c * (c + 2.0 * B)
     # (2 lam / pi) B(lam, 1/2): every I_k below carries the kernel's factor
     front = 2.0 * lam / math.pi * beta(lam, 0.5)
-    if kind == "p":
-        return _i_k(lam, 1, front * t, A, B, q)
-    if kind == "dt":
-        return (_i_k(lam, 1, front, A, B, q)
-                - 2.0 * (lam + 1.0) * t * t * _i_k(lam, 2, front, A, B, q))
+    grads = "grad" in kinds or "dtgrad" in kinds
+    # the regimes of M_k, and J_k's factor (2 lam / pi) B(lam, 3/2)
+    small = large = front_j = None
+    if grads:
+        small = c < B
+        large = ~small
+        front_j = 2.0 * lam / math.pi * beta(lam, 1.5)
+    # p and dt read I_1 at every point, M_2 only where kappa < 1
+    every_i1 = "p" in kinds or "dt" in kinds
+    at1 = ... if every_i1 else small
+    f1 = _i_factors(lam, 1, A[at1], B[at1], q[at1])
+    rows = {}
+    if "p" in kinds:
+        rows["p"] = _i_k(front * t, f1)
+    if kinds != ("p",):
+        i1 = _i_k(front, f1)
+        i2, j2 = _i_j(lam, 2, front, A, B, q, large, front_j)
+    if "dt" in kinds:
+        rows["dt"] = i1 - 2.0 * (lam + 1.0) * t * t * i2
+    if grads:
+        def m_k(ik, below, jk):
+            """(2 lam / pi) M_k from (2 lam / pi) I_k, I_(k-1) on the small
+            mask and J_k on the large one."""
+            out = np.empty_like(c)
+            out[small] = (below - c[small] * ik[small]) / B[small]
+            out[large] = ik[large] - jk
+            return out
 
-    small = c < B
-    large = ~small
-    front_j = 2.0 * lam / math.pi * beta(lam, 1.5)
-
-    def m_k(k, ik, below):
-        """(2 lam / pi) M_k from (2 lam / pi) I_k, each regime on its mask;
-        below is (2 lam / pi) I_(k-1) on the small mask."""
-        out = np.empty_like(c)
-        out[small] = (below - c[small] * ik[small]) / B[small]
-        out[large] = ik[large] - _j_k(lam, k, (lam + k) * front_j, A[large],
-                                      B[large], q[large])
-        return out
-
-    # rows d/dx and d/dy: only these factors depend on the row
-    d, other = np.stack([x - y, y - x]), np.stack([y, x])
-    i2 = _i_k(lam, 2, front, A, B, q)
-    g1 = 2.0 * d * i2 + 2.0 * other * m_k(
-        2, i2, _i_k(lam, 1, front, A[small], B[small], q[small]))
-    if kind == "grad":
-        return -t * (lam + 1.0) * g1
-    i3 = _i_k(lam, 3, front, A, B, q)
-    g2 = 2.0 * d * i3 + 2.0 * other * m_k(3, i3, i2[small])
-    return -(lam + 1.0) * g1 + 2.0 * (lam + 1.0) * (lam + 2.0) * t * t * g2
+        # rows d/dx and d/dy: only these factors depend on the row
+        d, other = np.stack([x - y, y - x]), np.stack([y, x])
+        g1 = 2.0 * d * i2 + 2.0 * other * m_k(
+            i2, i1[small] if every_i1 else i1, j2)
+        if "grad" in kinds:
+            rows["grad"] = -t * (lam + 1.0) * g1
+    if "dtgrad" in kinds:
+        i3, j3 = _i_j(lam, 3, front, A, B, q, large, front_j)
+        g2 = 2.0 * d * i3 + 2.0 * other * m_k(i3, i2[small], j3)
+        rows["dtgrad"] = (-(lam + 1.0) * g1
+                          + 2.0 * (lam + 1.0) * (lam + 2.0) * t * t * g2)
+    if isinstance(kind, str):
+        return rows[kind]
+    return np.concatenate([np.reshape(rows[k], (-1, *t.shape))
+                           for k in kinds])
 
 
 # --------------------------------------------------------------------------
@@ -471,41 +525,51 @@ def kernel_difference_l1(space: LambdaSpace, t1: float, t2: float, x: float,
 # --------------------------------------------------------------------------
 # kernel bound verification
 
-_BOUND_ITEMS = ("i", "ii", "iii", "iv")
+#: bound item -> the kernel kind its numerator reads
+_BOUND_KINDS = {"i": "p", "ii": "grad", "iii": "dt", "iv": "dtgrad"}
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    item: str
-    sup_ratio: float
-    sup_near: float     # over points with |x-y| <= t
-    sup_far: float      # over points with |x-y| > t
+    items: tuple
+    sup_ratio: tuple    # per item, over the sweep
+    sup_near: tuple     # per item, over points with |x-y| <= t
+    sup_far: tuple      # per item, over points with |x-y| > t
     n_points: int
 
 
-def _bound_denominator(space, item, t, x, y):
+def _bound_denominator(space, items, t, x, y):
+    """The two-form bound of each item, min(s / c^(lam + e),
+    s / ((xy)^lam c^e)) with c = (x-y)^2 + t^2, s = t for items i and ii and
+    1 for iii and iv, and e = 1 for the size items i and iii and 3/2 for
+    ii and iv; each power is evaluated once for all items."""
     lam = space.lam
     c = (x - y) ** 2 + t * t
-    xy = x * y
-    if item == "i":
-        return np.minimum(t / c ** (lam + 1.0), t / (xy ** lam * c))
-    if item == "ii":
-        return np.minimum(t / c ** (lam + 1.5), t / (xy ** lam * c ** 1.5))
-    if item == "iii":
-        return np.minimum(1.0 / c ** (lam + 1.0), 1.0 / (xy ** lam * c))
-    if item == "iv":
-        return np.minimum(1.0 / c ** (lam + 1.5), 1.0 / (xy ** lam * c ** 1.5))
-    raise ValueError(f"item must be one of {_BOUND_ITEMS}")
+    xy_lam = (x * y) ** lam
+    forms = {}
+    if {"i", "iii"} & set(items):
+        forms["i"] = forms["iii"] = (c ** (lam + 1.0), xy_lam * c)
+    if {"ii", "iv"} & set(items):
+        forms["ii"] = forms["iv"] = (c ** (lam + 1.5), xy_lam * c ** 1.5)
+    out = []
+    for item in items:
+        s = t if item in ("i", "ii") else 1.0
+        pure, mixed = forms[item]
+        out.append(np.minimum(s / pure, s / mixed))
+    return out
 
 
-def kernel_bound_ratios(space, sweep, item) -> BoundReport:
-    """Size/smoothness bound check: sup over the sweep of |kernel quantity|
-    divided by the corresponding two-form bound (constants set to 1).
+def kernel_bound_ratios(space, sweep, items) -> BoundReport:
+    """Size/smoothness bound check: per item, sup over the sweep of |kernel
+    quantity| divided by the corresponding two-form bound (constants set
+    to 1), with every item's kernel rows from one kernel_values call.
 
-    The sweep is an (n, 3) array of points (t, x, y), all positive.  item
-    'i': kernel itself, 'ii': d/dx, 'iii': d/dt, 'iv': |d2/dtdx| +
-    |d2/dtdy|.  The sweep must cover both regimes |x-y| <= t and |x-y| > t.
+    The sweep is an (n, 3) array of points (t, x, y), all positive; items
+    is a tuple of distinct items, 'i': kernel itself, 'ii': d/dx, 'iii':
+    d/dt, 'iv': |d2/dtdx| + |d2/dtdy|.  The sweep must cover both regimes
+    |x-y| <= t and |x-y| > t.
     """
+    items = _distinct(items, _BOUND_KINDS, "items")
     pts = np.asarray(sweep, dtype=float)
     if pts.size == 0:
         raise ValueError("sweep must be nonempty")
@@ -515,18 +579,18 @@ def kernel_bound_ratios(space, sweep, item) -> BoundReport:
     near = np.abs(x - y) <= t
     if not near.any() or near.all():
         raise ValueError("sweep must cover both |x-y| <= t and |x-y| > t")
-    den = _bound_denominator(space, item, t, x, y)
-    if item == "iv":
-        num = np.abs(kernel_values(space, t, x, y, "dtgrad")).sum(axis=0)
-    elif item == "ii":
-        num = np.abs(kernel_values(space, t, x, y, "grad")[0])
-    else:
-        num = np.abs(kernel_values(space, t, x, y,
-                                   {"i": "p", "iii": "dt"}[item]))
-    ratio = num / den
-    return BoundReport(item, float(ratio.max()),
-                       float(ratio[near].max()), float(ratio[~near].max()),
-                       len(pts))
+    kinds = tuple(_BOUND_KINDS[item] for item in items)
+    vals = kernel_values(space, t, x, y, kinds)
+    sups, row = [], 0
+    for kind, den in zip(kinds, _bound_denominator(space, items, t, x, y)):
+        # item ii reads the d/dx row of grad, item iv both rows of dtgrad
+        num = (np.abs(vals[row:row + 2]).sum(axis=0) if kind == "dtgrad"
+               else np.abs(vals[row]))
+        row += _KINDS[kind]
+        ratio = num / den
+        sups.append((float(ratio.max()), float(ratio[near].max()),
+                     float(ratio[~near].max())))
+    return BoundReport(items, *map(tuple, zip(*sups)), len(pts))
 
 
 def kernel_sweep(rng: np.random.Generator, n: int,

@@ -517,8 +517,7 @@ def run_kernel_eval(cfg: ExperimentConfig) -> ExperimentResult:
         # an overflow shows as a non-finite value, checked below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             # rows p, dt, d/dx, d/dy
-            vals = np.vstack([kernel_values(space, t, gx, gy, kind)
-                              for kind in ("p", "dt", "grad")])
+            vals = kernel_values(space, t, gx, gy, ("p", "dt", "grad"))
         bad = np.argwhere(~np.isfinite(vals))
         if bad.size:
             row, i = bad[0]
@@ -567,11 +566,14 @@ def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
                                   ("near", rep.sup_size_near),
                                   ("far", rep.sup_size_far)]
             out["window_gradient"] = [("all", rep.sup_gradient)]
-        for item in items:
-            if item not in _WINDOW_ITEMS:
-                rep = kernel_bound_ratios(space, sweep * s, item)
-                out[item] = [("all", rep.sup_ratio), ("near", rep.sup_near),
-                             ("far", rep.sup_far)]
+        # the kernel items from one kernel pass over the sweep
+        kernel_items = tuple(dict.fromkeys(
+            it for it in items if it not in _WINDOW_ITEMS))
+        if kernel_items:
+            rep = kernel_bound_ratios(space, sweep * s, kernel_items)
+            for item, *sups in zip(rep.items, rep.sup_ratio, rep.sup_near,
+                                   rep.sup_far):
+                out[item] = list(zip(("all", "near", "far"), sups))
         return out
 
     rows = []

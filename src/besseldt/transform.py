@@ -148,8 +148,8 @@ def _window_sums(setup: LacunarySetup, j_lo: int, levels):
 # the transform and its kernel
 
 def window_kernel(space, setup, win: IndexWindow, x, y, kind="p"):
-    """K_N(x, y), or for kind 'grad' its rows d/dx and d/dy stacked as in
-    kernel.kernel_values, vectorized."""
+    """K_N(x, y), or for kind 'grad' its rows d/dx and d/dy, or for a tuple
+    of kinds their rows stacked, as in kernel.kernel_values, vectorized."""
     _check_window(setup, win.n1, win.n2)
     return _window_sum(space, setup, win.n1, win.n2, x, y, kind)
 
@@ -322,11 +322,13 @@ def window_kernel_bounds(space, setup, win: IndexWindow, sweep,
         raise ValueError("sweep must cover both regimes x <= 2|x-y| "
                          "and x > 2|x-y|")
     meas = interval_masses(space, x, d)
-    size = np.abs(window_kernel(space, setup, win, x, y)) * meas
+    # K_N and its gradient rows from one windowed kernel call
+    rows = np.abs(window_kernel(space, setup, win, x, y,
+                                ("p", "grad") if gradient else ("p",)))
+    size = rows[0] * meas
     sup_grad = None
     if gradient:
-        grad = np.abs(window_kernel(space, setup, win, x, y, kind="grad"))
-        sup_grad = float((grad.sum(axis=0) * meas * d).max())
+        sup_grad = float((rows[1:].sum(axis=0) * meas * d).max())
     return WindowBoundReport(float(size.max()), sup_grad,
                              float(size[local].max()),
                              float(size[~local].max()), len(pts))
@@ -365,13 +367,14 @@ def tail_sum_bound_ratio(space, setup, m: int, k: int, m_bot: int,
 
 def _window_sum(space, setup, j_lo, j_hi, x, y, kind="p"):
     """sum_{j=j_lo}^{j_hi} v_j (P_{a_{j+1}} - P_{a_j})(x, y), or the same sum
-    of a derivative kind, over broadcast arrays x, y.  Every level comes
+    of a derivative kind or of a tuple of kinds (kernel.kernel_values' rows),
+    over broadcast arrays x, y.  Every level comes
     from one kernel_values call with the times a_j as a column; the kernel
     is elementwise, so each level has the bits of a call of its own."""
     ndim = np.broadcast(x, y).ndim
     t = np.array([setup.a_at(j) for j in range(j_lo, j_hi + 2)])
     levels = kernel_values(space, t.reshape(-1, *(1,) * ndim), x, y, kind)
-    # the two rows of grad and dtgrad lead: each level is levels[:, j]
+    # the rows of grad, dtgrad or a tuple lead: each level is levels[:, j]
     if levels.ndim > ndim + 1:
         levels = np.moveaxis(levels, 1, 0)
     return deque(_window_sums(setup, j_lo, levels), maxlen=1).pop()

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -26,12 +27,12 @@ from conftest import rel_err
 def test_kernel_point_validation(space1):
     # a sweep is an (n, 3) array of points (t, x, y), all positive
     good = np.array([[1.0, 1.0, 1.5], [0.1, 1.0, 3.0]])
-    assert kernel_bound_ratios(space1, good, "i").n_points == 2
+    assert kernel_bound_ratios(space1, good, ("i",)).n_points == 2
     for row, col, value in ((0, 0, 0.0), (1, 1, -1.0), (0, 2, np.nan)):
         sweep = good.copy()
         sweep[row, col] = value
         with pytest.raises(ValueError, match="must all be positive"):
-            kernel_bound_ratios(space1, sweep, "i")
+            kernel_bound_ratios(space1, sweep, ("i",))
 
 
 def test_closed_form_match_lambda1(space1, rng):
@@ -137,11 +138,11 @@ def test_kernel_difference_l1_validation(space1):
 
 def test_bound_ratios_finite(space1, rng):
     sweep = kernel_sweep(rng, 40, (1e-1, 1e1), (1e-1, 1e1))
-    for item in ("i", "ii", "iii", "iv"):
-        rep = kernel_bound_ratios(space1, sweep, item)
-        assert np.isfinite(rep.sup_ratio)
-        assert rep.sup_ratio > 0
-        assert rep.n_points == 40
+    rep = kernel_bound_ratios(space1, sweep, ("i", "ii", "iii", "iv"))
+    assert rep.items == ("i", "ii", "iii", "iv")
+    assert np.all(np.isfinite(rep.sup_ratio))
+    assert np.all(np.array(rep.sup_ratio) > 0)
+    assert rep.n_points == 40
 
 
 def test_hold_tail_truncation_bound(space1):
@@ -300,10 +301,41 @@ def _counting_hyp2f1(monkeypatch):
     return counts
 
 
+def _i_k(lam, k, scale, A, B, q):
+    """scale / B(lam, 1/2) times I_k at (A, B, q), evaluated on its own."""
+    qk = q if k == 1 else q ** k
+    return (scale * kernel_mod._power(A, k - lam) / qk
+            * kernel_mod._hyp2f1(0.5 * (lam - (k - 1)), 0.5 * (lam - k),
+                                 lam + 0.5, A, B, q))
+
+
+def _j_k(lam, k, scale, A, B, q):
+    """scale / ((lam + k) B(lam, 3/2)) times J_k, evaluated on its own."""
+    return (scale * (B / A) * kernel_mod._power(A, k - lam) / q ** k
+            * kernel_mod._hyp2f1(0.5 * (lam - (k - 2)),
+                                 0.5 * (lam - (k - 1)), lam + 1.5, A, B, q))
+
+
+def _counting_powers(monkeypatch):
+    """Counts of the kernel's passes A ** e (e != 0), (calls, points), kept
+    by a wrapper of kernel._power."""
+    counts = [0, 0]
+    power = kernel_mod._power
+
+    def counted(A, e):
+        if e != 0:
+            counts[0] += 1
+            counts[1] += np.size(A)
+        return power(A, e)
+
+    monkeypatch.setattr(kernel_mod, "_power", counted)
+    return counts
+
+
 def _dtgrad_reevaluating_i2(space, t, x, y):
     """dtgrad as it was first written: M_3 on the kappa < 1 mask evaluates
-    I_2 there again."""
-    lam, _i_k, _j_k = space.lam, kernel_mod._i_k, kernel_mod._j_k
+    I_2 there again, and J_k evaluates its own power and q^k."""
+    lam = space.lam
     c = (x - y) ** 2 + t * t
     B = 2.0 * x * y
     A = c + B
@@ -341,13 +373,108 @@ def test_each_kind_evaluates_each_2f1_once(monkeypatch, lam):
     assert 0 < n_large < n
     want = {"p": (1, n), "dt": (2, 2 * n), "grad": (3, 2 * n),
             "dtgrad": (5, 3 * n + n_large)}
+    # a tuple of kinds evaluates each 2F1 once for all of them: I_1 at
+    # every point for p, I_2, I_3, and J_2, J_3 where kappa >= 1
+    want[("p", "dt", "grad", "dtgrad")] = (5, 3 * n + 2 * n_large)
+    want[("p", "grad")] = (3, 2 * n + n_large)
+    # ... and each power A^(k - lam) once, J_k reading I_k's: I_1's where
+    # kappa < 1 alone for grad and dtgrad; I_1's exponent is 0 at lam = 1
+    i1 = 0 if lam == 1.0 else 1
+    powers = {"p": (i1, i1 * n), "dt": (i1 + 1, (i1 + 1) * n),
+              "grad": (i1 + 1, i1 * (n - n_large) + n),
+              "dtgrad": (i1 + 2, i1 * (n - n_large) + 2 * n),
+              ("p", "dt", "grad", "dtgrad"): (i1 + 2, (i1 + 2) * n),
+              ("p", "grad"): (i1 + 1, (i1 + 1) * n)}
     for kind, pinned in want.items():
         with monkeypatch.context() as patch:
             counts = _counting_hyp2f1(patch)
+            passes = _counting_powers(patch)
             kernel_values(space, t, x, y, kind)
         assert tuple(counts) == pinned, kind
+        assert tuple(passes) == powers[kind], kind
     assert np.array_equal(kernel_values(space, t, x, y, "dtgrad"),
                           _dtgrad_reevaluating_i2(space, t, x, y))
+
+
+@pytest.mark.parametrize("lam", [0.6, 1.0, 3.5])
+def test_kinds_in_one_call_keep_their_bits(lam):
+    # every subset and order of the kinds, in one call, stacks the rows of
+    # one call per kind bit for bit: on arrays, on scalars and on a column
+    # of times against a row of points (a window's levels)
+    space = LambdaSpace(lam)
+    t, x, y = oracle_points(np.random.default_rng(14), 60,
+                            np.geomspace(1e-12, 1.0, 7))
+    levels = np.geomspace(1e-2, 1e2, 5)[:, None]
+    points = ((t, x, y), (0.8, 1.3, 0.9), (1.1, 0.7, 0.7 + 1e-9),
+              (levels, x, y))
+    kinds = ("p", "dt", "grad", "dtgrad")
+    for args in points:
+        shape = np.broadcast(*args).shape
+        alone = {kind: np.reshape(kernel_values(space, *args, kind),
+                                  (-1, *shape)) for kind in kinds}
+        for r in range(1, len(kinds) + 1):
+            for combo in itertools.permutations(kinds, r):
+                got = kernel_values(space, *args, combo)
+                want = np.concatenate([alone[kind] for kind in combo])
+                assert got.shape == want.shape, combo
+                assert np.array_equal(got, want), combo
+    for bad in ((), ("p", "p"), ("grad", "dt", "grad"), ("p", "dx")):
+        with pytest.raises(ValueError, match="distinct"):
+            kernel_values(space, t, x, y, bad)
+
+
+def _bound_denominator_alone(lam, item, t, x, y):
+    """An item's two-form bound from powers of its own."""
+    c = (x - y) ** 2 + t * t
+    xy = x * y
+    if item == "i":
+        return np.minimum(t / c ** (lam + 1.0), t / (xy ** lam * c))
+    if item == "ii":
+        return np.minimum(t / c ** (lam + 1.5), t / (xy ** lam * c ** 1.5))
+    if item == "iii":
+        return np.minimum(1.0 / c ** (lam + 1.0), 1.0 / (xy ** lam * c))
+    return np.minimum(1.0 / c ** (lam + 1.5), 1.0 / (xy ** lam * c ** 1.5))
+
+
+def _bound_ratios_item_by_item(space, sweep, items):
+    """kernel_bound_ratios as it was first written: per item, a
+    kernel_values call of its own and its bound's powers."""
+    t, x, y = np.asarray(sweep, dtype=float).T
+    near = np.abs(x - y) <= t
+    sups = []
+    for item in items:
+        kind = {"i": "p", "ii": "grad", "iii": "dt", "iv": "dtgrad"}[item]
+        num = np.abs(kernel_values(space, t, x, y, kind))
+        if item == "ii":
+            num = num[0]
+        elif item == "iv":
+            num = num.sum(axis=0)
+        ratio = num / _bound_denominator_alone(space.lam, item, t, x, y)
+        sups.append((float(ratio.max()), float(ratio[near].max()),
+                     float(ratio[~near].max())))
+    return tuple(map(tuple, zip(*sups)))
+
+
+@pytest.mark.parametrize("lam", [0.6, 1.0, 3.5])
+def test_bound_items_in_one_call_keep_their_bits(lam):
+    # one kernel_values call and one set of powers for every item give the
+    # constants of one call per item, whatever the subset and order
+    space = LambdaSpace(lam)
+    sweep = kernel_sweep(np.random.default_rng(15), 300)
+    for items in (("i", "ii", "iii", "iv"), ("iv", "iii", "ii", "i"),
+                  ("ii",), ("iii", "i"), ("iv", "ii")):
+        rep = kernel_bound_ratios(space, sweep, items)
+        assert rep.items == items
+        assert rep.n_points == 300
+        assert (rep.sup_ratio, rep.sup_near, rep.sup_far) == (
+            _bound_ratios_item_by_item(space, sweep, items)), items
+        for item, den in zip(items, _bound_denominator(space, items,
+                                                        *sweep.T)):
+            assert np.array_equal(den, _bound_denominator_alone(
+                lam, item, *sweep.T)), (items, item)
+    for bad in ("i", (), ("i", "i"), ("v",)):
+        with pytest.raises(ValueError, match="items must be"):
+            kernel_bound_ratios(space, sweep, bad)
 
 
 def _table_2f1s(lam):
@@ -466,7 +593,7 @@ def test_kernel_derivatives_against_mpmath(lam):
                 want = np.array([float(mpmath.diff(
                     lambda *v: mp_kernel(lam, *v), p, order))
                     for p in zip(t, x, y)])
-            scale = _bound_denominator(space, item, t, x, y)
+            scale = _bound_denominator(space, (item,), t, x, y)[0]
             err = float(np.max(np.abs(row - want) / scale))
             assert err <= 1e-12, (kind, order, err)
 

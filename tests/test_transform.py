@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from collections import deque
@@ -18,8 +19,8 @@ from besseldt.measure import (LambdaSpace, _interval_ends, interval_masses,
                               interval_q_integrals)
 from besseldt.quadrature import QuadratureSpec, gauss_panels
 from besseldt.transform import (CotlarReport, IndexWindow, SemigroupTable,
-                                TruncationLevel, apply_transform,
-                                apply_transform_kernel_route,
+                                TruncationLevel, WindowBoundReport,
+                                apply_transform, apply_transform_kernel_route,
                                 convergence_probe, cotlar_check,
                                 default_radius_grid, max_window_sum_abs,
                                 maximal_hl, maximal_transform,
@@ -504,6 +505,43 @@ def test_window_levels_in_one_call_keep_their_bits(monkeypatch, lam):
     monkeypatch.setattr(transform_mod, "_window_sum", _window_sum_per_level)
     assert got == tail_sum_bound_ratio(space, setup, 0, 2, -5, sweep)
     assert got.n_used > 0
+
+
+def _window_bounds_two_calls(space, setup, win, sweep):
+    """window_kernel_bounds with K_N and its gradient from a window_kernel
+    call each."""
+    x, y = sweep.T
+    d = np.abs(x - y)
+    local = x <= 2.0 * d
+    meas = interval_masses(space, x, d)
+    size = np.abs(window_kernel(space, setup, win, x, y)) * meas
+    grad = np.abs(window_kernel(space, setup, win, x, y, kind="grad"))
+    return WindowBoundReport(float(size.max()),
+                             float((grad.sum(axis=0) * meas * d).max()),
+                             float(size[local].max()),
+                             float(size[~local].max()), len(sweep))
+
+
+@pytest.mark.parametrize("lam", [0.6, 1.0, 3.5])
+def test_window_bounds_from_one_call_match_two_calls(lam):
+    # K_N and its gradient rows from one windowed kernel call are those of
+    # a call each, and so are the fitted constants
+    space = LambdaSpace(lam)
+    setup = geometric(2.0, -4, 4, v=alternating(-4, 4))
+    win = IndexWindow(-3, 3)
+    rng = np.random.default_rng(10)
+    x = np.exp(rng.uniform(-3.0, 3.0, 200))
+    y = x * np.exp(rng.uniform(-2.0, 2.0, 200))
+    sweep = np.column_stack([x, y])
+    both = window_kernel(space, setup, win, x, y, ("p", "grad"))
+    assert np.array_equal(both, np.concatenate([
+        window_kernel(space, setup, win, x, y)[None],
+        window_kernel(space, setup, win, x, y, "grad")]))
+    want = _window_bounds_two_calls(space, setup, win, sweep)
+    assert window_kernel_bounds(space, setup, win, sweep) == want
+    size_only = window_kernel_bounds(space, setup, win, sweep,
+                                     gradient=False)
+    assert size_only == dataclasses.replace(want, sup_gradient=None)
 
 
 def test_window_bounds_zero_weights(space1):
