@@ -11,6 +11,8 @@ The measure is dm(x) = x^(2*lambda) dx.  Modules:
   pointwise bound sweeps
 - ``hankel``: Hankel transform and the spectral route to the semigroup
 - ``piecewise``: the piecewise polynomial tables of hankel and kernel
+- ``literals``: the scipy.special values of every lambda = 1 run, as
+  literals, so that such a run does not import scipy.special
 - ``lacunary``: lacunary time sequences, regularity, refinement
 - ``transform``: differential-transform partial sums, truncated maximal
   operator, Cotlar-type checks, convergence probes

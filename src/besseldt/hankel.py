@@ -36,6 +36,8 @@ doubling up to z = 2^15 as arguments ask for it.  scipy's fastest accurate
 route per argument builds the table and serves above it: the confluent
 limit function 0F1 (DLMF 10.16.9) up to z = 512, spherical_jn at
 half-integer orders (DLMF 10.47.3) above z = 1, and jv elsewhere.
+_phi_scipy imports scipy.special when an order's table is first built, so
+importing this module does not import it.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import hyp0f1, jv, spherical_jn
 
 from .errors import NumericsError, TailEstimateError
 from .functions import SampledFunction
@@ -133,6 +134,8 @@ def _phi_scipy(nu: float, z: np.ndarray) -> np.ndarray:
       (DLMF 10.47.3) through spherical_jn, within 4.8e-14 of the envelope
       for n up to 40.  Below z = 1 the 0F1 route serves, as z^n underflows
       at tiny z."""
+    from scipy.special import hyp0f1, jv, spherical_jn
+
     n = nu - 0.5
     half_integer = n.is_integer()
     far = z > (1.0 if half_integer else 512.0)

@@ -55,17 +55,22 @@ blocks of thousands of points and 270 ns on 256, against 440-480 ns for
 hyp2f1.  scipy's hyp2f1 keeps the 2F1s whose series end (a or b a
 non-positive integer: I_3 at lam = 1, where every other 2F1 is 1) and
 those above lam = 50 (_TABLE_C_MAX).
+
+scipy.special is imported where it is first needed: a table build, the
+hyp2f1 branch of _hyp2f1, and the front factors off lam = 1 (_fronts).  The
+front factors at lam = 1 come from literals, so a lam = 1 run whose kinds
+are p, dt and grad does not import it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.special import beta, digamma, hyp2f1, poch
 
-from . import piecewise
+from . import literals, piecewise
 from .errors import TailEstimateError
 from .functions import SampledFunction
 from .measure import LambdaSpace
@@ -80,6 +85,17 @@ def closed_form_lambda1(t, x, y):
     t = np.asarray(t, dtype=float)
     return (4.0 * t / np.pi) / (((x - y) ** 2 + t ** 2)
                                 * ((x + y) ** 2 + t ** 2))
+
+
+@lru_cache(maxsize=64)
+def _fronts(lam):
+    """(2 lam / pi) B(lam, 1/2) and (2 lam / pi) B(lam, 3/2): the factors
+    that every I_k and J_k carries, made once per lam."""
+    betas = [literals.BETA.get((lam, b)) for b in (0.5, 1.5)]
+    if None in betas:
+        from scipy.special import beta
+        betas = [beta(lam, b) for b in (0.5, 1.5)]
+    return tuple(2.0 * lam / math.pi * b for b in betas)
 
 
 def _i_factors(lam, k, A, B, q):
@@ -132,6 +148,7 @@ def _hyp2f1(a, b, c, A, B, q):
         return 1.0
     if c > _TABLE_C_MAX or any(v < 0 and float(v).is_integer()
                                for v in (a, b)):
+        from scipy.special import hyp2f1
         return hyp2f1(a, b, c, (B / A) ** 2)
     return piecewise.horner(_f_table(a, b, c), q / (A * A), _locate_w)
 
@@ -168,15 +185,14 @@ def kernel_values(space, t, x, y, kind="p"):
     B = 2.0 * x * y
     A = c + B
     q = c * (c + 2.0 * B)
-    # (2 lam / pi) B(lam, 1/2): every I_k below carries the kernel's factor
-    front = 2.0 * lam / math.pi * beta(lam, 0.5)
+    # every I_k below carries the kernel's factor, and J_k its own
+    front, front_j = _fronts(lam)
     grads = "grad" in kinds or "dtgrad" in kinds
-    # the regimes of M_k, and J_k's factor (2 lam / pi) B(lam, 3/2)
-    small = large = front_j = None
+    # the regimes of M_k
+    small = large = None
     if grads:
         small = c < B
         large = ~small
-        front_j = 2.0 * lam / math.pi * beta(lam, 1.5)
     # p and dt read I_1 at every point, M_2 only where kappa < 1
     every_i1 = "p" in kinds or "dt" in kinds
     at1 = ... if every_i1 else small
@@ -292,6 +308,8 @@ def _f_build(a, b, c):
 
     Horner's sums of scalar coefficients, elementwise, give each node's
     value from its own w, so a build is the same on every thread count."""
+    from scipy.special import beta, digamma, poch
+
     k = round(c - a - b)
     u = piecewise.interpolation()[0]
     g = 1.0 / (poch(c, k) * beta(a + k, b + k))
@@ -339,6 +357,8 @@ def _terms(ratio, x_max):
 def _dlmf_15_8_10(a, b, g, k, w):
     """F at each w in (0, 1/4) by DLMF 15.8.10 (see _f_build), and a bound
     on the sum of its terms' magnitudes over |F|."""
+    from scipy.special import digamma, poch
+
     alpha = _terms(lambda n: (a + k + n) * (b + k + n)
                    / ((n + 1.0) * (n + 1.0 + k)), float(w.max())
                    ) / math.factorial(k)

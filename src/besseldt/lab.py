@@ -119,8 +119,10 @@ _KEYS = {
                                           and len(set(rs)) == len(rs)),
                "entries must be distinct and positive with 2r < 1 "
                "(log-growth averages over (0, r))"),
-    "items": (_parse_strs, lambda items: set(items) <= set(_ITEMS),
-              f"names an unknown bound item (known: {', '.join(_ITEMS)})"),
+    "items": (_parse_strs, lambda items: (set(items) <= set(_ITEMS)
+                                          and len(set(items)) == len(items)),
+              "names a bound item twice or an unknown bound item (known: "
+              f"{', '.join(_ITEMS)})"),
     "n_points": (int, *_at_least(1)),
     "rho": (_real, lambda v: v > 1, "must exceed 1"),
     "j_min": (int, *_ANY),
@@ -567,8 +569,7 @@ def run_bounds_suite(cfg: ExperimentConfig) -> ExperimentResult:
                                   ("far", rep.sup_size_far)]
             out["window_gradient"] = [("all", rep.sup_gradient)]
         # the kernel items from one kernel pass over the sweep
-        kernel_items = tuple(dict.fromkeys(
-            it for it in items if it not in _WINDOW_ITEMS))
+        kernel_items = tuple(it for it in items if it not in _WINDOW_ITEMS)
         if kernel_items:
             rep = kernel_bound_ratios(space, sweep * s, kernel_items)
             for item, *sups in zip(rep.items, rep.sup_ratio, rep.sup_near,

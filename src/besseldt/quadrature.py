@@ -1,9 +1,12 @@
 """Gauss rules and the one panel-layout builder of the Gauss-panel integrals.
 
-All weighted rules come from scipy's Golub-Welsch implementations; they are
-cached because the same (n, alpha, beta) combinations recur for every panel
-layout.  Panel layouts are deterministic functions of their inputs so that
-repeated runs are bit-identical.
+The rules that every lambda = 1 run reads (Gauss-Legendre at 16 and 24
+nodes, Gauss-Jacobi (16, 0, 2)) are scipy's, held as literals in
+besseldt.literals; every other rule comes from scipy's Golub-Welsch
+implementations, imported on first use.  Rules are cached because the same
+(n, alpha, beta) combinations recur for every panel layout.  Panel layouts
+are deterministic functions of their inputs so that repeated runs are
+bit-identical.
 
 panel_layouts lays out the panels and Gauss nodes of many points with array
 operations: per point, base edges and a cap on the panel width of each gap
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
+from . import literals
 from .errors import NumericsError, QuadratureError
 
 
@@ -52,21 +55,31 @@ class QuadratureSpec:
             raise ValueError("abs_tol must be positive")
 
 
+def _read_only(rule):
+    """A rule's (nodes, weights) as read-only float arrays."""
+    out = tuple(np.array(v, dtype=float) for v in rule)
+    for v in out:
+        v.setflags(write=False)
+    return out
+
+
 @lru_cache(maxsize=512)
 def jacobi_rule(n: int, alpha: float, beta: float):
     """Nodes/weights for integral_{-1}^{1} (1-u)^alpha (1+u)^beta f(u) du."""
-    x, w = roots_jacobi(n, alpha, beta)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    rule = literals.JACOBI.get((n, alpha, beta))
+    if rule is None:
+        from scipy.special import roots_jacobi
+        rule = roots_jacobi(n, alpha, beta)
+    return _read_only(rule)
 
 
 @lru_cache(maxsize=64)
 def legendre_rule(n: int):
-    x, w = roots_legendre(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    rule = literals.LEGENDRE.get(n)
+    if rule is None:
+        from scipy.special import roots_legendre
+        rule = roots_legendre(n)
+    return _read_only(rule)
 
 
 def gauss_panels(left, right, n: int, exponent: float):

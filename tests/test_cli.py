@@ -111,6 +111,21 @@ def test_hankel_check_lambda_outside_bessel_range(tmp_path, capsys, lam):
     assert not (tmp_path / "h.csv").exists()
 
 
+def test_repeated_bound_item_exits_one(tmp_path, capsys):
+    # a repeated item used to write its rows again
+    path = tmp_path / "b.cfg"
+    path.write_text("experiment = bounds-suite\nitems = iv, i, iv\n")
+    code = cli.main(["bounds-suite", "--config", str(path),
+                     "--out", str(tmp_path / "b.csv")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: line 2: items names a bound item "
+                          "twice")
+    assert err.endswith("got iv,i,iv\n")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "b.csv").exists()
+
+
 def test_unreadable_config(tmp_path, capsys):
     code = cli.main(["kernel-eval", "--config", str(tmp_path / "none.cfg")])
     assert code == 1
@@ -266,6 +281,33 @@ def test_help_builds_without_docstrings(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert all(name in proc.stdout for name in cli.EXPERIMENTS)
+
+
+@pytest.mark.parametrize("exp, config, special", [
+    # the lambda = 1 rules and front factors are literals; l1diff reads
+    # the Gauss-Jacobi rule of its panel at 0
+    ("kernel-eval", "", False),
+    ("transform", "", False),
+    ("l1diff", "", False),
+    # off lambda = 1 the import moves to first use
+    ("kernel-eval", "lambda = 1.5\n", True),
+])
+def test_scipy_special_loads_only_off_lambda_one(tmp_path, exp, config,
+                                                  special):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"experiment = {exp}\n{config}")
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m",
+                           "besseldt.cli", exp, "--config", str(cfg),
+                           "--out", str(tmp_path / "c.csv")],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    # the modules named by the import-time log
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert ("scipy.special" in imported) == special
 
 
 @pytest.mark.parametrize("config", [

@@ -1,3 +1,4 @@
+import builtins
 import itertools
 import math
 
@@ -7,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as quad_ref
-from scipy.special import beta
+import scipy.special
+from scipy.special import beta, hyp2f1
 
 import besseldt.kernel as kernel_mod
+from besseldt import literals
 from besseldt.errors import TailEstimateError
 from besseldt.functions import (SampledFunction, bump_mixture, constant_one,
                                 indicator, smooth_bump)
@@ -225,15 +228,49 @@ def test_unit_factors_at_lambda_one_change_no_bit(monkeypatch):
                             np.geomspace(1e-12, 1e3, 16))
     kinds = ("p", "dt", "grad", "dtgrad")
     with monkeypatch.context() as patch:
-        patch.setattr(kernel_mod, "hyp2f1", None)
+        patch.setattr(scipy.special, "hyp2f1", None)
         got = {kind: kernel_values(space, t, x, y, kind) for kind in kinds[:3]}
     got["dtgrad"] = kernel_values(space, t, x, y, "dtgrad")
     monkeypatch.setattr(kernel_mod, "_power", lambda A, e: A ** e)
     monkeypatch.setattr(kernel_mod, "_hyp2f1", lambda a, b, c, A, B, q: (
-        kernel_mod.hyp2f1(a, b, c, (B / A) ** 2)))
+        hyp2f1(a, b, c, (B / A) ** 2)))
     for kind in kinds:
         assert np.array_equal(got[kind], kernel_values(space, t, x, y, kind)
                               ), kind
+
+
+def test_front_factors_at_lambda_one_are_scipys():
+    # held as literals so that a lambda = 1 run does not import
+    # scipy.special; beta(1, 1/2) rounds to 1.9999999999999998, not 2
+    assert literals.BETA == {(1.0, b): float(beta(1.0, b))
+                             for b in (0.5, 1.5)}
+    for lam in (1.0, 1.5, 0.3):
+        assert kernel_mod._fronts(lam) == tuple(
+            2.0 * lam / math.pi * beta(lam, b) for b in (0.5, 1.5))
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5])
+def test_kernel_values_runs_no_import_per_call(monkeypatch, lam):
+    # scipy.special is imported where it is first needed; once a lambda's
+    # front factors and tables are made, a call of p, dt or grad runs no
+    # import statement (dtgrad's I_3 at lambda = 1 reads scipy's hyp2f1)
+    space = LambdaSpace(lam)
+    t, x, y = (np.geomspace(0.1, 10.0, 64) * s for s in (1.0, 1.3, 0.7))
+    kinds = ("p", "dt", "grad", ("p", "dt", "grad"))
+    for kind in kinds:
+        kernel_values(space, t, x, y, kind)
+    imports = []
+    real_import = builtins.__import__
+
+    def counted(name, *args, **kwargs):
+        imports.append(name)
+        return real_import(name, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "__import__", counted)
+        for kind in kinds:
+            kernel_values(space, t, x, y, kind)
+    assert imports == []
 
 
 # -- closed form against an independent oracle --------------------------------
@@ -544,7 +581,7 @@ def test_2f1_tables_at_lambda_20_beat_scipy():
                             _w_samples(rng, kernel_mod._f_table(a, b, c))])
         want = _mp_2f1(a, b, c, w)
         err = np.abs(_table_at(a, b, c, w) / want - 1.0)
-        scipy_err = np.abs(kernel_mod.hyp2f1(a, b, c, 1.0 - w) / want - 1.0)
+        scipy_err = np.abs(hyp2f1(a, b, c, 1.0 - w) / want - 1.0)
         assert err.max() <= 1e-12, (a, b, c, w[np.argmax(err)], err.max())
         assert err.max() <= scipy_err.max()
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad as quad_ref
-from scipy.special import beta as beta_fn
+from scipy.special import beta as beta_fn, roots_jacobi, roots_legendre
 
 import besseldt.quadrature as quadrature_mod
+from besseldt import literals
 from besseldt.errors import QuadratureError
 from besseldt.functions import smooth_bump
 from besseldt.hankel import hankel_transform
@@ -293,3 +294,44 @@ def test_radial_sums_blocking_is_bit_identical(monkeypatch):
     per_point = [np.sum(integrand(i, yp, wp)) for i, yp, wp in zip(
         range(points.size), np.split(y, cuts), np.split(w, cuts))]
     assert np.allclose(whole, per_point, rtol=1e-14, atol=0.0)
+
+
+def _legendre_moment(k):
+    """integral_{-1}^{1} u^k du."""
+    return 0.0 if k % 2 else 2.0 / (k + 1)
+
+
+@pytest.mark.parametrize("n, weight", [(16, None), (24, None),
+                                       (16, (0.0, 2.0))])
+def test_literal_rules_are_scipys(n, weight):
+    # the lambda = 1 rules are held as literals so that such a run does not
+    # import scipy.special; they must be the installed scipy's rules
+    if weight is None:
+        rule, literal, want = (legendre_rule(n), literals.LEGENDRE[n],
+                               roots_legendre(n))
+    else:
+        rule, literal, want = (jacobi_rule(n, *weight),
+                               literals.JACOBI[(n, *weight)],
+                               roots_jacobi(n, *weight))
+    for got, values, ref in zip(rule, literal, want):
+        np.testing.assert_array_max_ulp(np.array(values), ref, maxulp=1)
+        np.testing.assert_array_equal(got, np.array(values))
+        assert got.dtype == np.float64 and got.shape == (n,)
+        # read-only, as scipy's rules were made
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+    x, w = rule
+    for k in range(2 * n):
+        want_k = _legendre_moment(k)
+        if weight is not None:
+            # (1 + u)^2 u^k = u^k + 2 u^(k+1) + u^(k+2)
+            want_k += 2.0 * _legendre_moment(k + 1) + _legendre_moment(k + 2)
+        assert abs(float(np.sum(w * x ** k)) - want_k) < 1e-14
+
+
+def test_rules_off_the_literals_are_read_only():
+    for x in (*legendre_rule(7), *jacobi_rule(9, 0.0, 3.0)):
+        assert not x.flags.writeable
+    # the cache hands out the same arrays
+    assert legendre_rule(7)[0] is legendre_rule(7)[0]
