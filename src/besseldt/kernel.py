@@ -423,29 +423,17 @@ def check_tail(bound: float, quad: QuadratureSpec) -> None:
             f"truncation tail {bound:.3e} above tolerance")
 
 
-#: functions per radial layout of apply_at.  Times of one table fill of 16
-#: bump mixtures over the 21 levels of uniform-l2's default time range by
-#: batch size 1, 2, 4, 8, 16 (2-CPU Xeon, one BLAS thread, best of three,
-#: all levels in one call): 0.16, 0.20, 0.19, 0.25, 0.32 s at 4 grid points
-#: and lambda = 1.5; 4.0, 3.7, 3.0, 3.7, 5.6 s at 96 points and lambda =
-#: 1.5; 2.0, 1.9, 2.4, 3.4, 3.8 s at 96 points and lambda = 1.  Every
-#: function is evaluated on the union of the batch's nodes, about 2.8 times
-#: one function's; a batch of 50 needs 912 panels per point, above
-#: MAX_RADIAL_PANELS.  The batches set the layouts, so another size moves
-#: the values in their last bits.
-_F_BATCH = 4
-
-
-def apply_at(space: LambdaSpace,
-             f: SampledFunction | tuple[SampledFunction, ...], t, xs,
+def apply_at(space: LambdaSpace, f: SampledFunction, t, xs,
              quad: QuadratureSpec = QuadratureSpec()):
     """(P_t f)(x) over broadcast arrays t and x, with a truncation-tail
-    estimate; f is a SampledFunction or a tuple of them.
+    estimate.
 
-    Returns (values, tail_bounds): values of the broadcast shape for one
-    function and (n_f, ...) for a tuple, and one tail bound per (t, x) that
-    holds for every function.  A tuple is laid out in consecutive batches
-    of _F_BATCH.
+    Returns (values, tail_bounds), each of the broadcast shape.  One
+    quadrature.radial_sums call sums every (t, x) as one point, laid out on
+    f's breakpoints and graded around y = x at scale t, with one kernel
+    evaluation per block of points.  An unbounded support (nonzero hold
+    tail) is truncated where the analytic kernel-decay bound drops below
+    the tolerance.
     """
     t, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
                                 np.atleast_1d(np.asarray(xs, dtype=float)))
@@ -453,45 +441,20 @@ def apply_at(space: LambdaSpace,
         raise ValueError("t must be positive")
     if np.any(xs <= 0):
         raise ValueError("evaluation points must be positive")
-    fs = f if isinstance(f, tuple) else (f,)
-    vals, tails = zip(*(_apply_batch(space, fs[i:i + _F_BATCH], t, xs, quad)
-                        for i in range(0, len(fs), _F_BATCH)))
-    vals = np.concatenate(vals)
-    return (vals if isinstance(f, tuple) else vals[0]), np.maximum.reduce(
-        tails)
-
-
-def _apply_batch(space, fs, t, xs, quad):
-    """apply_at of a tuple fs at broadcast arrays t and xs by one
-    quadrature.radial_sums call: every (t, x) is one point, laid out on the
-    union of fs's breakpoints and support ends and graded around y = x at
-    scale t, with one kernel evaluation per block of points.  An unbounded
-    support (nonzero hold tail) is truncated where the analytic
-    kernel-decay bound for the largest hold drops below the tolerance."""
-    starts, ends = zip(*(g.support() for g in fs))
-    slo, shi = min(starts), max(ends)
+    slo, shi = f.support()
     his, tails = np.full_like(xs, shi), np.zeros_like(xs)
     if math.isinf(shi):
-        # beyond the last grid end every function is bounded by the
-        # largest hold
-        hold = max(abs(float(g.values[-1]))
-                   for g, hi in zip(fs, ends) if math.isinf(hi))
-        his, tails = _radial_end(space.lam, t, hold, np.maximum(
-            xs, np.maximum(t, max(g.grid[-1] for g in fs))), quad)
-    bps = np.unique(np.concatenate(
-        [*(g.quad_breakpoints() for g in fs), starts, ends]))
+        his, tails = _radial_end(space.lam, t, abs(float(f.values[-1])),
+                                 np.maximum(xs, np.maximum(t, f.grid[-1])),
+                                 quad)
     ts, x = t.ravel(), xs.ravel()
 
     def integrand(i, y, w):
-        wk = w * kernel_values(space, ts[i], x[i], y)
-        terms = np.empty((len(fs), y.size))
-        for row, g in zip(terms, fs):
-            np.multiply(wk, g(y), out=row)
-        return terms
+        return (w * kernel_values(space, ts[i], x[i], y)) * f(y)
 
-    return radial_sums(slo, his.ravel(), x, ts, bps, quad.y_nodes_per_panel,
-                       space.weight_exponent, integrand
-                       ).reshape(len(fs), *xs.shape), tails
+    return radial_sums(slo, his.ravel(), x, ts, f.quad_breakpoints(),
+                       quad.y_nodes_per_panel, space.weight_exponent,
+                       integrand).reshape(xs.shape), tails
 
 
 def poisson_apply(space: LambdaSpace, f: SampledFunction, t: float,

@@ -711,14 +711,13 @@ def run_uniform_l2(cfg: ExperimentConfig) -> ExperimentResult:
     grid = _grid(cfg)
     rows = []
     ratios, lengths = [], []
-    fs = tuple(bump_mixture(rng, span=(1e-1, 1e1))
-               for _ in range(cfg["f_count"]))
-    table = SemigroupTable(space, setup, fs, grid, quad)
-    tns = [table.window(win.n1, win.n2) for win in wins]
+    fs = [bump_mixture(rng, span=(1e-1, 1e1)) for _ in range(cfg["f_count"])]
     for k, f in enumerate(fs):
+        table = SemigroupTable(space, setup, f, grid, quad)
         norm_f = lp_norm(space, f, 2.0)
-        for win, tn in zip(wins, tns):
-            ratio = lp_norm(space, _on_grid(grid, tn[k]), 2.0) / norm_f
+        for win in wins:
+            tn = table.window(win.n1, win.n2)
+            ratio = lp_norm(space, _on_grid(grid, tn), 2.0) / norm_f
             rows.append((k, win.n1, win.n2, win.length, ratio))
             ratios.append(ratio)
             lengths.append(win.length)
@@ -749,14 +748,13 @@ def run_weighted_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     setup = _setup(cfg)
     grid = _grid(cfg)
     rows = []
-    fs = tuple(bump_mixture(rng, span=(1e-1, 1e1))
-               for _ in range(cfg["f_count"]))
-    pair = _maximal_pair(SemigroupTable(space, setup, fs, grid, quad),
-                         cfg["m"])
+    fs = [bump_mixture(rng, span=(1e-1, 1e1)) for _ in range(cfg["f_count"])]
     for k, f in enumerate(fs):
+        pair = _maximal_pair(SemigroupTable(space, setup, f, grid, quad),
+                             cfg["m"])
         den = lp_norm(space, f, p, weight)
-        ratio, ratio_h = (lp_norm(space, _on_grid(grid, tstar[k]), p,
-                                  weight) / den for tstar in pair)
+        ratio, ratio_h = (lp_norm(space, _on_grid(grid, tstar), p, weight)
+                          / den for tstar in pair)
         stab = abs(ratio - ratio_h) / ratio if ratio > 0 else 0.0
         rows.append((k, ratio, ratio_h, stab))
     max_ratio = float(np.max([r[1] for r in rows]))

@@ -9,8 +9,8 @@ generator, _window_sums, adds the terms v_j (L_{j+1} - L_j) in j order over
 levels L_j: the levels P_{a_j} f of a SemigroupTable for T_N f and its
 prefix sums, and kernel levels P_{a_j}(x, y) for K_N and the partial-sum
 bounds.  A table computes all the levels a read lacks with one apply_at
-call, its (level, x) points in one radial pass per batch of functions.  The
-truncated maximal operator
+call, its (level, x) points in one radial pass.  The truncated maximal
+operator
 
     T*_M f(x) = max over -M <= N1 < N2 <= M of |T_N f(x)|
 
@@ -73,15 +73,12 @@ def _check_window(setup: LacunarySetup, n1: int, n2: int):
 class SemigroupTable:
     """Cache of P_{a_j} f on a fixed grid.
 
-    f is one SampledFunction or a tuple of them.  Each level has one row
-    per function: shape (grid,) for one function, (n_f, grid) for a tuple.
     A read computes every level it needs and the table lacks with one
-    apply_at call: its (level, x) points share one radial pass per batch of
-    functions.
+    apply_at call: its (level, x) points share one radial pass.
     """
 
     def __init__(self, space: LambdaSpace, setup: LacunarySetup,
-                 f: SampledFunction | tuple[SampledFunction, ...], grid,
+                 f: SampledFunction, grid,
                  quad: QuadratureSpec = QuadratureSpec()):
         self.space = space
         self.setup = setup
@@ -106,7 +103,7 @@ class SemigroupTable:
                 self.max_tail = max(self.max_tail,
                                     float(np.max(tails[row], initial=0.0)))
                 check_tail(self.max_tail, self.quad)
-                self._levels[j] = vals[..., row, :]
+                self._levels[j] = vals[row]
         return [self._levels[j] for j in js]
 
     def level(self, j: int) -> np.ndarray:
@@ -213,14 +210,12 @@ def _on_grid(grid, vals):
 
 
 def maximal_transform(table: SemigroupTable, cap: TruncationLevel):
-    """T*_M f on table.grid via the prefix-sum pass, an array shaped like a
-    level: one row per function for a table of several."""
+    """T*_M f on table.grid via the prefix-sum pass."""
     return max_window_sum_abs(table.weighted_prefixes(cap.m_cap))
 
 
 def maximal_transform_brute(table: SemigroupTable, cap: TruncationLevel):
-    """Reference implementation: enumerate every admissible window.  Same
-    shape as maximal_transform."""
+    """Reference implementation: enumerate every admissible window."""
     M = cap.m_cap
     S = table.weighted_prefixes(M)
     best = np.zeros(S.shape[1:])

@@ -14,8 +14,7 @@ from scipy.special import beta, hyp2f1
 import besseldt.kernel as kernel_mod
 from besseldt import literals
 from besseldt.errors import TailEstimateError
-from besseldt.functions import (SampledFunction, bump_mixture, constant_one,
-                                indicator, smooth_bump)
+from besseldt.functions import SampledFunction, indicator, smooth_bump
 from besseldt.kernel import (_bound_denominator, apply_at,
                              closed_form_lambda1,
                              kernel_bound_ratios, kernel_difference_l1,
@@ -156,49 +155,6 @@ def test_hold_tail_truncation_bound(space1):
     vals, tails = apply_at(space1, f, 1e3, np.array([1.0]))
     assert tails[0] <= 1e-10
     assert vals[0] == pytest.approx(1.0, abs=1e-6)
-
-
-@pytest.mark.parametrize("lam", [0.3, 1.5])
-def test_batched_apply_matches_single_calls(lam):
-    # one layout per batch of four on the union of the breakpoints and
-    # support ends; a held tail sets the radial end of its whole batch
-    space = LambdaSpace(lam)
-    rng = np.random.default_rng(5)
-    fs = (constant_one(),
-          *(bump_mixture(rng, span=(1e-1, 1e1)) for _ in range(4)))
-    xs = np.geomspace(0.02, 50.0, 12)
-    for t in (0.05, 0.7, 6.0):
-        vals, tails = apply_at(space, fs, t, xs)
-        assert vals.shape == (len(fs), xs.size)
-        for row, f in zip(vals, fs):
-            want, _ = apply_at(space, f, t, xs)
-            assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
-        assert np.array_equal(tails, apply_at(space, fs[0], t, xs)[1])
-
-
-def test_batch_of_one_is_the_single_call(space1):
-    xs = np.geomspace(0.05, 20.0, 9)
-    for f in (bump_mixture(np.random.default_rng(2)), constant_one(),
-              indicator(1.0)):
-        vals, tails = apply_at(space1, (f,), 0.4, xs)
-        want, want_tails = apply_at(space1, f, 0.4, xs)
-        assert vals.shape == (1, xs.size)
-        assert np.array_equal(vals[0], want)
-        assert np.array_equal(tails, want_tails)
-
-
-def test_six_functions_are_two_batches(space1):
-    # a tuple is laid out in consecutive batches of four: its values are
-    # those of its first four and its last two, and its tails their max
-    rng = np.random.default_rng(6)
-    fs = tuple(bump_mixture(rng, span=(1e-1, 1e1)) for _ in range(6))
-    xs = np.geomspace(0.02, 50.0, 10)
-    for t in (0.05, 0.7, 6.0):
-        vals, tails = apply_at(space1, fs, t, xs)
-        head, head_tails = apply_at(space1, fs[:4], t, xs)
-        rest, rest_tails = apply_at(space1, fs[4:], t, xs)
-        assert np.array_equal(vals, np.concatenate([head, rest]))
-        assert np.array_equal(tails, np.maximum(head_tails, rest_tails))
 
 
 def test_unattainable_tail_end_names_the_first_failing_time():

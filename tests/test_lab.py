@@ -388,6 +388,26 @@ def test_uniform_l2_growth_still_fails(tmp_path, capsys):
     assert "spearman 0.600 >= 0.3" in capsys.readouterr().err
 
 
+#: small sizes of the two runners that draw f_count bump mixtures
+MIXTURES = {
+    "uniform-l2": "windows = 3\nj_min = -3\nj_max = 3\ngrid_points = 8\n",
+    "weighted": "m = 2\ngrid_points = 8\n",
+}
+
+
+@pytest.mark.parametrize("exp", sorted(MIXTURES))
+def test_mixture_rows_do_not_depend_on_the_other_mixtures(exp):
+    # every mixture has a table of its own: at the same seed, the rows of
+    # f_index 0 alone equal its rows beside two more (the contract verdict
+    # may differ, so the rows are compared, not the exit)
+    rows = []
+    for count in (1, 3):
+        cfg = parse_config(f"experiment = {exp}\nf_count = {count}\n"
+                           + MIXTURES[exp])
+        rows.append([r for r in EXPERIMENTS[exp](cfg).rows if r[0] == 0])
+    assert rows[0] and rows[0] == rows[1]
+
+
 def test_tolerance_failure_prints_the_tolerance_unrounded(tmp_path, capsys):
     # the gaussian fixed point (about 1e-16) fails a tolerance of 1.5e-20,
     # and the message names that tolerance as the CSV records it (the

@@ -5,8 +5,6 @@ from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import besseldt.measure as measure_mod
 import besseldt.transform as transform_mod
@@ -319,21 +317,15 @@ def test_table_keeps_largest_tail_bound(space1, monkeypatch):
         table.level(1)
 
 
-@pytest.mark.parametrize("count", [1, 6])
-def test_table_fills_levels_in_one_call(count, monkeypatch):
+def test_table_fills_levels_in_one_call(monkeypatch):
     # a read computes every level it lacks with one apply_at call; each
     # level and max_tail equal those of per-level apply_at calls bit for
-    # bit, for one function and for six (two batches); the held tail makes
-    # the tail bounds nonzero
+    # bit; the held tail makes the tail bounds nonzero
     space = LambdaSpace(1.5)
     setup = geometric(2.0, -5, 5, v=np.random.default_rng(4).normal(size=10))
     knots = np.geomspace(0.1, 10.0, 20)
-    held = SampledFunction(knots, 1.0 + 0.5 * np.sin(np.log(knots)),
-                           left="hold", right="hold")
-    rng = np.random.default_rng(9)
-    fs = (*(bump_mixture(rng, span=(1e-1, 1e1)) for _ in range(count - 1)),
-          held)
-    f = fs if count > 1 else held
+    f = SampledFunction(knots, 1.0 + 0.5 * np.sin(np.log(knots)),
+                        left="hold", right="hold")
     calls = []
 
     def counted(*args):
@@ -401,68 +393,6 @@ def test_table_window_is_the_explicit_sum(lam):
     for n1, n2 in ((2, 1), (2, 2)):
         with pytest.raises(ValueError, match="window needs n1 < n2"):
             table.window(n1, n2)
-
-
-def test_batch_table_matches_single_tables():
-    # one layout per level for the batch; each row within 1e-13 of the
-    # scale of the single-function table.  Gaussian mixtures are analytic,
-    # so both layouts resolve them to rounding (a smooth_bump's rows move
-    # by its quadrature error, about 1e-9, between layouts)
-    space = LambdaSpace(1.5)
-    setup = geometric(2.0, -5, 5, v=np.random.default_rng(4).normal(size=10))
-    rng = np.random.default_rng(8)
-    fs = (*(bump_mixture(rng, span=(1e-1, 1e1)) for _ in range(3)),
-          constant_one())
-    batch = SemigroupTable(space, setup, fs, GRID)
-    S = batch.weighted_prefixes(4)
-    assert S.shape == (10, len(fs), GRID.size)
-    wins = [(-5, 4), (-3, 2), (0, 1)]
-    got = [batch.window(n1, n2) for n1, n2 in wins]
-    for k, f in enumerate(fs):
-        single = SemigroupTable(space, setup, f, GRID)
-        scale = np.max(np.abs(single.level(-5)))
-        want_S = single.weighted_prefixes(4)
-        assert np.max(np.abs(S[:, k] - want_S)) <= 1e-13 * scale
-        for (n1, n2), vals in zip(wins, got):
-            want = single.window(n1, n2)
-            assert np.max(np.abs(vals[k] - want)) <= 1e-13 * scale
-
-
-def test_criterion_07_on_a_batch_table(space1):
-    # the prefix pass equals the brute enumeration exactly, row by row
-    rng = np.random.default_rng(11)
-    grid = np.geomspace(0.05, 20.0, 16)
-    setup = geometric(2.0, -8, 8, v=rng.choice([-1.0, 1.0], size=16))
-    fs = tuple(bump_mixture(rng, span=(0.2, 5.0)) for _ in range(4))
-    table = SemigroupTable(space1, setup, fs, grid)
-    for M in (1, 3, 6):
-        cap = TruncationLevel(M)
-        fast = maximal_transform(table, cap)
-        brute = maximal_transform_brute(table, cap)
-        assert len(fast) == len(brute) == len(fs)
-        for a, b in zip(fast, brute):
-            assert np.array_equal(a, b)
-
-
-@settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(lam=st.floats(min_value=0.3, max_value=3.0),
-       seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
-       size=st.integers(min_value=1, max_value=4))
-def test_batch_window_matches_single_windows(lam, seed, size):
-    # the two layouts differ, so the levels differ by up to their
-    # quadrature error: at most 1.2e-13 of the scale, and 1.5e-13 in a
-    # window, over 60 random draws of these inputs
-    space = LambdaSpace(lam)
-    rng = np.random.default_rng(seed)
-    fs = tuple(bump_mixture(rng, span=(1e-1, 1e1)) for _ in range(size))
-    setup = geometric(2.0, -3, 3, v=alternating(-3, 3))
-    grid = np.geomspace(0.05, 20.0, 6)
-    got = SemigroupTable(space, setup, fs, grid).window(-3, 2)
-    for row, f in zip(got, fs):
-        single = SemigroupTable(space, setup, f, grid)
-        want = single.window(-3, 2)
-        scale = max(np.max(np.abs(single.level(j))) for j in range(-3, 4))
-        assert np.max(np.abs(row - want)) <= 1e-12 * scale
 
 
 def test_apply_transform_closure_reproduces_values(space1):
