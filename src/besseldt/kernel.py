@@ -52,9 +52,12 @@ hyp2f1 at the rounded z = 1 - w is up to 2.5e-11 off, and within 1.7e-13
 at lam = 20 (scipy 2.1e-10).  Per point, on one thread of a 2-CPU Xeon
 host with numpy 2.4.6 and scipy 1.17.1, a table value takes 40 ns on
 blocks of thousands of points and 270 ns on 256, against 440-480 ns for
-hyp2f1.  scipy's hyp2f1 keeps the 2F1s whose series end (a or b a
-non-positive integer: I_3 at lam = 1, where every other 2F1 is 1) and
-those above lam = 50 (_TABLE_C_MAX).
+hyp2f1.  scipy's hyp2f1 keeps only the 2F1s whose series end (a or b a
+non-positive integer: I_3 at lam = 1, where every other 2F1 is 1).  The
+tables are checked up to c = _TABLE_C_MAX, every 2F1 of the kernel at
+lam <= LAM_MAX = 50, and _f_table raises ValueError above it, so no kernel
+value is read from an unchecked table (kinds p and dt read only the 2F1s
+of I_k, whose c = lam + 1/2 stays checked up to lam = 51).
 
 scipy.special is imported where it is first needed: a table build, the
 hyp2f1 branch of _hyp2f1, and the front factors off lam = 1 (_fronts).  The
@@ -141,13 +144,12 @@ def _hyp2f1(a, b, c, A, B, q):
 
     Exactly 1, without a pass, when a or b is 0 (at lam = 1 for I_1, I_2,
     J_2 and J_3), as scipy returns it; scipy's hyp2f1 at z when the series
-    ends at another non-positive integer a or b (at lam = 1 for I_3) or c is
-    above _TABLE_C_MAX; and otherwise the (a, b, c) table in w
-    (_f_table)."""
+    ends at another non-positive integer a or b (at lam = 1 for I_3); and
+    otherwise the (a, b, c) table in w (_f_table), which raises ValueError
+    above _TABLE_C_MAX."""
     if a == 0 or b == 0:
         return 1.0
-    if c > _TABLE_C_MAX or any(v < 0 and float(v).is_integer()
-                               for v in (a, b)):
+    if any(v < 0 and float(v).is_integer() for v in (a, b)):
         from scipy.special import hyp2f1
         return hyp2f1(a, b, c, (B / A) ** 2)
     return piecewise.horner(_f_table(a, b, c), q / (A * A), _locate_w)
@@ -239,14 +241,17 @@ def kernel_values(space, t, x, y, kind="p"):
 #: constant F(a, b; c; 1) that serves below them
 _F_TABLES: dict = {}
 
-#: the largest c of a table: every 2F1 of the kernel at lam <= 50 (c is
+#: the largest lam of the kernel: its 2F1 tables are checked up to here
+LAM_MAX = 50.0
+
+#: the largest c of a table: every 2F1 of the kernel at lam <= LAM_MAX (c is
 #: lam + 1/2 for I_k and lam + 3/2 for J_k), where the tables are checked.
 #: Against 30-digit mpmath they are within 1.4e-15 at lam <= 7, 1.7e-13 at
 #: lam = 20, 1.1e-11 at 35 and 2.7e-10 at 50, where scipy's hyp2f1 is off
 #: by up to 2.1e-10, 4.7e-8 and 1.1e-4.  Above it F grows too fast across
-#: the top half-octaves for degree 14 (2.3e-6 off at lam = 100), and
-#: scipy's hyp2f1 serves.
-_TABLE_C_MAX = 51.5
+#: the top half-octaves for degree 14 (2.3e-6 off at lam = 100), and scipy's
+#: hyp2f1 is 3.1e-2 off at lam = 60, so no 2F1 is served there.
+_TABLE_C_MAX = LAM_MAX + 1.5
 
 #: the largest float below 1: w = q / A^2 rounds to 1, or just above it,
 #: where z is below about 1e-16, and reads the top piece at this end
@@ -272,9 +277,14 @@ def _locate_w(w):
 
 
 def _f_table(a, b, c):
-    """The table of 2F1(a, b; c; 1 - w), built on first use (_f_build)."""
+    """The table of 2F1(a, b; c; 1 - w), built on first use (_f_build);
+    ValueError above _TABLE_C_MAX, where no table is checked."""
     coef = _F_TABLES.get((a, b, c))
     if coef is None:
+        if c > _TABLE_C_MAX:
+            raise ValueError(f"2F1 table at c = {c:g} is above "
+                             f"{_TABLE_C_MAX:g}: the kernel is checked up "
+                             f"to lambda = {LAM_MAX:g}")
         coef = _F_TABLES[(a, b, c)] = _f_build(a, b, c)
     return coef
 

@@ -310,14 +310,15 @@ def test_scipy_special_loads_only_off_lambda_one(tmp_path, exp, config,
     assert ("scipy.special" in imported) == special
 
 
-@pytest.mark.parametrize("config", [
-    "experiment = transform\nlambda = 200\n",
-    "experiment = weighted\nlambda = 300\nf_count = 1\ngrid_points = 8\n",
-])
-def test_non_finite_radial_sum_exits_two(tmp_path, capsys, config):
-    # at these lambda the kernel's powers overflow; the radial sums used to
-    # reach the CSV as nan rows (transform, exit 0) or fail as a config
-    # error (weighted, exit 1)
+@pytest.mark.parametrize("config, x", [
+    # the weight y^40 folded into the radial rule overflows at the tail end
+    ("experiment = l1diff\nlambda = 20\n", "0.01"),
+    # A^(1 - lambda) overflows at t = x = 2^-16, on the SemigroupTable ->
+    # apply_at path of transform, uniform-l2 and weighted
+    ("experiment = loggrowth\nlambda = 50\n", "1.52588e-05"),
+], ids=["l1diff", "loggrowth"])
+def test_non_finite_radial_sum_exits_two(tmp_path, capsys, config, x):
+    # a non-finite radial sum used to reach the CSV as nan rows (exit 0)
     cfg = tmp_path / "r.cfg"
     cfg.write_text(config)
     out = tmp_path / "r.csv"
@@ -325,25 +326,26 @@ def test_non_finite_radial_sum_exits_two(tmp_path, capsys, config):
                      "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2, err
-    assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith(
-        "numerical failure: radial sum at x = ")
+    assert err == f"numerical failure: radial sum at x = {x} is not finite\n"
     assert not out.exists()
 
 
-def test_overflowing_tail_constant_exits_two(tmp_path, capsys):
-    # Gamma(201) overflows a float; it used to end in an OverflowError.  The
-    # tail constant now comes from lgamma and is finite, and the kernel's
-    # powers overflow in the radial sum instead
-    cfg = tmp_path / "l.cfg"
-    cfg.write_text("experiment = l1diff\nlambda = 200\n")
-    out = tmp_path / "l.csv"
-    code = cli.main(["l1diff", "--config", str(cfg), "--out", str(out)])
+@pytest.mark.parametrize("exp", ["uniform-l2", "weighted"])
+def test_non_finite_norm_ratio_exits_two(tmp_path, capsys, exp):
+    # at lambda = 50 the norms' power grid_hi^(2 lambda + 3) overflows; the
+    # runs used to print two RuntimeWarnings, write a CSV of nan ratios and
+    # exit 3 as a contract failure
+    cfg = tmp_path / "n.cfg"
+    cfg.write_text(f"experiment = {exp}\nlambda = 50\nf_count = 1\n"
+                   "grid_points = 8\n")
+    out = tmp_path / "n.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([exp, "--config", str(cfg), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2, err
-    assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith(
-        "numerical failure: radial sum at x = 0.01 is not finite")
+    assert err.startswith("numerical failure: max ratio is not finite: ")
+    assert err.count("\n") == 1, err
     assert not out.exists()
 
 
@@ -356,9 +358,12 @@ def test_overflowing_tail_constant_exits_two(tmp_path, capsys):
     # the dilated constants overflowed to nan and were written (exit 0)
     ("experiment = bounds-suite\ndilation = 1e300\nn_points = 30\n",
      "numerical failure: constant i/all at lambda = 1 is 1.27"),
-    # the plain ones were a contract failure (exit 3) with a CSV of nan
-    ("experiment = bounds-suite\nlambda_list = 200\n",
-     "numerical failure: constant i/all at lambda = 200 is nan, dilated nan"),
+    # at the top of the accepted lambda the dilated window constant
+    # overflows to nan
+    ("experiment = bounds-suite\nlambda_list = 50\ndilation = 10\n"
+     "n_points = 8\n",
+     "numerical failure: constant window_size/all at lambda = 50 is "
+     "14100042096."),
 ], ids=["panel-count", "dilated-constant", "constant"])
 def test_overflow_exits_two_with_one_line(tmp_path, capsys, config, line):
     cfg = tmp_path / "o.cfg"

@@ -264,19 +264,38 @@ def oracle_points(rng, n, kappa):
 ORACLE_LAMS = [0.05, 0.3, 0.6, 1.0, 1.25, 1.5, 3.5, 7.0]
 
 
+def _kernel_oracle(lam):
+    """The points (t, x, y), kernel_values there and its largest relative
+    error against mp_kernel, on 24 points and a near-diagonal sweep of
+    kappa from 1 down to 1e-12."""
+    rng = np.random.default_rng(int(lam * 100))
+    t, x, y = oracle_points(rng, 24, np.geomspace(1.0, 1e-12, 13))
+    got = kernel_values(LambdaSpace(lam), t, x, y)
+    want = [mp_kernel(lam, *p) for p in zip(t, x, y)]
+    return (t, x, y), got, max(abs(float((mpmath.mpf(float(g)) - w) / w))
+                               for g, w in zip(got, want))
+
+
 @pytest.mark.parametrize("lam", ORACLE_LAMS)
 def test_kernel_against_mpmath(lam):
-    rng = np.random.default_rng(int(lam * 100))
-    # near-diagonal sweep: kappa from 1 down to 1e-12
-    t, x, y = oracle_points(rng, 24, np.geomspace(1.0, 1e-12, 13))
-    space = LambdaSpace(lam)
-    got = kernel_values(space, t, x, y)
-    want = [mp_kernel(lam, *p) for p in zip(t, x, y)]
-    err = max(abs(float((mpmath.mpf(float(g)) - w) / w))
-              for g, w in zip(got, want))
+    points, got, err = _kernel_oracle(lam)
     assert err < 1e-12
     # the radial integrals read the same closed form
-    assert np.array_equal(kernel_values(space, t, x, y), got)
+    assert np.array_equal(kernel_values(LambdaSpace(lam), *points), got)
+
+
+def test_kernel_against_mpmath_at_lambda_50():
+    # the top of the accepted lambda, with the bound that kernel._TABLE_C_MAX
+    # states for its tables there (1.1e-10 on these points)
+    assert _kernel_oracle(kernel_mod.LAM_MAX)[2] < 2.7e-10
+
+
+@pytest.mark.parametrize("kind", ["p", "dtgrad"])
+def test_kernel_above_lambda_50_raises(kind):
+    # no 2F1 table is checked there, and scipy's hyp2f1, which served it,
+    # is 3.1e-2 off at lambda = 60
+    with pytest.raises(ValueError, match="checked up to lambda = 50"):
+        kernel_values(LambdaSpace(60.0), 1.0, 1.0, 2.0, kind)
 
 
 def _counting_hyp2f1(monkeypatch):

@@ -12,6 +12,8 @@ import scipy.stats
 import besseldt
 import besseldt.cli as cli
 from besseldt.errors import ConfigError
+from besseldt.hankel import NU_MAX
+from besseldt.kernel import LAM_MAX
 from besseldt.lab import (EXPERIMENTS, _fmt, _parse_floats, _spearman,
                           emit_csv, parse_config, resolve_f, resolve_v,
                           run_bounds_suite, run_kernel_eval)
@@ -93,6 +95,14 @@ def test_parse_config_error_carries_line_number():
     # [0, 40.5], where normalized_bessel is validated
     ("experiment=hankel-check\nlambda = 45\n", "1/2 <= lambda <= 41"),
     ("experiment=hankel-check\nlambda = 0.3\n", "1/2 <= lambda <= 41"),
+    # the kernel's 2F1 tables are checked up to lambda = 50; above it the
+    # kernel was up to 1.7e9 times off and these runs exited 0
+    *((f"experiment={exp}\nlambda = 50.5\n",
+       "line 2: lambda must be positive and at most 50, got 50.5")
+      for exp in ("kernel-eval", "bounds-suite", "transform", "loggrowth",
+                  "uniform-l2", "weighted", "bmo", "l1diff")),
+    ("experiment=bounds-suite\nlambda_list = 1, 60\n",
+     "line 2: lambda_list must be positive and at most 50, got 60.0"),
     ("experiment=kernel-eval\nt_list = 1, -3\n", "must be positive"),
     ("experiment=bounds-suite\nlambda_list = 0.5, 0\n", "must be positive"),
     # counts and ranges that a runner would otherwise replace by defaults
@@ -454,6 +464,26 @@ ROUND_TRIP = {
     "hankel-check": "lambda = 1.5\ngrid_points = 4\nn_y = 64\n"
                     "y_max = 6\n",
 }
+
+
+@pytest.mark.parametrize("exp", sorted(ROUND_TRIP))
+def test_top_of_the_lambda_range_ends_without_traceback(tmp_path, capsys,
+                                                        exp):
+    # a run may fail its checks there, but only with a documented exit and
+    # its one-line messages: uniform-l2 and weighted printed numpy's
+    # RuntimeWarnings and exited 3 on an overflowing norm
+    top = NU_MAX + 0.5 if exp == "hankel-check" else LAM_MAX
+    sizes = "".join(line for line in ROUND_TRIP[exp].splitlines(True)
+                    if not line.startswith("lambda"))
+    cfg = tmp_path / "top.cfg"
+    cfg.write_text(f"experiment = {exp}\n{sizes}lambda = {top:g}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main([exp, "--config", str(cfg),
+                         "--out", str(tmp_path / "top.csv")])
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err and "Warning" not in err, err
 
 
 def _run_csv(cfg, path):
