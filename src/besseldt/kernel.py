@@ -268,12 +268,13 @@ def _locate_w(w):
     """The half-octave piece of each w and its u, both exact: with
     w = m 2^e, m in [1/2, 1) from np.frexp, piece 2 i is [3/4, 1] 2^-i,
     where u = 8 m - 7, and piece 2 i + 1 is [1/2, 3/4] 2^-i, where
-    u = 8 m - 5 (i = -e)."""
+    u = 8 m - 5 (i = -e).  The piece is an intp, as take wants its index:
+    frexp's int32 exponent would be converted at every take of the sum."""
     m, e = np.frexp(np.minimum(w, _W_TOP))
     lower = m < 0.75
     u = 8.0 * m - 7.0
     u += 2.0 * lower
-    return lower - 2 * e, u
+    return lower - 2 * e.astype(np.intp), u
 
 
 def _f_table(a, b, c):

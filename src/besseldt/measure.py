@@ -15,7 +15,7 @@ Every integral of f over intervals takes one batched path, _batched: it
 clips the intervals to f's support and cuts them into cells at f's grid
 and breakpoints (searchsorted), and each interval's value is the sum of its
 cells, left to right.  A sample-backed f is integrated on its linear pieces
-(_q_integrals, _signed_integrals), in blocks of about _CELL_CHUNK cells.  On
+(_linear_pieces, _q_integrals), in blocks of about _CELL_CHUNK cells.  On
 a callable-backed f (_gl_cells) a Gauss cell between two neighbouring
 alignment points is built and summed once per call, however many intervals
 span it; only each interval's two end cells are its own.  f is evaluated
@@ -23,6 +23,11 @@ once on every distinct cell's nodes, _CELL_CHUNK rows at a time, which
 bounds the memory.  The maximal function's thousands of averages, a BMO
 family, the log-growth averages and a single norm go through the same code;
 masses are exact power integrals over arrays of interval ends.
+
+Norms of many value rows on one grid (lp_norms) are one batch of linear
+pieces: each row is one interval, its support, with its own slopes, and
+bincount sums each row's pieces left to right, so a row has the bits of its
+own lp_norm call.
 
 bmo_norm makes two such passes over its family: the signed means c_k, then
 |f - c_k| with a shift of one c_k per interval (subtracted from the linear
@@ -240,19 +245,22 @@ def _gl_cells(f, pts, A, B, p, q=None, shift=None):
     return out
 
 
-def _linear_pieces(f, A, B):
-    """Sample-backed f on the cells of [A_k, B_k] cut at f's grid: flat
-    arrays (owner, a, b, alpha, beta) with f = alpha*y + beta on [a, b],
-    tails following f's policies."""
-    g, v = f.grid, f.values
+def _linear_pieces(g, v, left, right, A, B):
+    """The linear interpolant of the values v on the grid g, with the tail
+    policies left and right, on the cells of [A_k, B_k] cut at g: flat
+    arrays (owner, a, b, alpha, beta) with it alpha*y + beta on [a, b].
+    v is one row of values that every interval reads, or one row per
+    interval (2-d), which then indexes alpha and beta by owner."""
     owner, a, b = _cells(g, A, B)
     slope = np.diff(v) / np.diff(g)
-    alpha = np.concatenate([[0.0], slope, [0.0]])
-    beta = np.concatenate([[v[0] if f.left == "hold" else 0.0],
-                           v[:-1] - slope * g[:-1],
-                           [v[-1] if f.right == "hold" else 0.0]])
+    zero = np.zeros((*v.shape[:-1], 1))
+    alpha = np.concatenate([zero, slope, zero], axis=-1)
+    beta = np.concatenate([v[..., :1] if left == "hold" else zero,
+                           v[..., :-1] - slope * g[:-1],
+                           v[..., -1:] if right == "hold" else zero], axis=-1)
     seg = np.searchsorted(g, a, side="right")
-    return owner, a, b, alpha[seg], beta[seg]
+    at = seg if v.ndim == 1 else (owner, seg)
+    return owner, a, b, alpha[at], beta[at]
 
 
 def _split_at_zeros(owner, a, b, alpha, beta):
@@ -302,28 +310,22 @@ def _zero_end_q_integrals(a, b, fa, fb, q, p, n):
     return out
 
 
-def _signed_integrals(f, A, B, p):
-    """integral_{A_k}^{B_k} f(y) y^p dy for arrays of interval ends with
-    B > A, sample-backed f; exact."""
-    owner, a, b, al, be = _linear_pieces(f, A, B)
-    return np.bincount(owner, _linear_integrals(a, b, al, be, p),
-                       minlength=A.size)
-
-
-def _q_integrals(f, A, B, q, p, shift=None):
+def _q_integrals(pieces, n, q, p, shift=None):
     """integral_{A_k}^{B_k} |f(y) - shift_k|^q y^p dy (shift 0 when None)
-    for arrays of interval ends with B > A, sample-backed f; exact for q in
-    {1, 2}.  For other q a piece that ends at a zero of f - shift_k gets a
-    Gauss-Jacobi rule absorbing the zero (_zero_end_q_integrals), the others
-    16-node Gauss (quadrature.gauss_panels)."""
-    owner, a, b, al, be = _linear_pieces(f, A, B)
+    over n intervals, k < n, from the linear pieces of f on their cells
+    (_linear_pieces); exact for q in {1, 2}.  For other q a piece that ends
+    at a zero of f - shift_k gets a Gauss-Jacobi rule absorbing the zero
+    (_zero_end_q_integrals), the others 16-node Gauss
+    (quadrature.gauss_panels).  Each interval's value is the bincount of
+    its pieces, left to right, so it does not depend on the batch."""
+    owner, a, b, al, be = pieces
     if shift is not None:
         be = be - shift[owner]
     if q == 2.0:
         piece = (al * al * _power_integrals(a, b, p + 2.0)
                  + 2.0 * al * be * _power_integrals(a, b, p + 1.0)
                  + be * be * _power_integrals(a, b, p))
-        return np.bincount(owner, piece, minlength=A.size)
+        return np.bincount(owner, piece, minlength=n)
     owner, a, b, al, be = _split_at_zeros(owner, a, b, al, be)
     if q == 1.0:
         piece = _abs_linear_integrals(a, b, al, be, p)
@@ -341,7 +343,7 @@ def _q_integrals(f, A, B, q, p, shift=None):
             w * np.abs(al[smooth, None] * y + be[smooth, None]) ** q, axis=1)
         piece[zero_end] = _zero_end_q_integrals(
             a[zero_end], b[zero_end], fa[zero_end], fb[zero_end], q, p, 16)
-    return np.bincount(owner, piece, minlength=A.size)
+    return np.bincount(owner, piece, minlength=n)
 
 
 def _batched(f, left, right, p, q=None, shift=None):
@@ -365,10 +367,16 @@ def _batched(f, left, right, p, q=None, shift=None):
     cells = (np.searchsorted(f.grid, B, side="left")
              - np.searchsorted(f.grid, A, side="right") + 1)
     for idx in _blocks(cells, _CELL_CHUNK):
-        out[live[idx]] = (
-            _signed_integrals(f, A[idx], B[idx], p) if q is None
-            else _q_integrals(f, A[idx], B[idx], q, p,
-                              None if shift is None else shift[idx]))
+        pieces = _linear_pieces(f.grid, f.values, f.left, f.right, A[idx],
+                                B[idx])
+        n = idx.stop - idx.start
+        if q is None:
+            owner, a, b, al, be = pieces
+            out[live[idx]] = np.bincount(
+                owner, _linear_integrals(a, b, al, be, p), minlength=n)
+        else:
+            out[live[idx]] = _q_integrals(
+                pieces, n, q, p, None if shift is None else shift[idx])
     return out
 
 
@@ -443,25 +451,62 @@ def dyadic_family(k_range=(-4, 4), m_range=(-4, 2)):
     return left[first], right[first]
 
 
+def _norm_exponent(space: LambdaSpace, p: float,
+                   weight: Optional[PowerWeight]) -> float:
+    """The power of y in the L^p(omega dm_lam) integrand; ValueError unless
+    p >= 1 (or inf)."""
+    if not (p >= 1.0):
+        raise ValueError("p must be >= 1 (or inf)")
+    return space.weight_exponent + (weight.delta if weight is not None
+                                    else 0.0)
+
+
+def lp_norms(space: LambdaSpace, grid, rows, p: float,
+             weight: Optional[PowerWeight] = None, left: str = "hold",
+             right: str = "zero") -> np.ndarray:
+    """The L^p(omega dm_lam) norm of each row of values sampled on grid, as
+    of SampledFunction(grid, row, left, right) (by default held on the left
+    and zero on the right, as an operator output on a grid), from one
+    batched call: each row is one interval, its support, cut at the grid,
+    and bincount sums its pieces left to right, so each row has the bits
+    of its own lp_norm call.  p = inf takes each row's max |value|; a row
+    whose nonzero hold tail makes the integral diverge gets inf."""
+    pw = _norm_exponent(space, p, weight)
+    rows = np.asarray(rows, dtype=float)
+    if math.isinf(p):
+        return np.max(np.abs(rows), axis=1)
+    grid = np.asarray(grid, dtype=float)
+    # each row's support, as SampledFunction.support gives it
+    lo = np.where((left == "hold") & (rows[:, 0] != 0.0), 0.0, grid[0])
+    hi = np.where((right == "hold") & (rows[:, -1] != 0.0), math.inf,
+                  grid[-1])
+    out = np.full(rows.shape[0], math.inf)
+    live = np.flatnonzero(np.isfinite(hi) & ((lo > 0.0) | (pw > -1.0)))
+    totals = _q_integrals(_linear_pieces(grid, rows[live], left, right,
+                                         lo[live], hi[live]),
+                          live.size, p, pw)
+    # Python's pow per row, as a one-row call takes it
+    out[live] = [t ** (1.0 / p) for t in totals.tolist()]
+    return out
+
+
 def lp_norm(space: LambdaSpace, f: SampledFunction, p: float,
             weight: Optional[PowerWeight] = None) -> float:
     """L^p(omega dm_lam) norm.  p = inf takes the max over the sample grid.
 
-    Returns inf when a nonzero hold-tail makes the integral diverge.
+    Returns inf when a nonzero hold-tail makes the integral diverge.  A
+    sample-backed f is a one-row lp_norms call.
     """
-    if not (p >= 1.0):
-        raise ValueError("p must be >= 1 (or inf)")
+    if f.func is None:
+        return float(lp_norms(space, f.grid, f.values[None], p, weight,
+                              f.left, f.right)[0])
+    pw = _norm_exponent(space, p, weight)
     if math.isinf(p):
         return float(np.max(np.abs(f.values)))
-    delta = weight.delta if weight is not None else 0.0
-    pw = space.weight_exponent + delta
     slo, shi = f.support()
-    if math.isinf(shi):
+    if math.isinf(shi) or (slo == 0.0 and pw <= -1.0):
         return math.inf
-    if slo == 0.0 and pw <= -1.0:
-        return math.inf
-    A, B = np.array([slo]), np.array([shi])
-    total = (_q_integrals(f, A, B, p, pw) if f.func is None
-             else _gl_cells(f, _alignment_points(f), A, B, pw, p))[0]
+    total = _gl_cells(f, _alignment_points(f), np.array([slo]),
+                      np.array([shi]), pw, p)[0]
     return float(total) ** (1.0 / p)
 

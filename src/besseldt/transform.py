@@ -8,9 +8,11 @@ with windowed kernel K_N(x,y) built from the same differences.  One
 generator, _window_sums, adds the terms v_j (L_{j+1} - L_j) in j order over
 levels L_j: the levels P_{a_j} f of a SemigroupTable for T_N f and its
 prefix sums, and kernel levels P_{a_j}(x, y) for K_N and the partial-sum
-bounds.  A table computes all the levels a read lacks with one apply_at
-call, its (level, x) points in one radial pass.  The truncated maximal
-operator
+bounds.  A table reads many windows as one batch (SemigroupTable.windows):
+it computes all the levels the windows lack with one apply_at call, its
+(level, x) points in one radial pass, and adds every window's terms in one
+pass over j, each window its own row; a single window is a batch of one.
+The truncated maximal operator
 
     T*_M f(x) = max over -M <= N1 < N2 <= M of |T_N f(x)|
 
@@ -74,7 +76,8 @@ class SemigroupTable:
     """Cache of P_{a_j} f on a fixed grid.
 
     A read computes every level it needs and the table lacks with one
-    apply_at call: its (level, x) points share one radial pass.
+    apply_at call: its (level, x) points share one radial pass.  Read many
+    windows with one windows call, so that their levels are one fill.
     """
 
     def __init__(self, space: LambdaSpace, setup: LacunarySetup,
@@ -110,13 +113,28 @@ class SemigroupTable:
         """P_{a_j} f on the grid."""
         return self._levels_of([j])[0]
 
+    def windows(self, wins) -> np.ndarray:
+        """T_N f on the grid for each window N = (n1, n2) of the sequence
+        wins, one row each.  The levels of all the windows are one read,
+        and one pass over j adds the term v_j (p_{j+1} - p_j) to the rows
+        whose window holds j: each row gets its terms one by one in j order
+        (prefix differences would round differently), with the bits of a
+        read of its window alone."""
+        wins = list(wins)
+        if not wins:
+            raise ValueError("windows needs at least one window")
+        for n1, n2 in wins:
+            _check_window(self.setup, n1, n2)
+        js = sorted({j for n1, n2 in wins for j in range(n1, n2 + 2)})
+        have = dict(zip(js, self._levels_of(js)))
+        n1, n2 = np.array(wins).T
+        return deque(_window_sums(self.setup, js[0], (
+            have.get(j) for j in range(js[0], js[-1] + 1)), n1, n2),
+            maxlen=1).pop()
+
     def window(self, n1: int, n2: int) -> np.ndarray:
-        """T_N f on the grid for N = (n1, n2): the terms v_j (p_{j+1} - p_j)
-        added one by one in j order (prefix differences would round
-        differently)."""
-        _check_window(self.setup, n1, n2)
-        return deque(_window_sums(self.setup, n1, self._levels_of(
-            range(n1, n2 + 2))), maxlen=1).pop()
+        """T_N f on the grid for N = (n1, n2): a windows read of one."""
+        return self.windows([(n1, n2)])[0]
 
     def weighted_prefixes(self, m_cap: int) -> np.ndarray:
         """S[i] = sum_{j=-M}^{-M+i-1} v_j (p_{j+1} - p_j), i = 0..2M+1, each
@@ -128,15 +146,31 @@ class SemigroupTable:
         return np.stack([np.zeros_like(sums[0]), *sums])
 
 
-def _window_sums(setup: LacunarySetup, j_lo: int, levels):
+def _window_sums(setup: LacunarySetup, j_lo: int, levels, n1=None,
+                 n2=None):
     """The partial sums of sum_{j >= j_lo} v_j (L_{j+1} - L_j) over the
     levels L_{j_lo}, L_{j_lo + 1}, ..., one after each term: the terms are
-    added in j order, and each level is read once."""
+    added in j order, and each level is read once.
+
+    With arrays n1, n2 of windows the sums are rows, one per window, from
+    exact zeros: row k takes the term of j only where n1_k <= j <= n2_k,
+    so it has the bits of the sum over its window alone.  A j in no window
+    reads no level, and its levels may be None."""
     levels = iter(levels)
     prev = next(levels)
-    total = 0.0
+    if n1 is None:
+        total = 0.0
+    else:
+        total = np.zeros((len(n1), *prev.shape))
+        n1, n2 = (np.reshape(n, (-1, *(1,) * prev.ndim)) for n in (n1, n2))
     for j, cur in enumerate(levels, start=j_lo):
-        total = total + setup.v_at(j) * (cur - prev)
+        if n1 is None:
+            total = total + setup.v_at(j) * (cur - prev)
+        else:
+            on = (n1 <= j) & (j <= n2)
+            if on.any():
+                total = np.where(on, total + setup.v_at(j) * (cur - prev),
+                                 total)
         yield total
         prev = cur
 
@@ -259,7 +293,8 @@ def cotlar_check(space, setup, cap: TruncationLevel, f: SampledFunction,
                  q: float, eval_grid, quad=QuadratureSpec()) -> CotlarReport:
     """Pointwise ratio T*_M f / (M(T_(-M,M) f) + M_q f) over eval_grid, the
     maximal functions over default_radius_grid().  T*_M f and T_(-M,M) f
-    come from one SemigroupTable of f on eval_grid.
+    come from one prefix pass of a SemigroupTable of f on eval_grid: its last
+    row is T_(-M,M) f, summed as a read of that window.
 
     Where the denominator vanishes the numerator must too (asserted); such
     points count as degenerate with ratio 0.
@@ -269,8 +304,9 @@ def cotlar_check(space, setup, cap: TruncationLevel, f: SampledFunction,
     radius_grid = default_radius_grid()
     M = cap.m_cap
     table = SemigroupTable(space, setup, f, eval_grid, quad)
-    tstar = maximal_transform(table, cap)
-    full = _on_grid(table.grid, table.window(-M, M))
+    S = table.weighted_prefixes(M)
+    tstar = max_window_sum_abs(S)
+    full = _on_grid(table.grid, S[-1])
     m_of_t = maximal_hl(space, full, 1.0, radius_grid, table.grid)
     m_q = maximal_hl(space, f, q, radius_grid, table.grid)
     denom = m_of_t + m_q
@@ -408,7 +444,7 @@ def convergence_probe(space, setup, f: SampledFunction, eval_pts, caps,
         raise ValueError("caps must increase")
     eval_pts = np.asarray(eval_pts, dtype=float)
     table = SemigroupTable(space, setup, f, eval_pts, quad)
-    vals = [table.window(-L, L) for L in caps]
+    vals = table.windows([(-L, L) for L in caps])
     sup_diffs = np.array([np.max(np.abs(b - a))
                           for a, b in zip(vals[:-1], vals[1:])])
     dim = space.dimension

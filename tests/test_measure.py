@@ -12,7 +12,8 @@ from besseldt.functions import SampledFunction, bump_mixture, constant_one, \
 from besseldt.measure import (LambdaSpace, PowerWeight, _interval_ends,
                               bmo_norm, dyadic_family, interval_masses,
                               interval_q_averages, interval_q_integrals,
-                              lp_norm)
+                              lp_norm, lp_norms)
+from besseldt.transform import _on_grid
 
 
 def test_space_validation():
@@ -214,6 +215,39 @@ def test_lp_norm_weighted(space1):
     w = PowerWeight(1.0)
     # integral_0^1 y^2 * y dy = 1/4
     assert lp_norm(space1, f, 1.0, weight=w) == pytest.approx(0.25, rel=1e-10)
+
+
+@pytest.mark.parametrize("lam", [0.3, 1.5])
+def test_row_norms_are_norms_of_their_own(lam):
+    # one lp_norms call over many rows on a grid gives each row the bits of
+    # lp_norm of that row as an operator output on the grid (held on the
+    # left, zero on the right); a row with first value 0 starts at the grid,
+    # and one whose hold tail diverges against the weight is inf
+    space = LambdaSpace(lam)
+    grid = np.geomspace(1e-3, 1e3, 9)
+    rng = np.random.default_rng(11)
+    rows = rng.normal(size=(6, grid.size))
+    rows[1, 0] = 0.0
+    rows[2] = 0.0
+    rows[3] = np.abs(rows[3])
+    diverge = PowerWeight(-(space.weight_exponent + 1.2))
+    for weight in (None, PowerWeight(0.7), diverge):
+        for p in (1.0, 1.5, 2.0):
+            got = lp_norms(space, grid, rows, p, weight)
+            want = [lp_norm(space, _on_grid(grid, row), p, weight)
+                    for row in rows]
+            assert got.tolist() == want, (weight, p)
+            if weight is None:
+                # the one-f path of interval integrals over each support
+                assert got.tolist() == [
+                    interval_q_integrals(space, _on_grid(grid, row), [0.0],
+                                         [math.inf], p)[0] ** (1.0 / p)
+                    for row in rows]
+            if weight is diverge:
+                assert np.isinf(got).tolist() == [True, False, False, True,
+                                                  True, True]
+    assert lp_norms(space, grid, rows, math.inf).tolist() == [
+        lp_norm(space, _on_grid(grid, row), math.inf) for row in rows]
 
 
 def test_power_weight_ap_bounds(space1):

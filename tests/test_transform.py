@@ -6,6 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+import besseldt.cli as cli
 import besseldt.measure as measure_mod
 import besseldt.transform as transform_mod
 from besseldt.errors import ContractError, TailEstimateError
@@ -369,6 +370,91 @@ def test_table_tail_failure_raises_at_its_level(space1, monkeypatch):
         table.level(j)
     with pytest.raises(TypeError):
         table.level(1)
+
+
+@pytest.mark.parametrize("lam", [1.0, 1.5])
+def test_windows_are_reads_of_their_own(monkeypatch, lam):
+    # overlapping, repeated and disjoint windows from one fill: each row
+    # has the bits of a fresh table's window, and a level that no window
+    # needs (the gap between disjoint windows) is not computed
+    space = LambdaSpace(lam)
+    setup = geometric(2.0, -6, 6, v=np.random.default_rng(5).normal(size=12))
+    f = bump_mixture(np.random.default_rng(6), span=(1e-1, 1e1))
+    calls = []
+
+    def counted(*args):
+        calls.append(np.ravel(args[2]).tolist())
+        return apply_at(*args)
+
+    monkeypatch.setattr(transform_mod, "apply_at", counted)
+    batches = ([(-4, 0), (-2, 3), (-2, 3), (-6, 5), (1, 2)],
+               [(-6, -5), (3, 5), (-6, -5)])
+    for wins in batches:
+        calls.clear()
+        table = SemigroupTable(space, setup, f, GRID)
+        got = table.windows(wins)
+        js = sorted({j for n1, n2 in wins for j in range(n1, n2 + 2)})
+        assert calls == [[setup.a_at(j) for j in js]]
+        assert got.shape == (len(wins), GRID.size)
+        for row, (n1, n2) in zip(got, wins):
+            fresh = SemigroupTable(space, setup, f, GRID).window(n1, n2)
+            assert np.array_equal(row, fresh)
+    assert sorted(table._levels) == [-6, -5, -4, 3, 4, 5, 6]
+    # a second read computes no level again
+    calls.clear()
+    assert np.array_equal(table.windows([(3, 5)])[0], got[1])
+    assert calls == []
+
+
+def test_windows_raise_as_window(space1, monkeypatch):
+    # a window outside the pair range, reversed or of one term raises the
+    # error of window before any level is computed
+    setup = geometric(2.0, -5, 5)
+    table = SemigroupTable(space1, setup, smooth_bump(1.0, 0.5), GRID)
+    monkeypatch.setattr(transform_mod, "apply_at", None)
+    for bad, err in (((-6, 0), IndexError), ((0, 5), IndexError),
+                     ((2, 1), ValueError), ((2, 2), ValueError)):
+        with pytest.raises(err) as alone:
+            table.window(*bad)
+        with pytest.raises(err) as batched:
+            table.windows([(-2, 2), bad])
+        assert str(batched.value) == str(alone.value)
+    with pytest.raises(ValueError, match="at least one window"):
+        table.windows([])
+    assert table._levels == {}
+
+
+def _loose_tail_from(level_time):
+    def loose_tail(space, f, t, xs, quad):
+        vals, tails = apply_at(space, f, t, xs, quad)
+        return vals, np.where(t >= level_time, 1e-6 * t / level_time, tails)
+    return loose_tail
+
+
+def test_windows_tail_failure_exits_two(space1, monkeypatch, tmp_path,
+                                        capsys):
+    # a level whose tail bound fails raises TailEstimateError from the one
+    # fill of a batch, and uniform-l2 exits 2 with the one-line message
+    setup = geometric(2.0, -3, 3)
+    table = SemigroupTable(space1, setup, constant_one(), np.array([0.5, 2.0]))
+    monkeypatch.setattr(transform_mod, "apply_at",
+                        _loose_tail_from(setup.a_at(1)))
+    with pytest.raises(TailEstimateError, match="1.000e-06"):
+        table.windows([(-3, -2), (-1, 1)])
+    assert table.max_tail == 1e-6
+    assert sorted(table._levels) == [-3, -2, -1, 0]
+    monkeypatch.setattr(transform_mod, "apply_at",
+                        _loose_tail_from(geometric(2.0, -4, 4).a_at(-4)))
+    cfg = tmp_path / "u.cfg"
+    cfg.write_text("experiment = uniform-l2\nf_count = 1\ngrid_points = 4\n"
+                   "windows = 3\nj_min = -4\nj_max = 4\n")
+    out = tmp_path / "u.csv"
+    code = cli.main(["uniform-l2", "--config", str(cfg), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("numerical failure: truncation tail ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("lam", [0.3, 1.0, 2.5])
