@@ -12,7 +12,7 @@ The measure is dm(x) = x^(2*lambda) dx.  Modules:
 - ``hankel``: Hankel transform and the spectral route to the semigroup
 - ``piecewise``: the piecewise polynomial tables of hankel and kernel
 - ``literals``: the scipy.special values of every lambda = 1 run, as
-  literals, so that such a run does not import scipy.special
+  literals, so that such a run does not import scipy
 - ``lacunary``: lacunary time sequences, regularity, refinement
 - ``transform``: differential-transform partial sums, truncated maximal
   operator, Cotlar-type checks, convergence probes

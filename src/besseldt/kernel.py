@@ -52,17 +52,18 @@ hyp2f1 at the rounded z = 1 - w is up to 2.5e-11 off, and within 1.7e-13
 at lam = 20 (scipy 2.1e-10).  Per point, on one thread of a 2-CPU Xeon
 host with numpy 2.4.6 and scipy 1.17.1, a table value takes 40 ns on
 blocks of thousands of points and 270 ns on 256, against 440-480 ns for
-hyp2f1.  scipy's hyp2f1 keeps only the 2F1s whose series end (a or b a
-non-positive integer: I_3 at lam = 1, where every other 2F1 is 1).  The
-tables are checked up to c = _TABLE_C_MAX, every 2F1 of the kernel at
-lam <= LAM_MAX = 50, and _f_table raises ValueError above it, so no kernel
-value is read from an unchecked table (kinds p and dt read only the 2F1s
-of I_k, whose c = lam + 1/2 stays checked up to lam = 51).
+hyp2f1.  The 2F1s whose series end (a or b a non-positive integer) read
+no table: I_3's at lam = 1 is 1 + a b z / c, with the bits of scipy's
+hyp2f1, and every other one (at lam = 1, 2 and 3) is 1.  The tables are
+checked up to c = _TABLE_C_MAX, every 2F1 of the kernel at lam <= LAM_MAX
+= 50, and _f_table raises ValueError above it, so no kernel value is read
+from an unchecked table (kinds p and dt read only the 2F1s of I_k, whose
+c = lam + 1/2 stays checked up to lam = 51).
 
-scipy.special is imported where it is first needed: a table build, the
-hyp2f1 branch of _hyp2f1, and the front factors off lam = 1 (_fronts).  The
-front factors at lam = 1 come from literals, so a lam = 1 run whose kinds
-are p, dt and grad does not import it.
+scipy.special is imported where it is first needed: a table build and
+the front factors off lam = 1 (_fronts).  The front factors at lam = 1
+come from literals and no 2F1 there reads a table, so no lam = 1 kernel
+value, of any kind, imports it.
 """
 
 from __future__ import annotations
@@ -143,15 +144,19 @@ def _hyp2f1(a, b, c, A, B, q):
     """2F1(a, b; c; z) at z = (B/A)^2, that is at w = 1 - z = q / A^2.
 
     Exactly 1, without a pass, when a or b is 0 (at lam = 1 for I_1, I_2,
-    J_2 and J_3), as scipy returns it; scipy's hyp2f1 at z when the series
-    ends at another non-positive integer a or b (at lam = 1 for I_3); and
-    otherwise the (a, b, c) table in w (_f_table), which raises ValueError
-    above _TABLE_C_MAX."""
+    J_2 and J_3), as scipy returns it.  When b is -1 the series ends after
+    its z term: 1 + a b z / c.  In 0 < lam <= LAM_MAX that is only I_3 at
+    lam = 1, 2F1(-1/2, -1; 3/2; z), where this form has the bits of
+    scipy's hyp2f1.  Any other series that ends at a non-positive integer
+    raises ValueError; the kernel reads none.  Otherwise the (a, b, c)
+    table in w (_f_table), which raises ValueError above _TABLE_C_MAX."""
     if a == 0 or b == 0:
         return 1.0
+    if b == -1:
+        return 1.0 + a * b * (B / A) ** 2 / c
     if any(v < 0 and float(v).is_integer() for v in (a, b)):
-        from scipy.special import hyp2f1
-        return hyp2f1(a, b, c, (B / A) ** 2)
+        raise ValueError(f"2F1({a:g}, {b:g}; {c:g}; z) has no closed form "
+                         "here: its series ends past the z term")
     return piecewise.horner(_f_table(a, b, c), q / (A * A), _locate_w)
 
 

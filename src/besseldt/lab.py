@@ -639,11 +639,15 @@ def run_transform(cfg: ExperimentConfig) -> ExperimentResult:
     f = resolve_f(cfg["f"], rng)
     grid = _grid(cfg)
     table = SemigroupTable(space, _setup(cfg), f, grid, cfg.quadrature())
-    vals = table.window(cfg["n1"], cfg["n2"])
+    wins = [(cfg["n1"], cfg["n2"])]
+    m = cfg.values.get("m")
+    if m is not None:
+        # the window (-m, m) reads T*_M's levels: one fill serves both
+        wins.append((-m, m))
+    vals = table.windows(wins)[0]
     header = ["x", "t_n"]
     columns = [grid, vals]
     summary = {"sup_t_n": float(np.max(np.abs(vals)))}
-    m = cfg.values.get("m")
     if m is not None:
         tstar = maximal_transform(table, TruncationLevel(m))
         header.append("t_star")

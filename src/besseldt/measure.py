@@ -15,8 +15,8 @@ Every integral of f over intervals takes one batched path, _batched: it
 clips the intervals to f's support and cuts them into cells at f's grid
 and breakpoints (searchsorted), and each interval's value is the sum of its
 cells, left to right.  A sample-backed f is integrated on its linear pieces
-(_linear_pieces, _q_integrals), in blocks of about _CELL_CHUNK cells.  On
-a callable-backed f (_gl_cells) a Gauss cell between two neighbouring
+(_linear_pieces, _q_integrals), in blocks of about _SAMPLED_CELLS cells.
+On a callable-backed f (_gl_cells) a Gauss cell between two neighbouring
 alignment points is built and summed once per call, however many intervals
 span it; only each interval's two end cells are its own.  f is evaluated
 once on every distinct cell's nodes, _CELL_CHUNK rows at a time, which
@@ -96,13 +96,19 @@ class PowerWeight:
 # inside (f's grid, and for a callable-backed f also its breakpoints); per
 # interval the result is the sum of its cells, left to right.
 
-#: Gauss rows per gauss_panels call of a batched integral: with at most 32
-#: nodes a row it bounds the memory of one call.  Blocks of whole intervals
-#: bound the rest: about this many cells for a sample-backed f; for a
-#: callable-backed f about as many entries as the nodes of this many
-#: 24-node rows, counting 24 for each end row and, per (interval, cell)
-#: pair, 1 for its gathered sum or, under a shift, 24 for its gathered row
+#: Gauss rows per gauss_panels call of a batched integral of a
+#: callable-backed f: with at most 32 nodes a row it bounds the memory of
+#: one call.  Blocks of whole intervals bound the rest: about as many
+#: entries as the nodes of this many 24-node rows, counting 24 for each end
+#: row and, per (interval, cell) pair, 1 for its gathered sum or, under a
+#: shift, 24 for its gathered row
 _CELL_CHUNK = 512
+
+#: cells per block of whole intervals of a batched integral of a
+#: sample-backed f: bounds the memory of its linear pieces.  perfbench's
+#: maximal workload takes M(T_(-M,M) f) over 1,322 cells a call, one block
+#: at this size and three at 512
+_SAMPLED_CELLS = 4096
 
 
 def _power_integrals(a, b, p):
@@ -352,7 +358,7 @@ def _batched(f, left, right, p, q=None, shift=None):
     clipped to f's support, [A_k, B_k]; an interval that misses the support
     gets 0.  A callable-backed f takes one _gl_cells call over all of them,
     on its grid and breakpoints; a sample-backed f one call per block of
-    whole intervals with about _CELL_CHUNK cells."""
+    whole intervals with about _SAMPLED_CELLS cells."""
     slo, shi = f.support()
     A = np.maximum(np.asarray(left, dtype=float), slo)
     B = np.minimum(np.asarray(right, dtype=float), shi)
@@ -366,7 +372,7 @@ def _batched(f, left, right, p, q=None, shift=None):
         return out
     cells = (np.searchsorted(f.grid, B, side="left")
              - np.searchsorted(f.grid, A, side="right") + 1)
-    for idx in _blocks(cells, _CELL_CHUNK):
+    for idx in _blocks(cells, _SAMPLED_CELLS):
         pieces = _linear_pieces(f.grid, f.values, f.left, f.right, A[idx],
                                 B[idx])
         n = idx.stop - idx.start

@@ -1,12 +1,12 @@
 """Gauss rules and the one panel-layout builder of the Gauss-panel integrals.
 
 The rules that every lambda = 1 run reads (Gauss-Legendre at 16 and 24
-nodes, Gauss-Jacobi (16, 0, 2)) are scipy's, held as literals in
-besseldt.literals; every other rule comes from scipy's Golub-Welsch
-implementations, imported on first use.  Rules are cached because the same
-(n, alpha, beta) combinations recur for every panel layout.  Panel layouts
-are deterministic functions of their inputs so that repeated runs are
-bit-identical.
+nodes, Gauss-Jacobi (16, 0, 2) and (24, 0, 2)) are scipy's, held as
+literals in besseldt.literals; every other rule comes from scipy's
+Golub-Welsch implementations, imported on first use.  Rules are cached
+because the same (n, alpha, beta) combinations recur for every panel
+layout.  Panel layouts are deterministic functions of their inputs so that
+repeated runs are bit-identical.
 
 panel_layouts lays out the panels and Gauss nodes of many points with array
 operations: per point, base edges and a cap on the panel width of each gap

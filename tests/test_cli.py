@@ -284,11 +284,15 @@ def test_help_builds_without_docstrings(tmp_path):
 
 
 @pytest.mark.parametrize("exp, config, special", [
-    # the lambda = 1 rules and front factors are literals; l1diff reads
-    # the Gauss-Jacobi rule of its panel at 0
+    # the lambda = 1 rules and front factors are literals, and so no
+    # scipy module loads; l1diff reads the Gauss-Jacobi rule of its panel
+    # at 0, bmo on an indicator the 24-node one of its Gauss cell at 0,
+    # and bounds-suite the closed-form 2F1 of dtgrad's I_3
     ("kernel-eval", "", False),
     ("transform", "", False),
     ("l1diff", "", False),
+    ("bounds-suite", "", False),
+    ("bmo", "f = indicator\n", False),
     # off lambda = 1 the import moves to first use
     ("kernel-eval", "lambda = 1.5\n", True),
 ])
@@ -308,6 +312,8 @@ def test_scipy_special_loads_only_off_lambda_one(tmp_path, exp, config,
                 for line in proc.stderr.splitlines()
                 if line.startswith("import time:")}
     assert ("scipy.special" in imported) == special
+    if not special:
+        assert not {m for m in imported if m.split(".")[0] == "scipy"}
 
 
 @pytest.mark.parametrize("config, x", [

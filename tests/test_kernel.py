@@ -11,6 +11,7 @@ from scipy.integrate import quad as quad_ref
 import scipy.special
 from scipy.special import beta, hyp2f1
 
+import besseldt.cli as cli
 import besseldt.kernel as kernel_mod
 from besseldt import literals
 from besseldt.errors import TailEstimateError
@@ -175,24 +176,59 @@ def test_unattainable_tail_end_names_the_first_failing_time():
 
 
 def test_unit_factors_at_lambda_one_change_no_bit(monkeypatch):
-    # at lambda = 1 every 2F1 but I_3's has a or b = 0 and I_1's power has
-    # exponent 0: kernel_values calls no hyp2f1 for p, dt and grad, and
-    # every kind keeps the bits of the formula with scipy's 2F1 and numpy's
-    # A ** 0 in place, near the diagonal (kappa down to 1e-12) too
+    # at lambda = 1 every 2F1 but I_3's has a or b = 0, I_3's is
+    # 1 + a b z / c, and I_1's power has exponent 0: kernel_values calls no
+    # hyp2f1 for any kind, and every kind keeps the bits of the formula
+    # with scipy's 2F1 and numpy's A ** 0 in place, near the diagonal
+    # (kappa down to 1e-12) too
     space = LambdaSpace(1.0)
     t, x, y = oracle_points(np.random.default_rng(12), 2000,
                             np.geomspace(1e-12, 1e3, 16))
     kinds = ("p", "dt", "grad", "dtgrad")
     with monkeypatch.context() as patch:
         patch.setattr(scipy.special, "hyp2f1", None)
-        got = {kind: kernel_values(space, t, x, y, kind) for kind in kinds[:3]}
-    got["dtgrad"] = kernel_values(space, t, x, y, "dtgrad")
+        got = {kind: kernel_values(space, t, x, y, kind) for kind in kinds}
     monkeypatch.setattr(kernel_mod, "_power", lambda A, e: A ** e)
     monkeypatch.setattr(kernel_mod, "_hyp2f1", lambda a, b, c, A, B, q: (
         hyp2f1(a, b, c, (B / A) ** 2)))
     for kind in kinds:
         assert np.array_equal(got[kind], kernel_values(space, t, x, y, kind)
                               ), kind
+
+
+def test_closed_form_i3_is_scipys_hyp2f1(monkeypatch, tmp_path):
+    # dtgrad's I_3 at lambda = 1 is the one 2F1 of the kernel whose series
+    # ends after its z term: 1 + a b z / c has the bits of scipy's hyp2f1
+    # at every point of the default bounds-suite and at random points
+    # (t, x, y) over e^(+-12)
+    real = kernel_mod._hyp2f1
+    seen = []
+
+    def recorded(a, b, c, A, B, q):
+        out = real(a, b, c, A, B, q)
+        if (a, b) == (-0.5, -1.0):
+            seen.append((c, A, B, out))
+        return out
+
+    monkeypatch.setattr(kernel_mod, "_hyp2f1", recorded)
+    assert cli.main(["bounds-suite", "--out", str(tmp_path / "b.csv")]) == 0
+    rng = np.random.default_rng(30)
+    t, x, y = np.exp(rng.uniform(-12.0, 12.0, (3, 100_000)))
+    kernel_values(LambdaSpace(1.0), t, x, y, "dtgrad")
+    assert len(seen) == 2 and seen[0][1].size == 400
+    for c, A, B, got in seen:
+        assert c == 1.5
+        assert np.array_equal(got, hyp2f1(-0.5, -1.0, c, (B / A) ** 2))
+
+
+def test_other_ending_series_raise():
+    # no other 2F1 of the kernel in 0 < lambda <= 50 ends at a
+    # non-positive integer past its z term
+    A, B = np.array([3.0]), np.array([1.0])
+    q = A * A - B * B
+    with pytest.raises(ValueError, match="ends past the z term"):
+        kernel_mod._hyp2f1(-0.5, -2.0, 1.5, A, B, q)
+    assert kernel_mod._hyp2f1(0.5, 0.0, 1.5, A, B, q) == 1.0
 
 
 def test_front_factors_at_lambda_one_are_scipys():
@@ -208,11 +244,11 @@ def test_front_factors_at_lambda_one_are_scipys():
 @pytest.mark.parametrize("lam", [1.0, 1.5])
 def test_kernel_values_runs_no_import_per_call(monkeypatch, lam):
     # scipy.special is imported where it is first needed; once a lambda's
-    # front factors and tables are made, a call of p, dt or grad runs no
-    # import statement (dtgrad's I_3 at lambda = 1 reads scipy's hyp2f1)
+    # front factors and tables are made, a kernel call runs no import
+    # statement
     space = LambdaSpace(lam)
     t, x, y = (np.geomspace(0.1, 10.0, 64) * s for s in (1.0, 1.3, 0.7))
-    kinds = ("p", "dt", "grad", ("p", "dt", "grad"))
+    kinds = ("p", "dt", "grad", "dtgrad", ("p", "dt", "grad", "dtgrad"))
     for kind in kinds:
         kernel_values(space, t, x, y, kind)
     imports = []

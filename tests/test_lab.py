@@ -11,6 +11,7 @@ import scipy.stats
 
 import besseldt
 import besseldt.cli as cli
+import besseldt.transform as transform_mod
 from besseldt.errors import ConfigError
 from besseldt.hankel import NU_MAX
 from besseldt.kernel import LAM_MAX
@@ -447,6 +448,24 @@ def test_cli_import_leaves_out_scipy_stats():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_transform_with_m_fills_its_table_once(tmp_path, monkeypatch):
+    # the window (-2, 2) needs levels -2..3 and T*_4 levels -4..5: one
+    # apply_at call of their union, not one of 6 and then one of 4
+    calls = []
+    real = transform_mod.apply_at
+
+    def counted(space, f, t, xs, quad):
+        calls.append(np.size(t))
+        return real(space, f, t, xs, quad)
+
+    monkeypatch.setattr(transform_mod, "apply_at", counted)
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("experiment = transform\nm = 4\n")
+    assert cli.main(["transform", "--config", str(cfg),
+                     "--out", str(tmp_path / "t.csv")]) == 0
+    assert calls == [10]
 
 
 #: small sizes of every experiment for the meta round trip

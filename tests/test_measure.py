@@ -176,6 +176,29 @@ def test_callable_batch_equals_one_interval_calls(lam, chunk, monkeypatch):
         assert osc == max(bmo_norm(space, f, [a], [b]) for a, b in ends)
 
 
+@pytest.mark.parametrize("cells", [1, 4096])
+def test_sampled_batch_equals_one_interval_calls(cells, monkeypatch):
+    # a sample-backed f is integrated in blocks of whole intervals; every
+    # sum, shifted ones too, keeps the bits of the interval alone
+    space = LambdaSpace(1.0)
+    grid = np.geomspace(0.05, 3.0, 40)
+    f = SampledFunction(grid, np.cos(2.0 * grid), left="hold", right="zero")
+    left, right = _interval_ends(np.geomspace(1e-2, 10.0, 24)[:, None],
+                                 np.geomspace(1e-2, 10.0, 8)[None, :])
+    left, right = left.ravel(), right.ravel()
+    with monkeypatch.context() as m:
+        m.setattr(measure_mod, "_SAMPLED_CELLS", cells)
+        batch = {q: interval_q_integrals(space, f, left, right, q)
+                 for q in (1.0, 1.5, 2.0)}
+        osc = bmo_norm(space, f, left, right)
+    for q, got in batch.items():
+        want = [interval_q_integrals(space, f, [a], [b], q)[0]
+                for a, b in zip(left, right)]
+        assert np.array_equal(got, want), q
+    assert osc == max(bmo_norm(space, f, [a], [b])
+                      for a, b in zip(left, right))
+
+
 @pytest.mark.parametrize("lam", [0.05, 0.3, 2.5])
 def test_interval_averages_of_one_are_one(lam):
     # I(400, 1e-3) is narrow and far from 0, where b^q - a^q cancels; I(0.1,

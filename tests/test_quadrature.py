@@ -302,7 +302,7 @@ def _legendre_moment(k):
 
 
 @pytest.mark.parametrize("n, weight", [(16, None), (24, None),
-                                       (16, (0.0, 2.0))])
+                                       (16, (0.0, 2.0)), (24, (0.0, 2.0))])
 def test_literal_rules_are_scipys(n, weight):
     # the lambda = 1 rules are held as literals so that such a run does not
     # import scipy.special; they must be the installed scipy's rules

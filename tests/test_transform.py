@@ -1,11 +1,16 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import besseldt
 import besseldt.cli as cli
 import besseldt.measure as measure_mod
 import besseldt.transform as transform_mod
@@ -295,6 +300,29 @@ def test_cotlar_nontrivial(space1):
     assert np.isfinite(rep.sup_ratio)
     assert 0 < rep.sup_ratio < 10.0
     assert rep.n_degenerate == 0
+
+
+def test_cotlar_check_at_lambda_one_loads_no_scipy():
+    # the maximal workload's path in a fresh interpreter: the Gauss cell at
+    # 0 of the indicator's q-integrals reads the literal 24-node Jacobi
+    # rule, so no scipy module loads
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from besseldt.functions import indicator\n"
+        "from besseldt.lacunary import geometric\n"
+        "from besseldt.measure import LambdaSpace\n"
+        "from besseldt.transform import TruncationLevel, cotlar_check\n"
+        "setup = geometric(2.0, -6, 6, v=np.power(-1.0, np.arange(-6, 6)))\n"
+        "cotlar_check(LambdaSpace(1.0), setup, TruncationLevel(4),\n"
+        "             indicator(1.07), 2.0, np.geomspace(1e-2, 1e2, 6))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    # the child imports the same besseldt as this suite
+    root = str(Path(besseldt.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_table_keeps_largest_tail_bound(space1, monkeypatch):
