@@ -14,20 +14,22 @@ The transform of a grid of frequencies y groups them into bands at the
 panelization frequency |y| (plus extra_freq for an oscillating f): every
 frequency at or below f0 = 2 pi/(hi - lo) of f's support [lo, hi] in one
 band, and from the highest remaining frequency F down, every remaining one
-above F/2 in the next.  A band shares one layout, made for F by
-quadrature.panel_layouts: panels of y_nodes_per_panel Gauss nodes at most
-one period 2 pi/F wide, aligned with f's breakpoints.  So each frequency's
+above F/2 in the next.  The bands of a call are the points of one
+quadrature.panel_layouts call, each laid out for its own F: panels of
+y_nodes_per_panel Gauss nodes at most one period 2 pi/F wide, aligned with
+f's breakpoints.  The bands share these base edges, so one call lays them
+all out and pays numpy's per-call overhead once.  So each frequency's
 panels are at most one of its own periods wide, at no more than twice its
-own nodes, and f is evaluated once per band, which pays most where f is
-itself a transform (the nested transforms of involution_defect and
-spectral_poisson_apply).  A band's sums are row sums of phi(y x) w f(x),
-in blocks of at most quadrature._NODE_BLOCK entries; a row sum does not
-depend on the block.  A value depends on its band, that is on the other
-frequencies asked for with it, only within the Gauss rule's error on the
-two layouts: at roundoff for f that 16 nodes resolve (6.1e-16 of
-sup |H f| for x^2 exp(-x^2/2) at lambda = 0.6, 1.25 and 3.5), up to
-1.6e-9 for smooth_bump(2, 1), whose edges they do not.  The Bessel order
-nu = lam - 1/2 must lie in [0, NU_MAX] = [0, 40.5].
+own nodes, and f is evaluated once per band on that band's nodes, which
+pays most where f is itself a transform (the nested transforms of
+involution_defect and spectral_poisson_apply).  A band's sums are row sums
+of phi(y x) w f(x), in blocks of at most quadrature._NODE_BLOCK entries; a
+row sum does not depend on the block.  A value depends on its band, that
+is on the other frequencies asked for with it, only within the Gauss
+rule's error on the two layouts: at roundoff for f that 16 nodes resolve
+(6.1e-16 of sup |H f| for x^2 exp(-x^2/2) at lambda = 0.6, 1.25 and 3.5),
+up to 1.6e-9 for smooth_bump(2, 1), whose edges they do not.  The Bessel
+order nu = lam - 1/2 must lie in [0, NU_MAX] = [0, 40.5].
 
 Bessel values are almost all of a transform's cost, so normalized_bessel
 reads phi from a table per order: a degree-14 polynomial on each piece
@@ -191,19 +193,24 @@ def _locate(z: np.ndarray):
 # --------------------------------------------------------------------------
 # transform quadrature
 
-def _period_layouts(lo: float, hi: float, freq: float, breakpoints, n: int,
+def _period_layouts(lo: float, hi: float, freqs, breakpoints, n: int,
                     exponent: float):
-    """The nodes and weights of quadrature.panel_layouts of [lo, hi] at one
-    frequency, with the budget MAX_HANKEL_PANELS: the breakpoints inside
-    (lo, hi) are base edges, and panels are no wider than one oscillation
-    period 2 pi/freq (nor than hi - lo)."""
+    """quadrature.panel_layouts of [lo, hi] at many frequencies, one point
+    per frequency, with the budget MAX_HANKEL_PANELS: each point's base
+    edges are lo, hi and the breakpoints inside (lo, hi), and its panels
+    are no wider than one oscillation period 2 pi/freq (nor than hi - lo).
+    A point's nodes and weights are those of its own one-frequency call.
+
+    Returns (nodes, weights, counts) as panel_layouts does."""
     bps = np.asarray(breakpoints, dtype=float)
     base = np.unique(np.concatenate([[lo, hi], bps[(bps > lo) & (bps < hi)]]))
+    freqs = np.atleast_1d(np.asarray(freqs, dtype=float))
     two_pi = 2.0 * math.pi
-    cap = two_pi / max(freq, two_pi / (hi - lo))
-    x, w, _ = panel_layouts(base, [base.size], np.full(base.size - 1, cap),
-                            n, exponent, MAX_HANKEL_PANELS)
-    return x, w
+    caps = two_pi / np.maximum(freqs, two_pi / (hi - lo))
+    return panel_layouts(np.tile(base, freqs.size),
+                         np.full(freqs.size, base.size),
+                         np.repeat(caps, base.size - 1), n, exponent,
+                         MAX_HANKEL_PANELS)
 
 
 def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
@@ -216,12 +223,16 @@ def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
     extra_freq adds to the panelization frequency |y| + extra_freq when f
     itself oscillates (e.g. f is a transform supported up to extra_freq).
 
-    The closure sums its frequencies in bands that share one layout and
-    one evaluation of w f (module docstring): every frequency at or below
+    The closure sums its frequencies in bands, each on one layout and one
+    evaluation of w f (module docstring): every frequency at or below
     f0 = 2 pi/(hi - lo) of f's support [lo, hi] in one band; from the
     highest remaining frequency F down, every remaining one above F/2 in
-    the next, laid out by _period_layouts at F.  A band whose layout needs
-    more than MAX_HANKEL_PANELS panels raises QuadratureError.
+    the next.  The bands of a call are the points of one _period_layouts
+    call, band k's at its top F_k, and are summed in that top-down order.
+    The call's nodes are held at once: band tops at least halve, so they
+    are at most about twice its top band's.  A layout that needs more than
+    MAX_HANKEL_PANELS panels raises QuadratureError, naming the highest
+    such band's count, before any band is summed.
     """
     slo, shi = f.support()
     if math.isinf(shi):
@@ -237,13 +248,20 @@ def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
         sorted_freqs = freqs[order]
         f0 = 2.0 * math.pi / (shi - slo)
         low = np.searchsorted(sorted_freqs, f0, side="right")
-        stop = ys.size
-        while stop > 0:
-            top = sorted_freqs[stop - 1]
-            start = 0 if top <= f0 else max(low, np.searchsorted(
-                sorted_freqs, 0.5 * top, side="right"))
-            x, w = _period_layouts(slo, shi, top, bps, quad.y_nodes_per_panel,
-                                   space.weight_exponent)
+        # band k, top down, holds order[stops[k + 1]:stops[k]] and has
+        # its top frequency at tops[k]
+        stops, tops = [ys.size], []
+        while stops[-1] > 0:
+            top = sorted_freqs[stops[-1] - 1]
+            tops.append(top)
+            stops.append(0 if top <= f0 else max(low, np.searchsorted(
+                sorted_freqs, 0.5 * top, side="right")))
+        xs, ws, counts = _period_layouts(slo, shi, tops, bps,
+                                         quad.y_nodes_per_panel,
+                                         space.weight_exponent)
+        cuts = np.cumsum(counts)[:-1]
+        for x, w, start, stop in zip(np.split(xs, cuts), np.split(ws, cuts),
+                                     stops[1:], stops):
             wf = w * f(x)
             band = order[start:stop]
             rows = max(1, quadrature._NODE_BLOCK // x.size)
@@ -251,7 +269,6 @@ def hankel_transform(space: LambdaSpace, f: SampledFunction, eval_grid,
                 idx = band[first:first + rows]
                 phi = normalized_bessel(nu, np.multiply.outer(ys[idx], x))
                 out[idx] = np.sum(phi * wf, axis=1)
-            stop = start
         return out
 
     return SampledFunction.from_callable(closure, eval_grid, left="hold")

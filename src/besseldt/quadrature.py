@@ -16,12 +16,12 @@ plans the same layouts from the radial rule's base edges and caps, with a
 peak scale per point, so every (time, x) point of a semigroup table's fill
 shares one call.  It sums a vectorized integrand on them in blocks of whole
 points of at most _RADIAL_NODES nodes, counted from the planned panels
-before any node is built.  The Hankel transform gives panel_layouts f's
-breakpoints and one oscillation period 2 pi/F of the top frequency F of a
-band of frequencies within a factor 2 of F, and sums the band on that one
-layout in blocks of at most _NODE_BLOCK (frequency, node) pairs.  Its node
-step, gauss_panels, also makes the Gauss cells of measure's interval
-integrals.
+before any node is built.  The Hankel transform lays out all bands of a
+call in one panel_layouts call, one point per band of frequencies within a
+factor 2 of its top F: f's breakpoints, and one oscillation period 2 pi/F
+as the cap.  It sums each band on its own layout in blocks of at most
+_NODE_BLOCK (frequency, node) pairs.  panel_layouts' node step,
+gauss_panels, also makes the Gauss cells of measure's interval integrals.
 """
 
 from __future__ import annotations
@@ -130,7 +130,8 @@ def _layout_gaps(edges, counts, caps, max_panels: int):
     starts = np.cumsum(counts) - counts
     inner = np.ones(edges.size, dtype=bool)
     inner[starts] = False
-    a, b = edges[np.roll(inner, -1)], edges[inner]
+    # inner[0] is False: the gap ending at inner edge i starts at edge i-1
+    a, b = edges[:-1][inner[1:]], edges[inner]
 
     # per gap: m doubling edges up to cur, then k equal pieces; m is the
     # least m >= 1 with a 2^m >= min(b, cap), from a rounded log2

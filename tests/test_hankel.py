@@ -303,6 +303,16 @@ def _random_layout_case(rng, lo_zero):
     return lo, hi, bps, freqs
 
 
+def _per_frequency(layouts, freqs):
+    """(freq, nodes, weights) per frequency of a _period_layouts call."""
+    nodes, weights, counts = layouts
+    assert counts.size == len(freqs)
+    ends = np.cumsum(counts)
+    assert ends[-1] == nodes.size == weights.size
+    for freq, end, count in zip(freqs, ends, counts):
+        yield freq, nodes[end - count:end], weights[end - count:end]
+
+
 @pytest.mark.parametrize("lo_zero", [True, False])
 def test_osc_layouts_match_per_frequency_loop(lo_zero):
     # a first panel at 0 takes numpy's array power where the loop takes
@@ -313,8 +323,8 @@ def test_osc_layouts_match_per_frequency_loop(lo_zero):
         lo, hi, bps, freqs = _random_layout_case(rng, lo_zero)
         n = int(rng.choice([4, 8, 16]))
         expo = float(rng.choice([0.2, 1.2, 2.0, 3.7, 7.0]))
-        for freq in freqs:
-            nodes, weights = _period_layouts(lo, hi, freq, bps, n, expo)
+        for freq, nodes, weights in _per_frequency(
+                _period_layouts(lo, hi, freqs, bps, n, expo), freqs):
             want_nodes, want_weights = _loop_nodes(
                 _osc_edges_loop(lo, hi, freq, bps), n, expo)
             assert np.array_equal(nodes, want_nodes)
@@ -341,8 +351,8 @@ def test_osc_layouts_one_period_panels_on_breakpoints(lo_zero):
     rng = np.random.default_rng(5)
     for _ in range(40):
         lo, hi, bps, freqs = _random_layout_case(rng, lo_zero)
-        for freq in freqs:
-            nodes, _ = _period_layouts(lo, hi, freq, bps, 8, 2.0)
+        for freq, nodes, _ in _per_frequency(
+                _period_layouts(lo, hi, freqs, bps, 8, 2.0), freqs):
             edges, width = _panel_edges_of(nodes, 8, lo, 2.0)
             tol = 1e-9 * hi
             assert abs(edges[0] - lo) <= tol and abs(edges[-1] - hi) <= tol
@@ -355,18 +365,44 @@ def test_osc_layouts_panel_budget(monkeypatch):
     # the Hankel route shares the budget of panel_layouts: a frequency whose
     # layout has P panels passes with MAX_HANKEL_PANELS = P and raises
     # QuadratureError (exit 2) below it, naming the interval
-    def layouts():
-        for freq in (2.0, 40.0, 80.0):
-            nodes, weights = _period_layouts(0.0, 3.0, freq, (1.0, 2.0), 16,
-                                             2.0)
-            yield nodes, weights, np.array([nodes.size])
-
-    assert_budget_boundary(monkeypatch, hankel_mod, "MAX_HANKEL_PANELS",
-                           lambda: list(layouts()), 3)
+    assert_budget_boundary(
+        monkeypatch, hankel_mod, "MAX_HANKEL_PANELS",
+        lambda: [_period_layouts(0.0, 3.0, (2.0, 40.0, 80.0), (1.0, 2.0), 16,
+                                 2.0)], 3)
+    # a closure's bands share one layout call: an over-budget call names
+    # its highest band, and no band is summed before it raises
+    f, ys = smooth_bump(2.0, 1.0), np.array([0.5, 50.0])
+    lo, hi = f.support()
+    monkeypatch.setattr(hankel_mod, "MAX_HANKEL_PANELS", 10 ** 6)
+    top = _period_layouts(lo, hi, ys[1:], f.quad_breakpoints(), 16,
+                          2.0)[2][0] // 16
+    assert top > 4
     monkeypatch.setattr(hankel_mod, "MAX_HANKEL_PANELS", 4)
-    with pytest.raises(QuadratureError, match="above the budget of 4"):
-        hankel_transform(LambdaSpace(1.0), smooth_bump(2.0, 1.0),
-                         np.array([0.5, 50.0]))
+    summed = []
+    monkeypatch.setattr(hankel_mod, "normalized_bessel",
+                        lambda nu, z: summed.append(z))
+    with pytest.raises(QuadratureError,
+                       match=f"needs {top} panels, above the budget of 4"):
+        hankel_transform(LambdaSpace(1.0), f, ys)
+    assert not summed
+
+
+@pytest.mark.parametrize("lo_zero", [True, False])
+def test_osc_layouts_of_many_frequencies_are_their_own(lo_zero):
+    # each frequency's slice of a many-frequency call is its one-frequency
+    # call, bit for bit
+    rng = np.random.default_rng(17 + lo_zero)
+    for _ in range(40):
+        lo, hi, bps, freqs = _random_layout_case(rng, lo_zero)
+        n = int(rng.choice([4, 8, 16]))
+        expo = float(rng.choice([0.2, 1.2, 2.0, 3.7, 7.0]))
+        for freq, nodes, weights in _per_frequency(
+                _period_layouts(lo, hi, freqs, bps, n, expo), freqs):
+            one_nodes, one_weights, one_count = _period_layouts(
+                lo, hi, freq, bps, n, expo)
+            assert np.array_equal(one_count, [nodes.size])
+            assert np.array_equal(nodes, one_nodes)
+            assert np.array_equal(weights, one_weights)
 
 
 def _x2_gaussian():
@@ -472,3 +508,66 @@ def test_hankel_transform_against_refined_rule(lam):
         print(f"lambda {lam} {name}: one period {err:.2e}, "
               f"half period {err_half:.2e}")
         assert err <= max(2.0 * err_half, 2e-13), name
+
+
+@pytest.mark.parametrize("route", ["fixed_point", "involution", "spectral"])
+def test_hankel_closure_lays_out_its_bands_in_one_call(monkeypatch, route):
+    # every call of a hankel_transform closure, the nested ones included,
+    # makes exactly one panel_layouts call, before it evaluates f
+    log = []
+    real_layouts = hankel_mod.panel_layouts
+    real_from_callable = SampledFunction.from_callable
+
+    def layouts(*args):
+        log.append("layout")
+        return real_layouts(*args)
+
+    def from_callable(func, grid, *args, **kwargs):
+        if func.__qualname__ == "hankel_transform.<locals>.closure":
+            closure = func
+
+            def func(ys):
+                log.append("call")
+                return closure(ys)
+        return real_from_callable(func, grid, *args, **kwargs)
+
+    monkeypatch.setattr(hankel_mod, "panel_layouts", layouts)
+    monkeypatch.setattr(SampledFunction, "from_callable",
+                        staticmethod(from_callable))
+    space = LambdaSpace(1.25)
+    if route == "fixed_point":
+        gaussian_fixed_point_defect(space, np.geomspace(0.01, 10.0, 24))
+    elif route == "involution":
+        involution_defect(space, _x2_gaussian(), np.array([0.8, 1.9]), 10.0)
+    else:
+        spectral_poisson_apply(space, smooth_bump(2.0, 1.0), 1.0,
+                               np.array([0.8, 1.9]))
+    assert len(log) >= 2
+    assert log == ["call", "layout"] * (len(log) // 2)
+
+
+@pytest.mark.parametrize("lam", [0.6, 1.25, 3.5])
+def test_hankel_transform_is_its_band_by_band_sum(lam):
+    # reference: the bands laid out one by one, each by a one-frequency
+    # _period_layouts call at its top, and summed top down
+    space = LambdaSpace(lam)
+    nu = lam - 0.5
+    batch = np.geomspace(0.05, 300.0, 40)
+    for f in (_x2_gaussian(), smooth_bump(2.0, 1.0)):
+        lo, hi = f.support()
+        bps = f.quad_breakpoints()
+        f0 = 2.0 * math.pi / (hi - lo)
+        order = np.argsort(batch)
+        want = np.zeros_like(batch)
+        stop = batch.size
+        while stop > 0:
+            top = batch[order[stop - 1]]
+            start = 0 if top <= f0 else max(
+                int(np.sum(batch <= f0)), int(np.sum(batch <= 0.5 * top)))
+            x, w, _ = _period_layouts(lo, hi, top, bps, 16,
+                                      space.weight_exponent)
+            band = order[start:stop]
+            want[band] = np.sum(normalized_bessel(
+                nu, np.multiply.outer(batch[band], x)) * (w * f(x)), axis=1)
+            stop = start
+        assert np.array_equal(hankel_transform(space, f, batch).values, want)
