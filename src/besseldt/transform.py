@@ -19,7 +19,10 @@ The truncated maximal operator
 is computed from prefix sums in one linear pass.  Verification ops check the
 Calderon-Zygmund-type bounds of K_N, the tail partial-sum estimate on
 lacunary sequences, a Cotlar-type domination of T*_M, and the Cauchy
-behaviour of T_N f along growing windows.
+behaviour of T_N f along growing windows.  A sweep of Cotlar checks over
+caps on one f object shares one table and one M_q f: the module keeps the
+last successful call's, and a call with the same f, setup, space, quad, q
+and grid fills only the levels its cap adds (cotlar_check).
 """
 
 from __future__ import annotations
@@ -289,6 +292,11 @@ class CotlarReport:
     n_degenerate: int
 
 
+# (table, q, M_q f) of the last cotlar_check call that returned, under the
+# one key "last"; dict.pop takes it atomically, so no two calls share it.
+_cotlar_slot: dict = {}
+
+
 def cotlar_check(space, setup, cap: TruncationLevel, f: SampledFunction,
                  q: float, eval_grid, quad=QuadratureSpec()) -> CotlarReport:
     """Pointwise ratio T*_M f / (M(T_(-M,M) f) + M_q f) over eval_grid, the
@@ -298,17 +306,39 @@ def cotlar_check(space, setup, cap: TruncationLevel, f: SampledFunction,
 
     Where the denominator vanishes the numerator must too (asserted); such
     points count as degenerate with ratio 0.
+
+    A sweep of caps on one f shares its table and M_q f: the module keeps
+    the last call's (table, q, M_q f) in one slot, and a call reuses them
+    when f and setup are the same objects (`is`: a callable f cannot be
+    compared), space, quad and q are equal, and eval_grid equals the
+    table's grid.  Such a call fills only the levels its cap adds and skips
+    M_q f.  Each point's level and M_q f have the bits of a fresh call's,
+    and new levels are tail-checked in j order above levels that have
+    passed.  Any other call builds a fresh table and replaces the kept one.
+    The slot is emptied before the work and set only when the call
+    returns, so a call that raises leaves no half-filled table.  It holds
+    strong references to one table and its f, so no id is reused while
+    they are kept, and a new f object per call never reuses them.  The
+    arrays of f and setup must not be changed in place between calls.
     """
     if q <= 1.0:
         raise ValueError("q must exceed 1")
     radius_grid = default_radius_grid()
     M = cap.m_cap
-    table = SemigroupTable(space, setup, f, eval_grid, quad)
+    last = _cotlar_slot.pop("last", None)
+    if (last is not None and last[0].f is f and last[0].setup is setup
+            and last[0].space == space and last[0].quad == quad
+            and last[1] == q and np.array_equal(last[0].grid, eval_grid)):
+        table, _, m_q = last
+    else:
+        table = SemigroupTable(space, setup, f, eval_grid, quad)
+        m_q = None
     S = table.weighted_prefixes(M)
     tstar = max_window_sum_abs(S)
     full = _on_grid(table.grid, S[-1])
     m_of_t = maximal_hl(space, full, 1.0, radius_grid, table.grid)
-    m_q = maximal_hl(space, f, q, radius_grid, table.grid)
+    if m_q is None:
+        m_q = maximal_hl(space, f, q, radius_grid, table.grid)
     denom = m_of_t + m_q
     ratios = np.zeros_like(denom)
     degenerate = denom <= 0.0
@@ -317,6 +347,7 @@ def cotlar_check(space, setup, cap: TruncationLevel, f: SampledFunction,
             "maximal transform nonzero where both maximal functions vanish")
     ok = ~degenerate
     ratios[ok] = tstar[ok] / denom[ok]
+    _cotlar_slot["last"] = (table, q, m_q)
     return CotlarReport(M, float(ratios.max()), ratios,
                         int(np.count_nonzero(degenerate)))
 

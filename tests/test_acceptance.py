@@ -239,12 +239,13 @@ def test_criterion_08_uniformity_checks():
     assert size_spread <= 0.25
     assert grad_spread <= 0.25
 
-    # (c) Cotlar sup ratio stable under the truncation cap
+    # (c) Cotlar sup ratio stable under the truncation cap; one f object
+    # for every cap, so the caps share one table and one M_q f
     setup_c = geometric(2.0, -17, 17, v=alternating(-17, 17))
+    f_c = indicator(1.0)
     sups = []
     for M in (4, 8, 16):
-        rep = cotlar_check(SPACE1, setup_c, TruncationLevel(M),
-                           indicator(1.0), 2.0,
+        rep = cotlar_check(SPACE1, setup_c, TruncationLevel(M), f_c, 2.0,
                            np.geomspace(1e-2, 1e2, 48), QUAD)
         sups.append(rep.sup_ratio)
     cot_spread = (max(sups) - min(sups)) / max(sups)

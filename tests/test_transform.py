@@ -325,6 +325,124 @@ def test_cotlar_check_at_lambda_one_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+# the maximal workload's inputs: alternating weights over 2^j, j in [-17, 17)
+COTLAR_GRID = np.geomspace(1e-2, 1e2, 6)
+
+
+def _cotlar_setup():
+    return geometric(2.0, -17, 17, v=alternating(-17, 17))
+
+
+def _report_bits(rep):
+    return (rep.m_cap, rep.sup_ratio.hex(), rep.ratios.shape,
+            rep.ratios.tobytes(), rep.n_degenerate)
+
+
+def _count_cotlar_work(monkeypatch, f):
+    """Patch transform.apply_at and transform.maximal_hl to count the
+    (t, x) points filled and the maximal_hl calls on f."""
+    work = {"points": 0, "m_q": 0}
+
+    def counted_apply_at(space, g, t, xs, quad):
+        work["points"] += np.broadcast(t, xs).size
+        return apply_at(space, g, t, xs, quad)
+
+    def counted_maximal_hl(space, g, q, radii, pts):
+        work["m_q"] += g is f
+        return maximal_hl(space, g, q, radii, pts)
+
+    monkeypatch.setattr(transform_mod, "apply_at", counted_apply_at)
+    monkeypatch.setattr(transform_mod, "maximal_hl", counted_maximal_hl)
+    return work
+
+
+@pytest.mark.parametrize("caps", [(4, 8, 16), (16, 8, 4)])
+@pytest.mark.parametrize("lam", [1.0, 1.5])
+def test_cotlar_sweep_equals_fresh_calls(lam, caps):
+    # a sweep of caps on one f object shares one table and one M_q f; each
+    # report has the bits of a call on a fresh f object
+    space, setup = LambdaSpace(lam), _cotlar_setup()
+    f = indicator(1.07, 1.3)
+    swept = [cotlar_check(space, setup, TruncationLevel(M), f, 2.0,
+                          COTLAR_GRID) for M in caps]
+    for M, rep in zip(caps, swept):
+        fresh = cotlar_check(space, setup, TruncationLevel(M),
+                             indicator(1.07, 1.3), 2.0, COTLAR_GRID)
+        assert _report_bits(rep) == _report_bits(fresh)
+
+
+def test_cotlar_sweep_fills_each_level_once(space1, monkeypatch):
+    # 4, 8, 16 on a 6-point grid: levels -16..17, 34 x 6 (t, x) points in
+    # all (62 x 6 with a table per call), and M_q f once (three times)
+    setup, f = _cotlar_setup(), indicator(1.07, 1.3)
+    work = _count_cotlar_work(monkeypatch, f)
+    for M in (4, 8, 16):
+        cotlar_check(space1, setup, TruncationLevel(M), f, 2.0, COTLAR_GRID)
+    assert work == {"points": 34 * 6, "m_q": 1}
+
+
+_ONE_ULP_OFF = COTLAR_GRID.copy()
+_ONE_ULP_OFF[2] = np.nextafter(_ONE_ULP_OFF[2], np.inf)
+
+
+@pytest.mark.parametrize("key, value, reused", [
+    (None, None, True),
+    ("space", LambdaSpace(1.0), True),         # a new but equal space
+    ("eval_grid", list(COTLAR_GRID), True),    # an equal grid as a list
+    ("f", indicator(1.07, 1.3), False),        # a new but equal f
+    ("setup", _cotlar_setup(), False),         # a new but equal setup
+    ("q", 3.0, False),
+    ("quad", QuadratureSpec(y_nodes_per_panel=24), False),
+    ("space", LambdaSpace(1.5), False),
+    ("eval_grid", _ONE_ULP_OFF, False),
+])
+def test_cotlar_reuse_needs_every_key(monkeypatch, key, value, reused):
+    # a second cap-4 call fills no level and skips M_q f only when f and
+    # setup are the same objects and space, quad, q and grid are equal
+    f = indicator(1.07, 1.3)
+    args = {"space": LambdaSpace(1.0), "setup": _cotlar_setup(),
+            "cap": TruncationLevel(4), "f": f, "q": 2.0,
+            "eval_grid": COTLAR_GRID, "quad": QuadratureSpec()}
+    cotlar_check(**args)
+    if key is not None:
+        args[key] = value
+    work = _count_cotlar_work(monkeypatch, args["f"])
+    cotlar_check(**args)
+    assert work == ({"points": 0, "m_q": 0} if reused
+                    else {"points": 10 * 6, "m_q": 1})
+
+
+@pytest.mark.parametrize("failure", ["error", "tail"])
+def test_cotlar_failed_call_keeps_no_table(space1, monkeypatch, failure):
+    # a call that raises, in apply_at or at a level's tail check after
+    # earlier levels were stored, empties the slot: the next call on the
+    # same f computes all its levels and M_q f and matches a fresh call
+    setup, f = _cotlar_setup(), indicator(1.07, 1.3)
+    cotlar_check(space1, setup, TruncationLevel(4), f, 2.0, COTLAR_GRID)
+    state = {"armed": True}
+
+    def fail_once(space, g, t, xs, quad):
+        vals, tails = apply_at(space, g, t, xs, quad)
+        if state.pop("armed", False):
+            if failure == "error":
+                raise RuntimeError("apply_at failed")
+            tails = tails.copy()
+            tails[-1] = 1e-6
+        return vals, tails
+
+    monkeypatch.setattr(transform_mod, "apply_at", fail_once)
+    with pytest.raises(RuntimeError if failure == "error"
+                       else TailEstimateError):
+        cotlar_check(space1, setup, TruncationLevel(8), f, 2.0, COTLAR_GRID)
+    work = _count_cotlar_work(monkeypatch, f)
+    rep = cotlar_check(space1, setup, TruncationLevel(8), f, 2.0,
+                       COTLAR_GRID)
+    assert work == {"points": 18 * 6, "m_q": 1}
+    fresh = cotlar_check(space1, setup, TruncationLevel(8),
+                         indicator(1.07, 1.3), 2.0, COTLAR_GRID)
+    assert _report_bits(rep) == _report_bits(fresh)
+
+
 def test_table_keeps_largest_tail_bound(space1, monkeypatch):
     f = constant_one()
     setup = geometric(2.0, -3, 3)
