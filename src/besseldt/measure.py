@@ -501,7 +501,8 @@ def lp_norm(space: LambdaSpace, f: SampledFunction, p: float,
     """L^p(omega dm_lam) norm.  p = inf takes the max over the sample grid.
 
     Returns inf when a nonzero hold-tail makes the integral diverge.  A
-    sample-backed f is a one-row lp_norms call.
+    sample-backed f is a one-row lp_norms call, a callable-backed f one
+    interval, its support, of _batched.
     """
     if f.func is None:
         return float(lp_norms(space, f.grid, f.values[None], p, weight,
@@ -512,7 +513,5 @@ def lp_norm(space: LambdaSpace, f: SampledFunction, p: float,
     slo, shi = f.support()
     if math.isinf(shi) or (slo == 0.0 and pw <= -1.0):
         return math.inf
-    total = _gl_cells(f, _alignment_points(f), np.array([slo]),
-                      np.array([shi]), pw, p)[0]
-    return float(total) ** (1.0 / p)
+    return float(_batched(f, [slo], [shi], pw, p)[0]) ** (1.0 / p)
 
