@@ -2,6 +2,7 @@
 
     python e2e/run.py check
     python e2e/run.py compare TREE
+    python e2e/run.py time TREE [NAME ...]
 
 Every entry of ``e2e/manifest.toml`` is one run: an experiment with its
 config text and seed (or a script under ``e2e/``), its expected exit code,
@@ -32,6 +33,13 @@ the largest absolute and relative difference (relative to TREE's value).
 A difference fails unless the manifest's ``[tolerance.<experiment>]``
 table allows it (``abs`` or ``rel``); the default tolerance is 0.
 
+``time TREE [NAME ...]`` runs each entry named (by default every entry)
+``TIME_PAIRS`` times on this checkout and as often on TREE, alternating
+which side goes first, both at one BLAS thread.  It prints both sides'
+median wall seconds, interpreter start included, and their ratio, this
+checkout over TREE.  A run that exits with another code than its entry's
+is reported and fails the command.
+
 Standard library only: the package runs in fresh interpreters, with
 ``PYTHONPATH`` set to the tree's ``src``.
 """
@@ -41,6 +49,7 @@ from __future__ import annotations
 import math
 import os
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -56,6 +65,8 @@ _FIELDS = {"name", "experiment", "script", "config", "seed", "exit",
            "stderr", "checks", "same_rows"}
 _SCIPY = re.compile(r"\| +(scipy(\.\S*)?)$", re.M)
 _INT = re.compile(r"-?\d+")
+#: runs of each entry per side in time, in alternating pairs
+TIME_PAIRS = 3
 
 
 # --------------------------------------------------------------------------
@@ -386,16 +397,61 @@ def compare(tree, here=ROOT, manifest=MANIFEST) -> int:
     return 1 if failed else 0
 
 
+# --------------------------------------------------------------------------
+# time
+
+def time_entries(tree, names=(), here=ROOT, manifest=MANIFEST,
+                 pairs=TIME_PAIRS) -> int:
+    """Time the entries named (every entry when none is) on here and on
+    tree, in `pairs` pairs of runs at one BLAS thread: here first in the
+    first pair, tree first in the next, and so on.  Print one line per
+    entry with the median wall seconds of each side and their ratio, here
+    over tree.  Returns 2 for a name that is no entry, 1 when a run exits
+    with another code than its entry's, else 0."""
+    entries, _ = load(manifest)
+    unknown = sorted(set(names) - {e["name"] for e in entries})
+    if unknown:
+        print(f"no entry named {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    failed = []
+    print(f"{'entry':24} {'here s':>8} {'tree s':>8} {'here/tree':>9}")
+    with tempfile.TemporaryDirectory(prefix="besseldt-e2e-") as work:
+        for entry in entries:
+            if names and entry["name"] not in names:
+                continue
+            walls, codes = ([], []), set()
+            for k in range(pairs):
+                for side in ((0, 1), (1, 0))[k % 2]:
+                    start = time.perf_counter()
+                    r = run_once((here, tree)[side], entry,
+                                 Path(work, entry["name"], f"{k}_{side}"),
+                                 threads=1)
+                    walls[side].append(time.perf_counter() - start)
+                    codes.add(r.code)
+            mine, theirs = (statistics.median(w) for w in walls)
+            print(f"{entry['name']:24} {mine:8.3f} {theirs:8.3f} "
+                  f"{mine / theirs:9.3f}", flush=True)
+            if codes != {entry["exit"]}:
+                print(f"{'':24} FAIL: exit codes {sorted(codes)}, expected "
+                      f"{entry['exit']}", flush=True)
+                failed.append(entry["name"])
+    return 1 if failed else 0
+
+
 def main(argv) -> int:
     if argv == ["check"]:
         return check()
-    if len(argv) == 2 and argv[0] == "compare":
+    if (argv[:1] == ["compare"] and len(argv) == 2
+            or argv[:1] == ["time"] and len(argv) >= 2):
         tree = Path(argv[1])
         if not (tree / "src" / "besseldt").is_dir():
             print(f"{tree} holds no src/besseldt", file=sys.stderr)
             return 2
+        if argv[0] == "time":
+            return time_entries(tree, argv[2:])
         return compare(tree)
-    print("usage: python e2e/run.py check | compare TREE", file=sys.stderr)
+    print("usage: python e2e/run.py check | compare TREE | "
+          "time TREE [NAME ...]", file=sys.stderr)
     return 2
 
 

@@ -444,12 +444,13 @@ def apply_at(space: LambdaSpace, f: SampledFunction, t, xs,
     """(P_t f)(x) over broadcast arrays t and x, with a truncation-tail
     estimate.
 
-    Returns (values, tail_bounds), each of the broadcast shape.  One
-    quadrature.radial_sums call sums every (t, x) as one point, laid out on
-    f's breakpoints and graded around y = x at scale t, with one kernel
-    evaluation per block of points.  An unbounded support (nonzero hold
-    tail) is truncated where the analytic kernel-decay bound drops below
-    the tolerance.
+    Returns (values, tail_bounds), each of the broadcast shape, empty when
+    it is.  One quadrature.radial_sums call sums every (t, x) as one point,
+    laid out on f's breakpoints and graded around y = x at scale t, with
+    one kernel evaluation per block of points and one evaluation of f on
+    the distinct panels of a group of points.  An unbounded support
+    (nonzero hold tail) is truncated where the analytic kernel-decay bound
+    drops below the tolerance.
     """
     t, xs = np.broadcast_arrays(np.asarray(t, dtype=float),
                                 np.atleast_1d(np.asarray(xs, dtype=float)))
@@ -466,11 +467,11 @@ def apply_at(space: LambdaSpace, f: SampledFunction, t, xs,
     ts, x = t.ravel(), xs.ravel()
 
     def integrand(i, y, w):
-        return (w * kernel_values(space, ts[i], x[i], y)) * f(y)
+        return w * kernel_values(space, ts[i], x[i], y)
 
     return radial_sums(slo, his.ravel(), x, ts, f.quad_breakpoints(),
                        quad.y_nodes_per_panel, space.weight_exponent,
-                       integrand).reshape(xs.shape), tails
+                       integrand, f).reshape(xs.shape), tails
 
 
 def poisson_apply(space: LambdaSpace, f: SampledFunction, t: float,

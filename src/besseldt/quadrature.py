@@ -10,18 +10,24 @@ repeated runs are bit-identical.
 
 panel_layouts lays out the panels and Gauss nodes of many points with array
 operations: per point, base edges and a cap on the panel width of each gap
-between them.  radial_sums is the one call of the radial integrals against
-the kernel (apply_at, kernel_difference_l1 and the kernel route of T_N): it
-plans the same layouts from the radial rule's base edges and caps, with a
-peak scale per point, so every (time, x) point of a semigroup table's fill
-shares one call.  It sums a vectorized integrand on them in blocks of whole
-points of at most _RADIAL_NODES nodes, counted from the planned panels
-before any node is built.  The Hankel transform lays out all bands of a
-call in one panel_layouts call, one point per band of frequencies within a
-factor 2 of its top F: f's breakpoints, and one oscillation period 2 pi/F
-as the cap.  It sums each band on its own layout in blocks of at most
-_NODE_BLOCK (frequency, node) pairs.  panel_layouts' node step,
-gauss_panels, also makes the Gauss cells of measure's interval integrals.
+between them; its edge step, _gap_edges, gives the panel ends and its node
+step, gauss_panels, the nodes and weights.  radial_sums is the one call of
+the radial integrals against the kernel (apply_at, kernel_difference_l1
+and the kernel route of T_N): it plans the same layouts from the radial
+rule's base edges and caps, with a peak scale per point, so every (time, x)
+point of a semigroup table's fill shares one call.  The points of a fill
+share most of their panels: the rungs x +- t 2^k of dyadic times land on
+the same edges at every level, and at large t every x is cut only at f's
+breakpoints.  So radial_sums builds the nodes, weights and f values of
+each distinct panel of a group of points once, and sums the weighted
+kernel terms times f on them in blocks of whole points of at most
+_RADIAL_NODES nodes, counted from the planned panels before any node is
+built.  The Hankel transform lays out all bands of a call in one
+panel_layouts call, one point per band of frequencies within a factor 2 of
+its top F: f's breakpoints, and one oscillation period 2 pi/F as the cap.
+It sums each band on its own layout in blocks of at most _NODE_BLOCK
+(frequency, node) pairs.  gauss_panels also makes the Gauss cells of
+measure's interval integrals.
 """
 
 from __future__ import annotations
@@ -106,13 +112,20 @@ _NODE_BLOCK = 1 << 21
 
 #: candidate edges of one layout block of radial_sums, and nodes of one
 #: integrand call unless one point has more: bounds the memory of a block.
-#: With one function per layout, on a 2-CPU Xeon with one BLAS thread,
-#: perfbench's semigroup workload reads a norm_wall_s of 0.0321 s and a
-#: peak RSS of 59.6 MB at 4096, against 0.0326 s and 61.1 MB at 16384
-#: (medians of three alternating pairs); the default uniform-l2 CLI run
-#: took 4.58 s at 4096 and 4.33 s at 16384 (seven pairs, 16384 faster in
-#: four).  Every output is the same at both sizes.
+#: With f built once per distinct panel, on a 2-CPU Xeon with one BLAS
+#: thread, perfbench's semigroup workload reads a norm_wall_s of 0.0218 s
+#: and a peak RSS of 59.6 MB at 4096, against 0.0193 s and 60.5 MB at 8192
+#: (medians of six alternating pairs, 8192 faster in all six); the default
+#: uniform-l2 CLI run took 1.00 and 1.20 times as long at 4096 as at 8192,
+#: and weighted 1.07 and 1.09 (two sets of three pairs, e2e/run.py time).
+#: So 8192 is faster, but not in the same memory.  Every output is the
+#: same at both sizes.
 _RADIAL_NODES = 4096
+
+#: nodes of the panels of whole points that radial_sums lays out together
+#: and builds once per distinct panel, unless one point has more: bounds
+#: the distinct nodes, weights and f values held at once
+_DISTINCT_NODES = 1 << 16
 
 #: budget of panels per point of radial_sums
 MAX_RADIAL_PANELS = 400
@@ -162,8 +175,8 @@ def _layout_gaps(edges, counts, caps, max_panels: int):
             (a, b, cur, step, m, k, gap_panels.astype(np.int64)))
 
 
-def _gap_nodes(firsts, panels, gaps, n: int, exponent: float):
-    """The flat gauss_panels nodes and weights of whole points laid out by
+def _gap_edges(firsts, panels, gaps):
+    """The panel ends (left, right), flat, of whole points laid out by
     _layout_gaps: their first edges, panel counts and gaps."""
     gap_panels = gaps[-1]
     ga, gb, gcur, gstep, gm, gk = (np.repeat(v, gap_panels)
@@ -179,8 +192,7 @@ def _gap_nodes(firsts, panels, gaps, n: int, exponent: float):
     left = np.empty_like(right)
     left[1:] = right[:-1]
     left[np.cumsum(panels) - panels] = firsts
-    nodes, weights = gauss_panels(left, right, n, exponent)
-    return nodes.ravel(), weights.ravel()
+    return left, right
 
 
 def panel_layouts(edges, counts, caps, n: int, exponent: float,
@@ -201,7 +213,9 @@ def panel_layouts(edges, counts, caps, n: int, exponent: float,
     weights of the points in order, counts[i] of them for point i.
     """
     firsts, panels, gaps = _layout_gaps(edges, counts, caps, max_panels)
-    return (*_gap_nodes(firsts, panels, gaps, n, exponent), panels * n)
+    nodes, weights = gauss_panels(*_gap_edges(firsts, panels, gaps), n,
+                                  exponent)
+    return nodes.ravel(), weights.ravel(), panels * n
 
 
 def _radial_gaps(lo, c, top, width, breakpoints, ladder):
@@ -226,13 +240,36 @@ def _radial_gaps(lo, c, top, width, breakpoints, ladder):
     return counts, _layout_gaps(cand[keep], counts, caps, MAX_RADIAL_PANELS)
 
 
+def _runs(sizes, budget: int):
+    """Runs [i, j) of consecutive items whose sizes add up to at most
+    budget, or of one item that is larger, in order."""
+    ends = np.cumsum(sizes)
+    i = 0
+    while i < sizes.size:
+        j = max(i + 1, int(np.searchsorted(ends, ends[i] - sizes[i] + budget,
+                                           "right")))
+        yield i, j
+        i = j
+
+
+def _distinct_panels(left, right):
+    """The distinct panels (left, right) of flat panel ends, and the row of
+    each panel among them: one np.unique of the complex keys left + i right,
+    which are exact."""
+    key = np.empty(left.size, dtype=complex)
+    key.real, key.imag = left, right
+    key, rows = np.unique(key, return_inverse=True)
+    return key.real, key.imag, rows
+
+
 def radial_sums(lo: float, his, centers, width, breakpoints, n: int,
-                exponent: float, integrand) -> np.ndarray:
-    """Per point x_i = centers_i, the sum of integrand(i, y, w) over the
-    Gauss nodes y and weights w of a panel_layouts layout of [lo, his_i],
+                exponent: float, integrand, f=None) -> np.ndarray:
+    """Per point x_i = centers_i, the sum of integrand(i, y, w) f(y) over
+    the Gauss nodes y and weights w of a panel_layouts layout of [lo, his_i],
     for radial integrals against a kernel that peaks at y = x_i on the
     scale width_i, with the budget MAX_RADIAL_PANELS; his and width are
-    scalars or arrays broadcast to centers.
+    scalars or arrays broadcast to centers.  Without f the factor f(y) is
+    left out.
 
     The base edges of point i are lo, his_i and, inside (lo, his_i), the
     breakpoints, x_i and the ladder x_i +- width_i 2^k, k >= 0; the cap of
@@ -241,19 +278,27 @@ def radial_sums(lo: float, his, centers, width, breakpoints, n: int,
     and b - a <= a unless a = 0.
 
     The points are planned in blocks of at most _RADIAL_NODES candidate
-    edges, and summed in blocks of whole points of at most _RADIAL_NODES
-    nodes (or one point with more), counted from the plan's panel counts
-    before any node is built.  The integrand is vectorized: it gets the
+    edges.  Whole points of a block, up to _DISTINCT_NODES nodes (or one
+    point with more), take their panel ends from the plan and share one
+    gauss_panels call and one f evaluation on their distinct panels
+    (_distinct_panels): at most max(_DISTINCT_NODES, n MAX_RADIAL_PANELS)
+    distinct nodes, weights and f values are held at once, whatever the
+    number of points.  They are summed in blocks of whole points of at most
+    _RADIAL_NODES nodes (or one point with more), each point's node, weight
+    and f rows gathered by panel.  The integrand is vectorized: it gets the
     index i of each node's point, the nodes and the weights of a block, and
-    returns the terms, one per node along its last axis; the sums have the
-    terms' leading shape followed by the points'.  A point's sum does not
-    depend on the blocks.  A non-finite sum raises NumericsError naming its
-    point.
+    returns the weighted kernel terms, one per node along its last axis; a
+    term times f(y) is summed, and the sums have the terms' leading shape
+    followed by the points'.  No points give an empty array.  A point's
+    sum depends neither on the blocks nor on the other points.  A non-finite
+    sum raises NumericsError naming its point.
     """
+    centers = np.atleast_1d(np.asarray(centers, dtype=float))
+    if not centers.size:
+        return np.zeros(0)
     sums = []
     # an overflow in a layout or a term shows as a non-finite sum
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        centers = np.atleast_1d(np.asarray(centers, dtype=float))
         his, width = (np.broadcast_to(np.asarray(v, dtype=float),
                                       centers.shape) for v in (his, width))
         reach = float(np.max(np.maximum(his - centers, centers - lo) / width))
@@ -265,22 +310,26 @@ def radial_sums(lo: float, his, centers, width, breakpoints, n: int,
             counts, (firsts, panels, gaps) = _radial_gaps(
                 lo, centers[part, None], his[part, None], width[part, None],
                 bps, ladder)
-            nodes = panels * n
-            ends = np.cumsum(nodes)
             gap_ends = np.cumsum(counts - 1)
-            i = 0
-            while i < counts.size:
-                # whole points up to _RADIAL_NODES nodes, at least one
-                j = max(i + 1, int(np.searchsorted(
-                    ends, ends[i] - nodes[i] + _RADIAL_NODES, "right")))
-                g = slice(gap_ends[i] - counts[i] + 1, gap_ends[j - 1])
-                y, w = _gap_nodes(firsts[i:j], panels[i:j],
-                                  tuple(v[g] for v in gaps), n, exponent)
-                # no block's terms outlive its sums
-                sums.append(np.add.reduceat(integrand(
-                    np.repeat(np.arange(first + i, first + j), nodes[i:j]),
-                    y, w), np.cumsum(nodes[i:j]) - nodes[i:j], axis=-1))
-                i = j
+            for gi, gj in _runs(panels * n, _DISTINCT_NODES):
+                g = slice(gap_ends[gi] - counts[gi] + 1, gap_ends[gj - 1])
+                left, right, panel = _distinct_panels(*_gap_edges(
+                    firsts[gi:gj], panels[gi:gj], tuple(v[g] for v in gaps)))
+                y, w = gauss_panels(left, right, n, exponent)
+                fy = None if f is None else f(y.ravel()).reshape(y.shape)
+                own = panels[gi:gj]
+                ends = np.cumsum(own)
+                for i, j in _runs(own * n, _RADIAL_NODES):
+                    rows = panel[ends[i] - own[i]:ends[j - 1]]
+                    nodes = own[i:j] * n
+                    terms = integrand(
+                        np.repeat(np.arange(first + gi + i, first + gi + j),
+                                  nodes), y[rows].ravel(), w[rows].ravel())
+                    if fy is not None:
+                        terms = terms * fy[rows].ravel()
+                    # no block's terms outlive its sums
+                    sums.append(np.add.reduceat(
+                        terms, np.cumsum(nodes) - nodes, axis=-1))
     sums = np.concatenate(sums, axis=-1)
     finite = np.isfinite(sums).reshape(-1, centers.size).all(axis=0)
     if not finite.all():

@@ -214,8 +214,8 @@ def apply_transform_kernel_route(space, setup, win: IndexWindow,
     return radial_sums(slo, shi, xs, setup.a_at(win.n1),
                        f.quad_breakpoints(), quad.y_nodes_per_panel,
                        space.weight_exponent, lambda i, y, w: (
-                           w * window_kernel(space, setup, win, xs[i], y)
-                           * f(y)))
+                           w * window_kernel(space, setup, win, xs[i], y)),
+                       f)
 
 
 # --------------------------------------------------------------------------

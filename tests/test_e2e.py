@@ -340,3 +340,56 @@ def test_compare_runs_exit_codes_and_stderr():
     assert not run.compare_runs(run.Run(2, "numerical failure: y\n", None,
                                         []), a, {})[0]
     assert not run.compare_runs(run.Run(2, a.stderr, CSV, []), a, {})[0]
+
+
+# --------------------------------------------------------------------------
+# time
+
+TIMED = '''
+[[run]]
+name = "v"
+experiment = "version"
+
+[[run]]
+name = "f"
+experiment = "fail"
+exit = 2
+stderr = "numerical failure: bad"
+'''
+
+
+def test_time_alternates_the_trees_at_one_thread(tmp_path, monkeypatch,
+                                                 capsys):
+    here, tree = fake_tree(tmp_path / "here"), fake_tree(tmp_path / "tree")
+    path = manifest(tmp_path, TIMED)
+    calls, real = [], run.run_once
+
+    def record(side, entry, cwd, threads=None, **kw):
+        calls.append((side, entry["name"], threads))
+        return real(side, entry, cwd, threads, **kw)
+
+    monkeypatch.setattr(run, "run_once", record)
+    assert run.time_entries(tree, (), here, path, pairs=3) == 0
+    assert calls == [(side, name, 1) for name in ("v", "f")
+                     for side in (here, tree, tree, here, here, tree)]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["entry", "here", "s", "tree", "s",
+                                "here/tree"]
+    assert [line.split()[0] for line in lines[1:]] == ["v", "f"]
+    for line in lines[1:]:
+        mine, theirs, ratio = map(float, line.split()[1:])
+        # each printed to three decimals
+        assert abs(ratio * theirs - mine) <= 1e-3 * (ratio + theirs + 1.0)
+
+
+def test_time_names_entries_and_fails_on_exit_codes(tmp_path, capsys):
+    here, tree = fake_tree(tmp_path / "here"), fake_tree(tmp_path / "tree")
+    path = manifest(tmp_path, TIMED)
+    assert run.time_entries(tree, ("f",), here, path, pairs=1) == 0
+    assert [line.split()[0] for line in
+            capsys.readouterr().out.splitlines()[1:]] == ["f"]
+    assert run.time_entries(tree, ("v", "x"), here, path, pairs=1) == 2
+    assert "no entry named x" in capsys.readouterr().err
+    wrong = manifest(tmp_path, TIMED.replace('"fail"', '"good"'))
+    assert run.time_entries(tree, ("f",), here, wrong, pairs=1) == 1
+    assert "FAIL: exit codes [0], expected 2" in capsys.readouterr().out

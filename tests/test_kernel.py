@@ -158,6 +158,18 @@ def test_hold_tail_truncation_bound(space1):
     assert vals[0] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("t, xs, shape", [
+    (1.0, [], (0,)), (np.array([]), [1.0], (0,)),
+    (np.array([[0.5], [1.0]]), [], (2, 0))])
+def test_apply_at_without_points_is_empty(space1, t, xs, shape):
+    # no (t, x) point: empty values and tails of the broadcast shape, for a
+    # compact support and for a held tail
+    for f in (smooth_bump(2.0, 1.0), SampledFunction(
+            np.array([1.0, 2.0]), np.array([1.0, 1.0]), right="hold")):
+        vals, tails = apply_at(space1, f, t, xs)
+        assert vals.shape == tails.shape == shape
+
+
 def test_unattainable_tail_end_names_the_first_failing_time():
     # rows of times, as a table's fill passes its levels: the error names
     # the first row that fails, as a call with that row alone does

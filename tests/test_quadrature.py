@@ -7,14 +7,16 @@ from scipy.special import beta as beta_fn, roots_jacobi, roots_legendre
 
 import besseldt.quadrature as quadrature_mod
 from besseldt import literals
-from besseldt.errors import QuadratureError
-from besseldt.functions import smooth_bump
+from besseldt.errors import NumericsError, QuadratureError
+from besseldt.functions import SampledFunction, bump_mixture, smooth_bump
 from besseldt.hankel import hankel_transform
-from besseldt.kernel import apply_at
+from besseldt.kernel import apply_at, kernel_difference_l1, kernel_values
+from besseldt.lacunary import geometric
 from besseldt.measure import LambdaSpace
 from besseldt.quadrature import (MAX_RADIAL_PANELS, QuadratureSpec,
                                  gauss_panels, jacobi_rule, legendre_rule,
                                  radial_sums)
+from besseldt.transform import IndexWindow, apply_transform_kernel_route
 
 from conftest import assert_budget_boundary
 
@@ -72,20 +74,21 @@ def _radial_case(rng):
 def _radial_panels(monkeypatch, lo, his, xs, t, bps, n=4, exponent=1.4):
     """The layouts (nodes, weights, counts) of the integrand calls of one
     radial_sums call, one per block of points, and per point the panel ends
-    (left, right) that the blocks hand gauss_panels."""
+    (left, right) of its edge plan."""
     layouts, seen = [], []
-    real_panels = quadrature_mod.gauss_panels
+    real_edges = quadrature_mod._gap_edges
 
-    def record_panels(left, right, n, exponent):
+    def record_edges(firsts, panels, gaps):
+        left, right = real_edges(firsts, panels, gaps)
         seen.append((left.copy(), right.copy()))
-        return real_panels(left, right, n, exponent)
+        return left, right
 
     def integrand(i, y, w):
         layouts.append((y, w, np.unique(i, return_counts=True)[1]))
         return w
 
     with monkeypatch.context() as patch:
-        patch.setattr(quadrature_mod, "gauss_panels", record_panels)
+        patch.setattr(quadrature_mod, "_gap_edges", record_edges)
         radial_sums(lo, his, xs, t, bps, n, exponent, integrand)
     cuts = np.cumsum(np.concatenate([r[2] for r in layouts]) // n)[:-1]
     return (layouts, np.split(np.concatenate([s[0] for s in seen]), cuts),
@@ -294,6 +297,148 @@ def test_radial_sums_blocking_is_bit_identical(monkeypatch):
     per_point = [np.sum(integrand(i, yp, wp)) for i, yp, wp in zip(
         range(points.size), np.split(y, cuts), np.split(w, cuts))]
     assert np.allclose(whole, per_point, rtol=1e-14, atol=0.0)
+
+
+#: the levels 2^j, j = -10..10, and the points of a dyadic table fill
+DYADIC_TIMES = 2.0 ** np.arange(-10, 11)
+DYADIC_XS = np.array([0.25, 0.75, 1.5, 3.0])
+
+
+def _counting(f):
+    """f with its func wrapped to record the size of every argument, and
+    the list of sizes, emptied after the sampling on f's grid."""
+    sizes = []
+
+    def func(y):
+        sizes.append(np.size(y))
+        return f.func(y)
+
+    counted = SampledFunction.from_callable(func, f.grid, f.left, f.right,
+                                            f.breakpoints)
+    sizes.clear()
+    return counted, sizes
+
+
+def _recorded(monkeypatch, name):
+    """Wrap quadrature's `name` to record each call's arguments and result;
+    returns the list of (args, result)."""
+    calls, real = [], getattr(quadrature_mod, name)
+
+    def record(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(quadrature_mod, name, record)
+    return calls
+
+
+def test_fill_and_kernel_routes_equal_per_point_calls(monkeypatch):
+    # a point's sum depends on no other point: a dyadic fill of 21 levels
+    # at 4 points and the kernel route of T_N equal per-point calls, bit
+    # for bit
+    space = LambdaSpace(1.5)
+    f = bump_mixture(np.random.default_rng(2), span=(1e-1, 1e1))
+    fill = apply_at(space, f, DYADIC_TIMES[:, None], DYADIC_XS)[0]
+    assert fill.shape == (21, 4)
+    for t, row in zip(DYADIC_TIMES, fill):
+        for x, value in zip(DYADIC_XS, row):
+            assert value == apply_at(space, f, t, [x])[0][0]
+    setup = geometric(2.0, -6, 6, v=(-1.0) ** np.arange(12))
+    win, bump = IndexWindow(-3, 2), smooth_bump(1.0, 0.6)
+    routed = apply_transform_kernel_route(space, setup, win, bump, DYADIC_XS)
+    for x, value in zip(DYADIC_XS, routed):
+        assert value == apply_transform_kernel_route(space, setup, win, bump,
+                                                     [x])[0]
+    # one point against the sum over its own gauss_panels nodes in panel
+    # order, of (w K) f for apply_at and of w |K_t2 - K_t1| for
+    # kernel_difference_l1
+    edges = _recorded(monkeypatch, "_gap_edges")
+
+    def own_nodes():
+        [(_, (left, right))] = edges
+        edges.clear()
+        y, w = gauss_panels(left, right, 16, space.weight_exponent)
+        return y.ravel(), w.ravel()
+
+    for t, x in ((1 / 16, 1.0), (0.5, 3.0), (4.0, 0.25)):
+        got = apply_at(space, f, t, [x])[0][0]
+        y, w = own_nodes()
+        terms = (w * kernel_values(space, t, x, y)) * f(y)
+        assert got == np.add.reduceat(terms, [0])[0]
+        got = kernel_difference_l1(space, t, 2 * t, x)
+        y, w = own_nodes()
+        terms = w * np.abs(kernel_values(space, 2 * t, x, y)
+                           - kernel_values(space, t, x, y))
+        assert got == np.add.reduceat(terms, [0])[0]
+
+
+def test_f_sees_each_distinct_node_once(monkeypatch):
+    # the points of a fill share their panels: f is evaluated once on the
+    # nodes of each distinct panel of a group of points, and every node,
+    # weight and f value a point sums is its own panel's
+    space = LambdaSpace(1.5)
+    f, sizes = _counting(smooth_bump(2.0, 1.0))
+    edges = _recorded(monkeypatch, "_gap_edges")
+    panels = _recorded(monkeypatch, "gauss_panels")
+    apply_at(space, f, DYADIC_TIMES[:, None], DYADIC_XS)
+    distinct = sum(np.unique(np.stack(out), axis=1).shape[1]
+                   for _, out in edges)
+    every = sum(out[0].size for _, out in edges)
+    assert len(sizes) == len(panels) == len(edges)
+    assert sum(sizes) == 16 * distinct
+    assert [args[0].size for args, _ in panels] == [
+        np.unique(np.stack(out), axis=1).shape[1] for _, out in edges]
+    # most panels of a dyadic fill repeat
+    assert 4 * distinct < every
+
+
+@pytest.mark.parametrize("cap", [1, 200, 3000])
+def test_distinct_node_cap_bounds_the_nodes_held(monkeypatch, cap):
+    # groups of whole points up to _DISTINCT_NODES nodes, or one point with
+    # more: a group builds at most max(_DISTINCT_NODES, n MAX_RADIAL_PANELS)
+    # distinct nodes, however many points the call has, and the sums keep
+    # their bits
+    space = LambdaSpace(1.5)
+    f, sizes = _counting(bump_mixture(np.random.default_rng(4),
+                                      span=(1e-1, 1e1)))
+    xs = np.geomspace(0.05, 20.0, 40)
+    whole = apply_at(space, f, DYADIC_TIMES[:, None], xs)[0]
+    groups = len(sizes)
+    sizes.clear()
+    edges = _recorded(monkeypatch, "_gap_edges")
+    monkeypatch.setattr(quadrature_mod, "_DISTINCT_NODES", cap)
+    assert np.array_equal(apply_at(space, f, DYADIC_TIMES[:, None], xs)[0],
+                          whole)
+    assert len(sizes) > groups
+    bound = max(cap, 16 * MAX_RADIAL_PANELS)
+    assert max(sizes) <= bound
+    # a group's panels before the dedupe are within the cap too, unless the
+    # group is one point
+    for (firsts, counts, _), (left, _) in edges:
+        assert 16 * left.size <= cap or counts.size == 1
+
+
+def test_non_finite_layout_or_term_names_the_first_bad_point():
+    # a weight y^400 overflows from y = 5.9: points whose ends pass it have
+    # a non-finite layout; a term or an f value that is not finite fails
+    # its point alone; the error names the first failing point
+    xs = np.array([1.0, 2.0, 3.0, 4.0])
+    his = np.array([1.5, 3.0, 10.0, 12.0])
+
+    def kernel(i, y, w):
+        return w / (1.0 + (y - xs[i]) ** 2)
+
+    assert np.all(np.isfinite(radial_sums(0.0, his[:2], xs[:2], 0.5, (), 16,
+                                          400.0, kernel)))
+    with pytest.raises(NumericsError, match=r"radial sum at x = 3 is not"):
+        radial_sums(0.0, his, xs, 0.5, (), 16, 400.0, kernel)
+    with pytest.raises(NumericsError, match=r"radial sum at x = 2 is not"):
+        radial_sums(0.0, 5.0, xs, 0.5, (), 16, 2.0,
+                    lambda i, y, w: np.where(xs[i] > 1.5, np.nan, w))
+    with pytest.raises(NumericsError, match=r"radial sum at x = 3 is not"):
+        radial_sums(0.0, his, xs, 0.5, (), 16, 2.0, kernel,
+                    lambda y: np.where(y > 4.5, np.inf, 1.0))
 
 
 def _legendre_moment(k):
